@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, MaxStepsError
 from .game import PayoffParams, Strategy, strategy_tuple, validate_delta
 from .gradients import TerminalClassification, classify_terminal, gradient_quotient
-from .payoffs import PayoffPair, _cofactors, _matrix_rows
+from .payoffs import _payoffs
 from .zd import is_pczd
 
 __all__ = [
@@ -56,12 +56,14 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.nu <= 0.0:
-            raise DomainError(f"learning rate must be positive, got {self.nu}")
-        if self.dq <= 0.0:
-            raise DomainError(f"difference step must be positive, got {self.dq}")
-        if self.step_tol <= 0.0:
-            raise DomainError(f"termination threshold must be positive, got {self.step_tol}")
+        if not (math.isfinite(self.nu) and self.nu > 0.0):
+            raise DomainError(f"learning rate must be finite and positive, got {self.nu}")
+        if not (math.isfinite(self.dq) and self.dq > 0.0):
+            raise DomainError(f"difference step must be finite and positive, got {self.dq}")
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
+            raise DomainError(
+                f"termination threshold must be finite and positive, got {self.step_tol}"
+            )
         if self.max_steps < 1:
             raise DomainError(f"max_steps must be at least 1, got {self.max_steps}")
         if self.gradient_mode not in GRADIENT_MODES:
@@ -96,23 +98,6 @@ class AdaptingPath:
         return self.steps[-1].q
 
 
-def _payoffs(p, q, delta, params) -> PayoffPair:
-    rows = _matrix_rows(p, q, delta)
-    c = _cofactors(rows)
-    d_ones = c[0] + c[1] + c[2] + c[3]
-    T, S = params.T, params.S
-    return PayoffPair(
-        (c[0] + T * c[1] + S * c[2]) / d_ones,
-        (c[0] + S * c[1] + T * c[2]) / d_ones,
-    )
-
-
-def _sy(p, q, delta, params) -> float:
-    rows = _matrix_rows(p, q, delta)
-    c = _cofactors(rows)
-    return (c[0] + params.S * c[1] + params.T * c[2]) / (c[0] + c[1] + c[2] + c[3])
-
-
 def fd_gradient(q, j: int, config: SimConfig, p, delta, params: PayoffParams) -> float:
     """Learning-rate-scaled centered difference of Y's payoff in entry ``j``.
 
@@ -120,19 +105,21 @@ def fd_gradient(q, j: int, config: SimConfig, p, delta, params: PayoffParams) ->
     extrapolates polynomially outside the cube.
     """
     pt, qt = strategy_tuple(p), strategy_tuple(q)
-    delta = validate_delta(delta)
-    plus = list(qt)
-    minus = list(qt)
+    return _fd_move(qt, j, config, pt, validate_delta(delta), params)
+
+
+def _fd_move(qt, j, config, pt, delta, params):
+    plus, minus = list(qt), list(qt)
     plus[j] += config.dq
     minus[j] -= config.dq
-    s_plus = _sy(pt, tuple(plus), delta, params)
-    s_minus = _sy(pt, tuple(minus), delta, params)
+    s_plus = _payoffs(pt, tuple(plus), delta, params)[1]
+    s_minus = _payoffs(pt, tuple(minus), delta, params)[1]
     return config.nu * (s_plus - s_minus) / (2.0 * config.dq)
 
 
 def _ascent_update(qt, config, pt, delta, params):
     if config.gradient_mode == "finite_difference":
-        moves = [fd_gradient(qt, j, config, pt, delta, params) for j in range(5)]
+        moves = [_fd_move(qt, j, config, pt, delta, params) for j in range(5)]
     else:
         grad = gradient_quotient(pt, qt, delta, params, payoff="y")
         moves = [config.nu * g for g in grad]
@@ -141,10 +128,8 @@ def _ascent_update(qt, config, pt, delta, params):
 
 def step(q, config: SimConfig, p, delta, params: PayoffParams) -> Strategy:
     """One ascent update: every entry moves by its scaled gradient, then clamps."""
-    qt = strategy_tuple(q)
-    pt = strategy_tuple(p)
-    delta = validate_delta(delta)
-    return Strategy(*_ascent_update(qt, config, pt, delta, params))
+    qt, pt = strategy_tuple(q), strategy_tuple(p)
+    return Strategy(*_ascent_update(qt, config, pt, validate_delta(delta), params))
 
 
 def run_path(q0, config: SimConfig, p, delta, params: PayoffParams,
@@ -169,10 +154,10 @@ def run_path(q0, config: SimConfig, p, delta, params: PayoffParams,
     path = AdaptingPath()
 
     def record(n, q):
-        s = _payoffs(pt, q, delta, params)
-        if path.steps and s.s_y < path.steps[-1].s_y - 1e-12:
+        s_x, s_y = _payoffs(pt, q, delta, params)
+        if path.steps and s_y < path.steps[-1].s_y - 1e-12:
             path.monotonic_violations += 1
-        path.steps.append(PathStep(n, q, s.s_y, s.s_x))
+        path.steps.append(PathStep(n, q, s_y, s_x))
 
     record(0, qt)
     n = 0

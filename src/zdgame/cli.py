@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
     MaxStepsError,
+    NumericalError,
 )
 from .game import Strategy, validate_delta, validate_payoffs
 from .tables import table_report
@@ -243,11 +244,11 @@ _SWEEP_HEADER = (
 )
 
 
-def _aggregate(results) -> str:
+def _aggregate(results) -> dict:
     counts = {"T1": 0, "T2": 0, "OTHER": 0}
     for r in results:
         counts[r.terminal] += 1
-    return ", ".join(f"{k}: {v}" for k, v in counts.items())
+    return counts
 
 
 def cmd_sweep(spec: RunSpec) -> int:
@@ -262,7 +263,8 @@ def cmd_sweep(spec: RunSpec) -> int:
         spec.n_paths, int(spec.seed), spec.sim_config(), p, delta, params,
         workers=spec.workers,
     )
-    aggregate = _aggregate(results)
+    counts = _aggregate(results)
+    aggregate = ", ".join(f"{k}: {v}" for k, v in counts.items())
     if spec.format == "csv":
         lines = [_SWEEP_HEADER]
         for r in results:
@@ -279,7 +281,7 @@ def cmd_sweep(spec: RunSpec) -> int:
     else:
         doc = {
             "seed": spec.seed,
-            "aggregate": {k.split(":")[0].strip(): int(k.split(":")[1]) for k in aggregate.split(", ")},
+            "aggregate": counts,
             "paths": [
                 {
                     "path": r.index,
@@ -388,7 +390,7 @@ def main(argv=None) -> int:
     try:
         spec = spec_from_args(args)
         return _HANDLERS[spec.command](spec)
-    except (DomainError, InfeasibleError, DegenerateError) as exc:
+    except (DomainError, InfeasibleError, DegenerateError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

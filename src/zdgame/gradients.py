@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._linalg import det4
-from .errors import NotRelayError, NumericalError
+from .errors import NotRelayError
 from .game import PayoffParams, strategy_tuple, validate_delta
-from .payoffs import NORMALIZER_FLOOR, _cofactors, _matrix_rows, _place_by_row
+from .payoffs import _cofactors, _matrix_rows, _payoff_terms, _place_by_row
 
 __all__ = [
     "Gradient",
@@ -90,18 +90,6 @@ def common_factor(p, delta, params: PayoffParams) -> float:
     return (1.0 - delta * p2) - (1.0 - delta * p1) * S + delta * p4 * (1.0 - S)
 
 
-def _det_with_weights(rows, g):
-    r0, r1, r2, r3 = rows
-    return det4(
-        (
-            (r0[0], r0[1], r0[2], g[0]),
-            (r1[0], r1[1], r1[2], g[1]),
-            (r2[0], r2[1], r2[2], g[2]),
-            (r3[0], r3[1], r3[2], g[3]),
-        )
-    )
-
-
 def _row_derivative_det(rows, g, ell, p_lam, delta):
     """Derivative of the weighted determinant in q_ell: replace row ell by
     the derivative of its entries."""
@@ -142,18 +130,12 @@ def gradient_quotient(p, q, delta, params: PayoffParams, payoff: str = "x") -> G
     rows = _matrix_rows(pt, qt, delta)
     ones = (1.0, 1.0, 1.0, 1.0)
     g = _weight_by_row(params, payoff)
-    c = _cofactors(rows)
-    d_ones = c[0] + c[1] + c[2] + c[3]
-    d_pay = g[0] * c[0] + g[1] * c[1] + g[2] * c[2] + g[3] * c[3]
-    if abs(d_ones) < NORMALIZER_FLOOR:
-        raise NumericalError(
-            f"normalizing determinant {d_ones!r} vanished; inputs outside valid domain"
-        )
+    d_ones, n_x, n_y = _payoff_terms(_cofactors(rows), params)
+    d_pay = n_x if payoff == "x" else n_y
     denom = d_ones * d_ones
     out = [0.0] * 5
-    d1_q0 = _q0_derivative_det(rows, ones, pt[0], delta)  # exactly 0: weight column cancels
-    dp_q0 = _q0_derivative_det(rows, g, pt[0], delta)
-    out[0] = (d_ones * dp_q0 - d1_q0 * d_pay) / denom
+    # the normalizer's q0 derivative is exactly 0: its weight column cancels
+    out[0] = d_ones * _q0_derivative_det(rows, g, pt[0], delta) / denom
     for ell in range(1, 5):
         p_lam = pt[_ROW_P_INDEX[ell]]
         d1 = _row_derivative_det(rows, ones, ell, p_lam, delta)
@@ -165,7 +147,10 @@ def gradient_quotient(p, q, delta, params: PayoffParams, payoff: str = "x") -> G
 def minor_dets(p, q, delta) -> tuple[float, float, float, float]:
     """3x3 minors of the payoff determinant, dropping row l and the weight column."""
     rows = _matrix_rows(strategy_tuple(p), strategy_tuple(q), validate_delta(delta))
-    c = _cofactors(rows)
+    return _minors(_cofactors(rows))
+
+
+def _minors(c):
     # cofactor l carries sign (-1)^l relative to the minor
     return (-c[0], c[1], -c[2], c[3])
 
@@ -179,8 +164,10 @@ def row_reduction_vector(p, q, delta, ell: int) -> tuple[float, float, float]:
     if ell not in (1, 2, 3, 4):
         raise ValueError(f"ell must be in 1..4, got {ell}")
     pt, qt = strategy_tuple(p), strategy_tuple(q)
-    delta = validate_delta(delta)
-    rows = _matrix_rows(pt, qt, delta)
+    return _row_reduction(_matrix_rows(pt, qt, validate_delta(delta)), pt, ell)
+
+
+def _row_reduction(rows, pt, ell):
     k = ell - 1
     z1, _, z3 = rows[k]
     p_lam = pt[_ROW_P_INDEX[ell]]
@@ -206,10 +193,11 @@ def reduced_dets(p, q, delta, params: PayoffParams) -> tuple[float, float, float
     Alternating in sign: ``(-1)**l * value > 0`` throughout the strict
     payoff domain when the opponent is positively correlated.
     """
+    pt, qt = strategy_tuple(p), strategy_tuple(q)
+    rows = _matrix_rows(pt, qt, validate_delta(delta))
     theta = params.theta
     return tuple(
-        _reduced_from_r(row_reduction_vector(p, q, delta, ell), ell, theta)
-        for ell in (1, 2, 3, 4)
+        _reduced_from_r(_row_reduction(rows, pt, ell), ell, theta) for ell in (1, 2, 3, 4)
     )
 
 
@@ -249,13 +237,9 @@ def gradient_factorized(p, q, delta, params: PayoffParams):
     delta = validate_delta(delta)
     rows = _matrix_rows(pt, qt, delta)
     c = _cofactors(rows)
-    d_ones = c[0] + c[1] + c[2] + c[3]
-    if abs(d_ones) < NORMALIZER_FLOOR:
-        raise NumericalError(
-            f"normalizing determinant {d_ones!r} vanished; inputs outside valid domain"
-        )
+    d_ones = _payoff_terms(c, params)[0]
     common = common_factor(pt, delta, params)
-    minors = (-c[0], c[1], -c[2], c[3])
+    minors = _minors(c)
     theta = params.theta
     denom_sq = d_ones * d_ones
     grads = [0.0] * 5
@@ -264,7 +248,7 @@ def gradient_factorized(p, q, delta, params: PayoffParams):
     grads[0] = (1.0 - delta) * common * d0 / d_ones
     decomp[0] = FactorDecomposition(scalar=1.0 - delta, common=common, minor=None, reduced=d0)
     for ell in range(1, 5):
-        r = row_reduction_vector(pt, qt, delta, ell)
+        r = _row_reduction(rows, pt, ell)
         d_ell = _reduced_from_r(r, ell, theta)
         m_ell = minors[ell - 1]
         grads[ell] = delta * common * m_ell * d_ell / denom_sq
@@ -326,12 +310,16 @@ def zero_gradient_condition(p, q, ell: int, tol: float = 1e-12) -> bool:
     the gradient in q_ell against a positively correlated enforcer."""
     if ell not in ZERO_CONDITIONS:
         raise ValueError(f"ell must be in 1..4, got {ell}")
-    pt, qt = strategy_tuple(p), strategy_tuple(q)
+    return _matches_any(ZERO_CONDITIONS[ell], strategy_tuple(p), strategy_tuple(q), tol)
+
+
+def _matches_any(patterns, pt, qt, tol) -> bool:
+    """True iff every (vector, index, value) triple of some pattern holds within ``tol``."""
     vectors = {"p": pt, "q": qt}
-    for condition in ZERO_CONDITIONS[ell]:
-        if all(abs(vectors[name][idx] - value) <= tol for name, idx, value in condition):
-            return True
-    return False
+    return any(
+        all(abs(vectors[name][idx] - value) <= tol for name, idx, value in pattern)
+        for pattern in patterns
+    )
 
 
 @dataclass(frozen=True)
@@ -392,13 +380,7 @@ def classify_relay(p, q_prime, delta, params: PayoffParams, tol: float = 1e-6,
                 f"entry q{ell}={qt[ell]:.6g} is below 1 but its gradient "
                 f"{g[ell]:.3e} has not vanished"
             )
-    vectors = {"p": pt, "q": qt}
-    tags = []
-    for tag, patterns in _RELAY_PATTERNS.items():
-        for pattern in patterns:
-            if all(abs(vectors[name][idx] - value) <= tol for name, idx, value in pattern):
-                tags.append(tag)
-                break
+    tags = [tag for tag, patterns in _RELAY_PATTERNS.items() if _matches_any(patterns, pt, qt, tol)]
     witness = {"p0": pt[0], "p1": pt[1], "q": qt}
     return RelayClassification(tags=tuple(tags), witness=witness, gradients=g)
 

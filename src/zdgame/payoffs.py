@@ -2,8 +2,11 @@
 
 The workhorse is a 4x4 determinant whose fourth column holds an arbitrary
 outcome-weight vector; the ratio of two such determinants gives the
-discounted average payoff.  A direct linear solve and a truncated
-geometric series provide independent cross-checks.
+discounted average payoff.  One kernel, :func:`_payoff_terms`, forms the
+normalizer and payoff numerators from the cofactors for this module, the
+gradients and the ascent loop, and holds the only vanishing-normalizer
+check.  A direct linear solve and a truncated geometric series provide
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -111,25 +114,29 @@ def state_determinant(p, q, delta, f) -> float:
     return g[0] * c[0] + g[1] * c[1] + g[2] * c[2] + g[3] * c[3]
 
 
-def _payoffs_from_cofactors(c, params: PayoffParams) -> tuple[float, PayoffPair]:
-    T, S = params.T, params.S
+def _payoff_terms(c, params: PayoffParams) -> tuple[float, float, float]:
+    """Normalizer and X's and Y's payoff numerators; rejects a vanished normalizer."""
     d_ones = c[0] + c[1] + c[2] + c[3]
-    # payoff vectors placed by row: X -> (1, T, S, 0), Y -> (1, S, T, 0)
-    d_x = c[0] + T * c[1] + S * c[2]
-    d_y = c[0] + S * c[1] + T * c[2]
-    return d_ones, PayoffPair(d_x, d_y)
-
-
-def payoff_determinant(p, q, delta, params: PayoffParams) -> PayoffPair:
-    """Discounted average payoffs (s_X, s_Y) as a ratio of determinants."""
-    c = weight_cofactors(p, q, delta)
-    d_ones, nums = _payoffs_from_cofactors(c, params)
     if abs(d_ones) < NORMALIZER_FLOOR:
         raise NumericalError(
             f"normalizing determinant {d_ones!r} below {NORMALIZER_FLOOR}; "
             "inputs lie outside the valid domain"
         )
-    return PayoffPair(nums.s_x / d_ones, nums.s_y / d_ones)
+    T, S = params.T, params.S
+    # payoff vectors placed by row: X -> (1, T, S, 0), Y -> (1, S, T, 0)
+    return d_ones, c[0] + T * c[1] + S * c[2], c[0] + S * c[1] + T * c[2]
+
+
+def _payoffs(pt, qt, delta, params: PayoffParams) -> tuple[float, float]:
+    """(s_X, s_Y) for strategies and discount that are already coerced."""
+    d_ones, n_x, n_y = _payoff_terms(_cofactors(_matrix_rows(pt, qt, delta)), params)
+    return n_x / d_ones, n_y / d_ones
+
+
+def payoff_determinant(p, q, delta, params: PayoffParams) -> PayoffPair:
+    """Discounted average payoffs (s_X, s_Y) as a ratio of determinants."""
+    pt, qt = strategy_tuple(p), strategy_tuple(q)
+    return PayoffPair(*_payoffs(pt, qt, validate_delta(delta), params))
 
 
 def payoff_inverse(p, q, delta, params: PayoffParams) -> PayoffPair:

@@ -35,6 +35,12 @@ class TestSimConfig:
             {"nu": 0.0},
             {"dq": -1.0},
             {"step_tol": 0.0},
+            {"nu": math.nan},
+            {"nu": math.inf},
+            {"dq": math.nan},
+            {"dq": math.inf},
+            {"step_tol": math.nan},
+            {"step_tol": math.inf},
             {"max_steps": 0},
             {"gradient_mode": "exact"},
             {"record_stride": 0},

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zdgame import tables as tables_mod
 from zdgame.cli import main
 
@@ -73,6 +75,23 @@ class TestRun:
                      "--p", "0,1,0,1,0", "--q0", "0,0,0,0,0"])
         assert code == 1
         assert "T > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--nu", "nan"], ["--dq", "inf"], ["--step-tol", "inf"]])
+    def test_non_finite_config_fails_with_one_line(self, tmp_path, capsys, flag):
+        code = main(["run", *FIG3, *flag, "--out", str(tmp_path / "traj.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:opponent strategy is not")
+    def test_vanishing_normalizer_fails_with_one_line(self, capsys):
+        # delta within 1e-16 of 1 leaves the valid domain; fd probes hit the floor
+        code = main(["run", "--T", "1.5", "--S", "-0.5", "--delta", "0.9999999999999999",
+                     "--p", "1,1,1,1,1", "--q0", "1,1,1,0,1", "--max-steps", "5"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: normalizing determinant")
 
     def test_output_to_directory_fails_cleanly(self, tmp_path, capsys):
         code = main(["run", *FIG3, "--out", str(tmp_path)])

@@ -19,7 +19,8 @@ from zdgame import (
     validate_payoffs,
     zero_gradient_condition,
 )
-from zdgame.gradients import ZERO_CONDITIONS
+from zdgame.gradients import ZERO_CONDITIONS, _q0_derivative_det
+from zdgame.payoffs import _matrix_rows
 from conftest import PCZD_A, PCZD_B, PCZD_C, PCZD_D
 
 ONES = (1.0, 1.0, 1.0, 1.0)
@@ -266,6 +267,15 @@ class TestTerminalClassification:
         assert result.tag == "T1"
         result = classify_terminal((0, 0.75, 0.25, 0.5, 0), (1 - 1e-4, 1, 1, 0.5, 0.5))
         assert result.tag == "OTHER"
+
+
+def test_normalizer_q0_derivative_is_exactly_zero(rng):
+    # gradient_quotient drops this determinant from the q0 component
+    for _ in range(2000):
+        p, q = rng.random(5), rng.random(5)
+        delta = rng.uniform(0.01, 0.99)
+        rows = _matrix_rows(tuple(map(float, p)), tuple(map(float, q)), delta)
+        assert _q0_derivative_det(rows, ONES, float(p[0]), delta) == 0.0
 
 
 def test_gradient_scale_invariance_of_normalizer(params_main, rng):
