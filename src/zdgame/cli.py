@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -43,6 +44,7 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
 _GRADIENT_MODES = {"fd": "finite_difference", "analytic": "analytic"}
+_FORMATS = ("csv", "json")
 
 
 def _fmt(x: float) -> str:
@@ -110,14 +112,15 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--n-paths", dest="n_paths", type=int, default=None)
     sub.add_argument("--gradient", choices=sorted(_GRADIENT_MODES), default=None)
     sub.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], default=None)
+    sub.add_argument("--format", choices=_FORMATS, default=None)
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file of defaults; explicit flags override it")
     sub.add_argument("--strict-payoffs", dest="strict_payoffs",
                      action="store_const", const=True, default=None,
                      help="additionally require 0 < T + S")
     sub.add_argument("--workers", type=int, default=None,
-                     help="parallel worker processes for sweeps")
+                     help="worker processes for sweeps, each running a contiguous "
+                          "chunk of the paths (at least 1; at most one per CPU)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,6 +154,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# RunSpec field -> declared type names, "float | None" -> ["float", "None"]
+_FIELD_TYPES = {f.name: f.type.split(" | ") for f in fields(RunSpec)}
+_NUMBERS = {"float": float, "int": int}
+_CHOICES = {"gradient": tuple(_GRADIENT_MODES), "format": _FORMATS}
+
+
+def _coerce(key: str, value):
+    """Convert a flag or config value to its RunSpec field's type.
+
+    Numbers may also be given as strings; floats must be finite and
+    integers whole.  Strings and booleans must already have their type.
+    """
+    kind, *optional = _FIELD_TYPES[key]
+    if value is None and optional:
+        return None
+    out = None
+    if kind in _NUMBERS and not isinstance(value, bool):
+        try:
+            out = _NUMBERS[kind](value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if not (math.isfinite(out) and (isinstance(value, str) or out == value)):
+                out = None
+    elif type(value).__name__ == kind:
+        out = value
+    if out is None:
+        wanted = {"float": "a finite number", "int": "an integer"}.get(kind, f"a {kind}")
+        raise DomainError(f"{key} must be {wanted}, got {value!r}")
+    if key in _CHOICES and out not in _CHOICES[key]:
+        raise DomainError(f"{key} must be one of {_CHOICES[key]}, got {value!r}")
+    return out
+
+
 def spec_from_args(args: argparse.Namespace) -> RunSpec:
     merged: dict = {}
     config_path = getattr(args, "config", None)
@@ -171,6 +208,9 @@ def spec_from_args(args: argparse.Namespace) -> RunSpec:
         value = merged.get(key)
         if isinstance(value, (list, tuple)):
             merged[key] = ",".join(str(v) for v in value)
+    merged = {key: _coerce(key, value) for key, value in merged.items()}
+    if merged.get("seed") is not None and merged["seed"] < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {merged['seed']}")
     merged["command"] = args.command
     return RunSpec(**merged)
 
@@ -363,6 +403,8 @@ def cmd_tables(spec: RunSpec) -> int:
         raise DomainError("tables needs --p")
     params = spec.payoffs()
     delta = validate_delta(spec.delta)
+    if not spec.tol >= 0.0:
+        raise DomainError(f"tol must be finite and at least 0, got {spec.tol}")
     p = Strategy.parse(spec.p)
     reports = table_report(p, delta, params)
     lines = [

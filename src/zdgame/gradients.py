@@ -126,7 +126,12 @@ def gradient_quotient(p, q, delta, params: PayoffParams, payoff: str = "x") -> G
     normalizer.
     """
     pt, qt = strategy_tuple(p), strategy_tuple(q)
-    delta = validate_delta(delta)
+    return Gradient(*_gradient_quotient(pt, qt, validate_delta(delta), params, payoff))
+
+
+def _gradient_quotient(pt, qt, delta, params, payoff):
+    """:func:`gradient_quotient` on coerced inputs; the entries of ``qt``
+    may be equal-length arrays, giving one array per component."""
     rows = _matrix_rows(pt, qt, delta)
     ones = (1.0, 1.0, 1.0, 1.0)
     g = _weight_by_row(params, payoff)
@@ -141,7 +146,7 @@ def gradient_quotient(p, q, delta, params: PayoffParams, payoff: str = "x") -> G
         d1 = _row_derivative_det(rows, ones, ell, p_lam, delta)
         dp = _row_derivative_det(rows, g, ell, p_lam, delta)
         out[ell] = (d_ones * dp - d1 * d_pay) / denom
-    return Gradient(*out)
+    return out
 
 
 def minor_dets(p, q, delta) -> tuple[float, float, float, float]:

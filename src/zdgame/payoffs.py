@@ -5,8 +5,9 @@ outcome-weight vector; the ratio of two such determinants gives the
 discounted average payoff.  One kernel, :func:`_payoff_terms`, forms the
 normalizer and payoff numerators from the cofactors for this module, the
 gradients and the ascent loop, and holds the only vanishing-normalizer
-check.  A direct linear solve and a truncated geometric series provide
-independent cross-checks.
+check; with the matrix rows and cofactors it also runs on numpy arrays,
+one element per strategy pair, for batched sweeps.  A direct linear solve
+and a truncated geometric series provide independent cross-checks.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ def _matrix_rows(p, q, delta):
 
     Rows follow the prior-outcome order (CC, DC, CD, DD): the two mixed
     rows are exchanged relative to the outcome indexing so that row ``l``
-    is the only row containing Y's entry ``q_l``.
+    is the only row containing Y's entry ``q_l``.  Strategy entries may be
+    floats or arrays; arrays go through the same operations in the same
+    order, element by element, so each element equals its float result.
     """
     a = 1.0 - delta
     p0, p1, p2, p3, p4 = p
@@ -115,11 +118,17 @@ def state_determinant(p, q, delta, f) -> float:
 
 
 def _payoff_terms(c, params: PayoffParams) -> tuple[float, float, float]:
-    """Normalizer and X's and Y's payoff numerators; rejects a vanished normalizer."""
+    """Normalizer and X's and Y's payoff numerators; rejects a vanished normalizer.
+
+    The cofactors may be floats or equal-length arrays (one element per
+    strategy pair); an array is rejected if any element has vanished.
+    """
     d_ones = c[0] + c[1] + c[2] + c[3]
-    if abs(d_ones) < NORMALIZER_FLOOR:
+    below = abs(d_ones) < NORMALIZER_FLOOR
+    if below if type(below) is bool else below.any():
+        vanished = d_ones if type(below) is bool else float(d_ones[below][0])
         raise NumericalError(
-            f"normalizing determinant {d_ones!r} below {NORMALIZER_FLOOR}; "
+            f"normalizing determinant {vanished!r} below {NORMALIZER_FLOOR}; "
             "inputs lie outside the valid domain"
         )
     T, S = params.T, params.S

@@ -8,12 +8,13 @@ one code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import det4
-from .errors import InfeasibleError
+from .errors import DomainError, InfeasibleError
 from .game import PayoffParams, transition_matrix
 from .gradients import gradient_factorized, gradient_quotient
 from .payoffs import payoff_determinant, payoff_inverse, payoff_series, state_determinant
@@ -198,6 +199,8 @@ def _fd_analytic_match(params, seed, scale):
 
 def run_verification(params: PayoffParams, seed: int = 0, scale: float = 1.0) -> list[PropertyResult]:
     """Run every property at ``scale`` times its default sample count."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError(f"sample scale must be finite and positive, got {scale}")
     results = [
         _normalizer_positive(params, seed, scale),
         _regularity_identity(params, seed, scale),

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from zdgame import adaptive
 from zdgame import (
     DomainError,
     MaxStepsError,
@@ -16,6 +17,7 @@ from zdgame import (
     sweep,
     validate_payoffs,
 )
+from zdgame.adaptive import PathResult, _chunks, _sweep_chunk
 from conftest import PCZD_A, PCZD_C
 
 FIG3_Q0 = (0.863, 0.071, 0.593, 0.968, 0.420)
@@ -264,6 +266,92 @@ class TestSweep:
     def test_rejects_empty_sweep(self, params_main):
         with pytest.raises(DomainError):
             sweep(0, 7, SimConfig(), PCZD_A[0], 0.99, params_main)
+
+
+# Against PCZD_C, seed 5 paths take 36..1807 steps: a 600-step cap ends
+# some of them and not others.
+EQUIV_SEED = 5
+EQUIV_CAP = 600
+MODES = ("finite_difference", "analytic")
+
+
+@pytest.fixture(scope="module")
+def scalar_reference(params_main):
+    """Per mode, the first 40 paths of the seed, each run alone by run_path."""
+    p, delta, _ = PCZD_C
+    reference = {}
+    for mode in MODES:
+        cfg = SimConfig(max_steps=EQUIV_CAP, gradient_mode=mode)
+        results = []
+        for i in range(40):
+            q0 = initial_strategy(EQUIV_SEED, i)
+            try:
+                path = run_path(q0, cfg, p, delta, params_main, check_pczd=False)
+            except MaxStepsError as exc:
+                path = exc.path
+            results.append(PathResult(i, EQUIV_SEED, q0.as_tuple(), path.final_q,
+                                      path.terminal.tag, path.terminated_at, path.converged))
+        reference[mode] = results
+    return reference
+
+
+class TestLockstepSweep:
+    def test_reference_has_capped_and_converged_paths(self, scalar_reference):
+        for results in scalar_reference.values():
+            assert {r.converged for r in results} == {True, False}
+
+    # 1 and 2 paths sit below the analytic crossover, 1 below the fd one
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_paths", [1, 2, 17, 40])
+    def test_batch_equals_scalar_paths(self, scalar_reference, params_main, mode, n_paths):
+        p, delta, _ = PCZD_C
+        cfg = SimConfig(max_steps=EQUIV_CAP, gradient_mode=mode)
+        assert sweep(n_paths, EQUIV_SEED, cfg, p, delta, params_main) == \
+            scalar_reference[mode][:n_paths]
+
+    def test_chunked_batches_equal_one_batch(self, scalar_reference, params_main):
+        p, delta, _ = PCZD_C
+        cfg = SimConfig(max_steps=EQUIV_CAP)
+        args = [(range(a, b), EQUIV_SEED, cfg, p, delta, params_main)
+                for a, b in ((0, 1), (1, 18), (18, 40))]
+        chunked = [r for a in args for r in _sweep_chunk(a)]
+        assert chunked == scalar_reference["finite_difference"]
+
+    def test_final_entries_are_plain_floats(self, params_main):
+        p, delta, _ = PCZD_A
+        for r in sweep(3, 991, SimConfig(), p, delta, params_main):
+            assert all(type(v) is float for v in r.final)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("n_paths, workers, cpus, sizes", [
+        (10, 3, 4, [4, 3, 3]),
+        (3, 8, 4, [1, 1, 1]),
+        (100, 64, 2, [50, 50]),
+        (5, 1, 8, [5]),
+        (7, 4, None, [7]),
+    ])
+    def test_chunks_clamp_to_cpus_and_paths(self, monkeypatch, n_paths, workers, cpus, sizes):
+        monkeypatch.setattr(adaptive.os, "cpu_count", lambda: cpus)
+        chunks = _chunks(n_paths, workers)
+        assert [len(c) for c in chunks] == sizes
+        assert [i for c in chunks for i in c] == list(range(n_paths))
+
+    def test_one_cpu_runs_without_a_pool(self, monkeypatch, params_main):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(adaptive.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(adaptive, "ProcessPoolExecutor", no_pool)
+        p, delta, _ = PCZD_A
+        cfg = SimConfig()
+        assert sweep(3, 991, cfg, p, delta, params_main, workers=64) == \
+            sweep(3, 991, cfg, p, delta, params_main)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_rejects_fewer_than_one_worker(self, params_main, workers):
+        with pytest.raises(DomainError):
+            sweep(2, 7, SimConfig(), PCZD_A[0], 0.99, params_main, workers=workers)
 
 
 def test_initial_strategy_streams_are_stable():

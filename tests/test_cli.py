@@ -177,6 +177,41 @@ class TestSweep:
         assert len(doc["paths"]) == 2
 
 
+GAME = ["--T", "1.5", "--S", "-0.5", "--delta", "0.99", "--p", "0.0,0.75,0.25,0.5,0.0"]
+# delta within 1e-16 of 1: against this opponent the seed's paths reach a
+# vanished normalizer
+VANISHING = ["sweep", "--T", "1.5", "--S", "-0.5", "--delta", "0.9999999999999999",
+             "--p", "0,1,1,0,0", "--seed", "1", "--max-steps", "200"]
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("argv, config", [
+        (["sweep", *GAME, "--seed", "-1", "--n-paths", "2"], None),
+        (["run", *GAME, "--seed", "-1"], None),
+        (["verify", "--T", "1.5", "--S", "-0.5", "--seed", "-1"], None),
+        (["run", *GAME[2:], "--seed", "1"], {"T": "abc"}),
+        (["sweep", *GAME, "--n-paths", "2"], {"seed": 1.5}),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2"], {"gradient": "exact"}),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--workers", "-5"], None),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--workers", "0"], None),
+        (["tables", *GAME, "--tol", "nan"], None),
+        (["tables", *GAME, "--tol", "-1"], None),
+        (["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "nan"], None),
+        (["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "-1"], None),
+        ([*VANISHING, "--n-paths", "3"], None),
+        ([*VANISHING, "--n-paths", "20", "--gradient", "analytic"], None),
+    ])
+    def test_fails_with_one_error_line(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out.txt").exists()
+
+
 class TestVerify:
     def test_small_scale_passes(self, capsys):
         code = main(["verify", "--T", "1.5", "--S", "-0.5", "--seed", "3",
@@ -276,6 +311,12 @@ class TestConfigFile:
         code = main(["run", "--config", str(cfg), "--max-steps", "1000000",
                      "--out", str(out2)])
         assert code == 0  # flag overrides config
+
+    def test_config_numbers_as_strings_and_nulls_accepted(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"T": "1.5", "max_steps": "10", "seed": None}))
+        code = main(["run", "--config", str(cfg), *FIG3[2:], "--out", str(tmp_path / "a.csv")])
+        assert code == 2  # the string cap of 10 steps was applied
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -19,7 +19,7 @@ from zdgame import (
     validate_payoffs,
     zero_gradient_condition,
 )
-from zdgame.gradients import ZERO_CONDITIONS, _q0_derivative_det
+from zdgame.gradients import ZERO_CONDITIONS, _gradient_quotient, _q0_derivative_det
 from zdgame.payoffs import _matrix_rows
 from conftest import PCZD_A, PCZD_B, PCZD_C, PCZD_D
 
@@ -284,3 +284,13 @@ def test_gradient_scale_invariance_of_normalizer(params_main, rng):
     delta = 0.5
     doubled = state_determinant(p, q, delta, (2.0, 2.0, 2.0, 2.0))
     assert doubled == pytest.approx(2.0 * state_determinant(p, q, delta, ONES), rel=1e-12)
+
+
+def test_array_gradient_elements_equal_float_gradients(params_main, rng):
+    p = tuple(map(float, rng.random(5)))
+    qs = rng.random((5, 30))
+    grads = _gradient_quotient(p, qs, 0.9, params_main, "y")
+    for k in range(30):
+        q = tuple(float(v) for v in qs[:, k])
+        expected = gradient_quotient(p, q, 0.9, params_main, "y")
+        assert tuple(float(g[k]) for g in grads) == expected

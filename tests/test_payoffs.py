@@ -14,6 +14,7 @@ from zdgame import (
     validate_payoffs,
 )
 from zdgame._linalg import det4
+from zdgame.payoffs import _cofactors, _matrix_rows, _payoff_terms
 
 ONES = (1.0, 1.0, 1.0, 1.0)
 
@@ -192,3 +193,24 @@ def test_state_determinant_is_linear_in_weights(rng):
     lhs = state_determinant(p, q, delta, 2.0 * f + 3.0 * g)
     rhs = 2.0 * state_determinant(p, q, delta, f) + 3.0 * state_determinant(p, q, delta, g)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestArrayKernel:
+    def test_array_elements_equal_float_results(self, params_main, rng):
+        p = tuple(map(float, rng.random(5)))
+        qs = rng.random((5, 50))
+        terms = _payoff_terms(_cofactors(_matrix_rows(p, qs, 0.9)), params_main)
+        for k in range(50):
+            q = tuple(float(v) for v in qs[:, k])
+            expected = _payoff_terms(_cofactors(_matrix_rows(p, q, 0.9)), params_main)
+            assert tuple(float(t[k]) for t in terms) == expected
+
+    def test_one_vanished_normalizer_rejects_the_array(self, params_main, rng):
+        p = (1.0, 1.0, 1.0, 1.0, 1.0)
+        qs = rng.random((5, 4))
+        qs[:, 2] = (1.0, 1.0, 1.0, 0.0, 1.0)  # two closed classes: normalizer ~ 1 - delta
+        delta = 1.0 - 1e-16
+        with pytest.raises(NumericalError, match="normalizing determinant"):
+            _payoff_terms(_cofactors(_matrix_rows(p, qs, delta)), params_main)
+        # the other three alone pass the floor
+        _payoff_terms(_cofactors(_matrix_rows(p, qs[:, [0, 1, 3]], delta)), params_main)
