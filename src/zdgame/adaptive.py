@@ -10,9 +10,12 @@ A sweep runs its paths as one lockstep batch: the strategies are held as
 five numpy columns and take each step together, through the same payoff
 and gradient kernels and the same operations as a single path, so every
 path ends exactly as it would alone.  A path leaves the batch when its
-update vanishes; once only a few remain, each finishes on the scalar loop,
-which is cheaper there.  ``workers`` splits the path indices into
-contiguous chunks, one batch per process.
+update vanishes; once only a few remain (fewer than 2 with finite
+differences, 6 with the analytic gradient), each finishes on the scalar
+loop, which is cheaper there.  The determinants of one iteration are
+evaluated as stacks: one 3x3 call for the payoffs, and with the analytic
+gradient one 4x4 call for its nine derivative determinants.  ``workers``
+splits the path indices into contiguous chunks, one batch per process.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ GRADIENT_MODES = ("finite_difference", "analytic")
 class SimConfig:
     """Ascent parameters.
 
-    ``nu`` is the learning rate, ``dq`` the centered-difference probe step,
+    ``nu`` is the learning rate, ``dq`` the centered-difference probe step
+    (below 1, the width of the strategy cube),
     ``step_tol`` the termination threshold on the update size, and
     ``record_stride`` thins the recorded trajectory for very long runs
     (first and last points are always kept).
@@ -67,8 +71,10 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0.0):
             raise DomainError(f"learning rate must be finite and positive, got {self.nu}")
-        if not (math.isfinite(self.dq) and self.dq > 0.0):
-            raise DomainError(f"difference step must be finite and positive, got {self.dq}")
+        # a probe one cube width away cannot resolve a gradient; at 1e130
+        # and beyond every centred difference rounds to exactly 0
+        if not 0.0 < self.dq < 1.0:
+            raise DomainError(f"difference step must lie in (0, 1), got {self.dq}")
         if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
             raise DomainError(
                 f"termination threshold must be finite and positive, got {self.step_tol}"
@@ -236,10 +242,12 @@ class PathResult:
 # paths, so once fewer paths than this stay active, each finishes on the
 # scalar loop.  On a 2-vCPU VM (Python 3.11, numpy 2.4) a finite-difference
 # iteration took 80-150 us against 30-45 us per scalar step, an analytic
-# one 430-480 us against ~30 us; the 40-path analytic benchmark sweep ran
-# equally fast, within noise, for thresholds 8 to 20.  With the fd value
-# of 2, a 1-path sweep makes exactly the calls of run_path.
-_SCALAR_BELOW = {"finite_difference": 2, "analytic": 16}
+# one, with its nine derivative determinants in one stack, 100-150 us at
+# 1 to 40 paths against 22-31 us; the 40-path analytic benchmark sweep
+# took 1.9-2.8 s for thresholds 4 to 10 against 2.5-3.1 s at 3 and
+# 3.4-3.8 s at 16.  With the fd value of 2, a 1-path sweep makes exactly
+# the calls of run_path.
+_SCALAR_BELOW = {"finite_difference": 2, "analytic": 6}
 
 
 def _batch_moves(qs, config, pt, delta, params):
@@ -249,7 +257,7 @@ def _batch_moves(qs, config, pt, delta, params):
     finite-difference probes of all m strategies go through one kernel call.
     """
     if config.gradient_mode == "analytic":
-        return config.nu * np.array(_gradient_quotient(pt, qs, delta, params, "y"))
+        return config.nu * _gradient_quotient(pt, qs, delta, params, "y")
     m = qs.shape[1]
     probes = np.repeat(qs[:, None, :], 10, axis=1)  # entry j's +/- probes in slots 2j, 2j+1
     for j in range(5):

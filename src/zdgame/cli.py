@@ -104,7 +104,8 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--q0", type=str, default=None,
                      help='initial adaptive strategy as "q0,q1,q2,q3,q4"')
     sub.add_argument("--nu", type=float, default=None, help="learning rate")
-    sub.add_argument("--dq", type=float, default=None, help="finite-difference step")
+    sub.add_argument("--dq", type=float, default=None,
+                     help="finite-difference step, in (0, 1)")
     sub.add_argument("--step-tol", dest="step_tol", type=float, default=None,
                      help="termination threshold on the update size")
     sub.add_argument("--max-steps", dest="max_steps", type=int, default=None)
@@ -120,7 +121,9 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="additionally require 0 < T + S")
     sub.add_argument("--workers", type=int, default=None,
                      help="worker processes for sweeps, each running a contiguous "
-                          "chunk of the paths (at least 1; at most one per CPU)")
+                          "chunk of the paths (at least 1; at most one per CPU); a "
+                          "batch step costs about the same for any number of paths, "
+                          "so splitting pays only when a chunk runs for seconds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,7 +179,8 @@ def _coerce(key: str, value):
         except (TypeError, ValueError, OverflowError):
             pass
         else:
-            if not (math.isfinite(out) and (isinstance(value, str) or out == value)):
+            finite = kind == "int" or math.isfinite(out)  # a huge int overflows isfinite
+            if not (finite and (isinstance(value, str) or out == value)):
                 out = None
     elif type(value).__name__ == kind:
         out = value
@@ -192,8 +196,13 @@ def spec_from_args(args: argparse.Namespace) -> RunSpec:
     merged: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path) as fh:
-            loaded = json.load(fh)
+        with open(config_path, encoding="utf-8") as fh:
+            try:
+                loaded = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise DomainError(
+                    f"config file {config_path} is not valid JSON: {exc}"
+                ) from None
         if not isinstance(loaded, dict):
             raise DomainError(f"config file {config_path} must hold a JSON object")
         merged.update(loaded)

@@ -6,7 +6,8 @@ discounted average payoff.  One kernel, :func:`_payoff_terms`, forms the
 normalizer and payoff numerators from the cofactors for this module, the
 gradients and the ascent loop, and holds the only vanishing-normalizer
 check; with the matrix rows and cofactors it also runs on numpy arrays,
-one element per strategy pair, for batched sweeps.  A direct linear solve
+one element per strategy pair, for batched sweeps, where the four 3x3
+minors of every pair are evaluated as one stack.  A direct linear solve
 and a truncated geometric series provide independent cross-checks.
 """
 
@@ -57,6 +58,8 @@ def _matrix_rows(p, q, delta):
     is the only row containing Y's entry ``q_l``.  Strategy entries may be
     floats or arrays; arrays go through the same operations in the same
     order, element by element, so each element equals its float result.
+    With arrays the rows come back stacked as one ``(4, 3, m)`` array,
+    float entries broadcast along the last axis; it indexes like the tuple.
     """
     a = 1.0 - delta
     p0, p1, p2, p3, p4 = p
@@ -64,12 +67,18 @@ def _matrix_rows(p, q, delta):
     ap0 = a * p0
     aq0 = a * q0
     apq = ap0 * q0
-    return (
+    rows = (
         (-1.0 + delta * p1 * q1 + apq, -1.0 + delta * p1 + ap0, -1.0 + delta * q1 + aq0),
         (delta * p3 * q2 + apq, delta * p3 + ap0, -1.0 + delta * q2 + aq0),
         (delta * p2 * q3 + apq, -1.0 + delta * p2 + ap0, delta * q3 + aq0),
         (delta * p4 * q4 + apq, delta * p4 + ap0, delta * q4 + aq0),
     )
+    if not isinstance(apq, np.ndarray):
+        return rows
+    stack = np.empty((12,) + apq.shape)
+    for i, entry in enumerate([v for row in rows for v in row]):
+        stack[i] = entry
+    return stack.reshape((4, 3) + apq.shape)
 
 
 def _place_by_row(f):
@@ -78,8 +87,27 @@ def _place_by_row(f):
     return (f[0], f[2], f[1], f[3])
 
 
+# Entry (i, j) of each row's fourth-column minor, as a flat index into the
+# twelve (row, column) entries of the first three columns: shape (3, 3, 4),
+# so that one gather gives det3 contiguous (4, m) operands.
+_MINOR_ENTRIES = np.array([
+    [[3 * kept[i] + j for kept in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))]
+     for j in range(3)]
+    for i in range(3)
+])
+
+
 def _cofactors(rows):
-    """Signed cofactors of the fourth column, one per row."""
+    """Signed cofactors of the fourth column, one per row.
+
+    For a stack of rows from :func:`_matrix_rows` the four minors go
+    through one ``det3`` call as a ``(3, 3, 4, m)`` stack, and the result
+    is a ``(4, m)`` array whose elements equal the float results.
+    """
+    if isinstance(rows, np.ndarray):
+        c = det3(*rows.reshape((12,) + rows.shape[2:])[_MINOR_ENTRIES])
+        c[::2] = -c[::2]
+        return c
     r0, r1, r2, r3 = rows
     return (
         -det3(r1, r2, r3),

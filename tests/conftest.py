@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from zdgame import validate_payoffs
 
@@ -12,6 +13,29 @@ PCZD_D = ((1.0, 1.0, 0.0, 1.0, 0.0), 0.34, (1.5, -0.5))
 PCZD_E = ((0.95, 0.7, 0.2, 0.13, 0.0), 0.9, (2.0, -0.1))
 
 ROSTER = (PCZD_A, PCZD_B, PCZD_C, PCZD_D, PCZD_E)
+
+# Batch sizes and exact entries (signed zero included) on which the stacked
+# array kernels must reproduce the float kernels bit for bit.
+BATCH_SIZES = (1, 2, 9, 40)
+EXACT_ENTRIES = (0.0, 1.0, -0.0)
+exact_or_unit = st.sampled_from(EXACT_ENTRIES) | st.floats(min_value=0.0, max_value=1.0)
+strategy_with_exact_entries = st.tuples(*[exact_or_unit] * 5)
+strategy_columns = st.sampled_from(BATCH_SIZES).flatmap(
+    lambda m: st.lists(strategy_with_exact_entries, min_size=m, max_size=m)
+).map(lambda cols: np.array(cols).T)
+
+
+def draw_columns(rng, m):
+    """(5, m) strategies from the cube, about a third of the entries exact."""
+    qs = rng.random((5, m))
+    exact = rng.random((5, m)) < 1 / 3
+    qs[exact] = rng.choice(EXACT_ENTRIES, size=int(exact.sum()))
+    return qs
+
+
+def bits(values):
+    """Raw bytes of float values, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
 
 
 @pytest.fixture(scope="session")

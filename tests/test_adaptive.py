@@ -41,6 +41,8 @@ class TestSimConfig:
             {"nu": math.inf},
             {"dq": math.nan},
             {"dq": math.inf},
+            {"dq": 1e130},
+            {"dq": 1.0},
             {"step_tol": math.nan},
             {"step_tol": math.inf},
             {"max_steps": 0},
@@ -302,7 +304,7 @@ class TestLockstepSweep:
 
     # 1 and 2 paths sit below the analytic crossover, 1 below the fd one
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("n_paths", [1, 2, 17, 40])
+    @pytest.mark.parametrize("n_paths", [1, 2, 5, 6, 7, 17, 40])
     def test_batch_equals_scalar_paths(self, scalar_reference, params_main, mode, n_paths):
         p, delta, _ = PCZD_C
         cfg = SimConfig(max_steps=EQUIV_CAP, gradient_mode=mode)

@@ -1,9 +1,17 @@
+import argparse
+import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from zdgame import DomainError
 from zdgame import tables as tables_mod
-from zdgame.cli import main
+from zdgame.cli import RunSpec, main, spec_from_args
 
 FIG3 = [
     "--T", "1.5", "--S", "-0.5", "--delta", "0.99",
@@ -200,6 +208,7 @@ class TestInvalidInput:
         (["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "-1"], None),
         ([*VANISHING, "--n-paths", "3"], None),
         ([*VANISHING, "--n-paths", "20", "--gradient", "analytic"], None),
+        (["run", *FIG3, "--dq", "1e130"], None),
     ])
     def test_fails_with_one_error_line(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -324,3 +333,74 @@ class TestConfigFile:
         code = main(["run", "--config", str(cfg)])
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+
+# RunSpec field -> (types its value may have, whether None is allowed)
+_SPEC_FIELDS = {
+    f.name: ({"float": (float,), "int": (int,), "str": (str,), "bool": (bool,)}[
+        f.type.split(" | ")[0]], f.type.endswith("| None"))
+    for f in dataclasses.fields(RunSpec)
+}
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+            | st.integers().map(str) | st.floats().map(repr))
+_JSON = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+_CONFIG_TEXT = (
+    st.dictionaries(st.sampled_from(sorted(_SPEC_FIELDS)) | st.text(max_size=6), _JSON,
+                    max_size=4).map(json.dumps)
+    | _JSON.map(json.dumps)
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+)
+
+
+def _assert_valid_spec(spec: RunSpec):
+    for name, (types, optional) in _SPEC_FIELDS.items():
+        value = getattr(spec, name)
+        if value is None:
+            assert optional, name
+            continue
+        assert type(value) in types, (name, value)
+        if type(value) is float:
+            assert math.isfinite(value), name
+    assert spec.gradient in ("fd", "analytic") and spec.format in ("csv", "json")
+    assert spec.seed is None or spec.seed >= 0
+
+
+class TestSpecFuzz:
+    """spec_from_args on arbitrary flag values and config files returns a
+    valid RunSpec or raises DomainError, never another exception."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        command=st.sampled_from(["run", "sweep", "verify", "zd", "tables"]),
+        flags=st.dictionaries(st.sampled_from(sorted(set(_SPEC_FIELDS) - {"command"})),
+                              _SCALARS, max_size=6),
+        config=st.none() | _CONFIG_TEXT,
+    )
+    @example(command="sweep", flags={"seed": "1" + "0" * 400}, config=None)
+    @example(command="sweep", flags={"max_steps": 10 ** 400}, config=None)
+    @example(command="run", flags={}, config=json.dumps({"T": 10 ** 400}))
+    @example(command="zd", flags={}, config='{"T": [')
+    @example(command="zd", flags={}, config="[" * 100_000)
+    def test_returns_a_valid_spec_or_rejects(self, command, flags, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = None
+            if config is not None:
+                path = Path(tmp) / "config.json"
+                path.write_text(config, encoding="utf-8")
+            values = {**dict.fromkeys(_SPEC_FIELDS), **flags,
+                      "command": command, "config": path and str(path)}
+            try:
+                spec = spec_from_args(argparse.Namespace(**values))
+            except DomainError:
+                return
+        _assert_valid_spec(spec)
+        assert spec.command == command
+
+    def test_invalid_json_config_fails_with_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"T": [')
+        assert main(["zd", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: config file")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdgame import (
     NotRelayError,
@@ -19,9 +21,29 @@ from zdgame import (
     validate_payoffs,
     zero_gradient_condition,
 )
-from zdgame.gradients import ZERO_CONDITIONS, _gradient_quotient, _q0_derivative_det
+from zdgame import gradients as gradients_mod
+from zdgame._linalg import det4
+from zdgame.gradients import (
+    _ROW_P_INDEX,
+    ZERO_CONDITIONS,
+    _derivative_stack,
+    _gradient_quotient,
+    _q0_derivative_det,
+    _row_derivative_det,
+    _weight_by_row,
+)
 from zdgame.payoffs import _matrix_rows
-from conftest import PCZD_A, PCZD_B, PCZD_C, PCZD_D
+from conftest import (
+    BATCH_SIZES,
+    PCZD_A,
+    PCZD_B,
+    PCZD_C,
+    PCZD_D,
+    bits,
+    draw_columns,
+    strategy_columns,
+    strategy_with_exact_entries,
+)
 
 ONES = (1.0, 1.0, 1.0, 1.0)
 
@@ -294,3 +316,48 @@ def test_array_gradient_elements_equal_float_gradients(params_main, rng):
         q = tuple(float(v) for v in qs[:, k])
         expected = gradient_quotient(p, q, 0.9, params_main, "y")
         assert tuple(float(g[k]) for g in grads) == expected
+
+
+def assert_stacked_gradient_matches(p, qs, delta, params, payoff):
+    stacked = _gradient_quotient(p, qs, delta, params, payoff)
+    assert stacked.shape == (5, qs.shape[1])
+    for k in range(qs.shape[1]):
+        alone = _gradient_quotient(p, tuple(qs[:, k].tolist()), delta, params, payoff)
+        assert bits(stacked[:, k]) == bits(alone)
+
+
+class TestStackedGradient:
+    @pytest.mark.parametrize("payoff", ["x", "y"])
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    def test_seeded_elements_equal_float_gradients(self, params_main, rng, monkeypatch,
+                                                   m, payoff):
+        calls = []
+        monkeypatch.setattr(gradients_mod, "det4", lambda a: calls.append(1) or det4(a))
+        p = tuple(draw_columns(rng, 1)[:, 0].tolist())
+        assert_stacked_gradient_matches(p, draw_columns(rng, m), 0.9, params_main, payoff)
+        assert len(calls) == 1 + 9 * m  # one stacked call, then nine per float reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategy_with_exact_entries, strategy_columns,
+           st.floats(min_value=0.01, max_value=0.99), st.sampled_from(["x", "y"]))
+    def test_elements_equal_float_gradients(self, p, qs, delta, payoff):
+        params = validate_payoffs(1.5, -0.5, strict=True)
+        assert_stacked_gradient_matches(p, qs, delta, params, payoff)
+
+    @pytest.mark.parametrize("payoff", ["x", "y"])
+    def test_derivative_stack_equals_float_matrices(self, params_main, rng, payoff):
+        """Each of the nine stacked determinants equals the one the float
+        path builds for that strategy pair."""
+        p = tuple(draw_columns(rng, 1)[:, 0].tolist())
+        qs = draw_columns(rng, 9)
+        delta = 0.9
+        g = _weight_by_row(params_main, payoff)
+        d = det4(_derivative_stack(_matrix_rows(p, qs, delta), g, p, delta))
+        for k in range(qs.shape[1]):
+            rows = _matrix_rows(p, tuple(qs[:, k].tolist()), delta)
+            alone = [_q0_derivative_det(rows, g, p[0], delta)]
+            for ell in range(1, 5):
+                p_lam = p[_ROW_P_INDEX[ell]]
+                alone += [_row_derivative_det(rows, ONES, ell, p_lam, delta),
+                          _row_derivative_det(rows, g, ell, p_lam, delta)]
+            assert bits([(1.0 - delta) * d[0, k], *d[1:, k]]) == bits(alone)

@@ -13,8 +13,16 @@ from zdgame import (
     transition_matrix,
     validate_payoffs,
 )
-from zdgame._linalg import det4
+from zdgame import payoffs as payoffs_mod
+from zdgame._linalg import det3, det4
 from zdgame.payoffs import _cofactors, _matrix_rows, _payoff_terms
+from conftest import (
+    BATCH_SIZES,
+    bits,
+    draw_columns,
+    strategy_columns,
+    strategy_with_exact_entries,
+)
 
 ONES = (1.0, 1.0, 1.0, 1.0)
 
@@ -214,3 +222,27 @@ class TestArrayKernel:
             _payoff_terms(_cofactors(_matrix_rows(p, qs, delta)), params_main)
         # the other three alone pass the floor
         _payoff_terms(_cofactors(_matrix_rows(p, qs[:, [0, 1, 3]], delta)), params_main)
+
+
+def assert_cofactors_match(p, qs, delta):
+    stacked = _cofactors(_matrix_rows(p, qs, delta))
+    assert stacked.shape == (4, qs.shape[1])
+    for k in range(qs.shape[1]):
+        alone = _cofactors(_matrix_rows(p, tuple(qs[:, k].tolist()), delta))
+        assert bits(stacked[:, k]) == bits(alone)
+
+
+class TestStackedCofactors:
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    def test_seeded_elements_equal_float_results(self, rng, monkeypatch, m):
+        calls = []
+        monkeypatch.setattr(payoffs_mod, "det3", lambda *r: calls.append(1) or det3(*r))
+        p = tuple(draw_columns(rng, 1)[:, 0].tolist())
+        qs = draw_columns(rng, m)
+        assert_cofactors_match(p, qs, 0.9)
+        assert len(calls) == 1 + 4 * m  # one stacked call, then four per float reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategy_with_exact_entries, strategy_columns, deltas)
+    def test_elements_equal_float_results(self, p, qs, delta):
+        assert_cofactors_match(p, qs, delta)
