@@ -26,13 +26,10 @@ from .errors import (
     NumericalError,
 )
 from .game import (
-    GameMatrices,
     PayoffParams,
     StateDistribution,
     Strategy,
-    game_matrices,
     initial_distribution,
-    initial_matrix,
     transition_matrix,
     validate_delta,
     validate_payoffs,
@@ -61,7 +58,6 @@ from .payoffs import (
     payoff_series,
     series_horizon,
     state_determinant,
-    weight_cofactors,
 )
 from .tables import (
     CellReport,

@@ -6,12 +6,6 @@ Inputs are plain sequences of floats; no pivoting, no numpy.
 """
 
 
-def det2(a, b, c, d):
-    # | a b |
-    # | c d |
-    return a * d - b * c
-
-
 def det3(r0, r1, r2):
     a, b, c = r0
     d, e, f = r1

@@ -96,30 +96,30 @@ class RunSpec:
 
 
 def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--T", type=float, default=None, help="temptation payoff (> 1)")
-    sub.add_argument("--S", type=float, default=None, help="sucker payoff (< 0)")
-    sub.add_argument("--delta", type=float, default=None, help="discount factor in (0, 1)")
-    sub.add_argument("--p", type=str, default=None,
+    sub.add_argument("--T", default=None, help="temptation payoff (> 1)")
+    sub.add_argument("--S", default=None, help="sucker payoff (< 0)")
+    sub.add_argument("--delta", default=None, help="discount factor in (0, 1)")
+    sub.add_argument("--p", default=None,
                      help='opponent strategy as "p0,p1,p2,p3,p4"')
-    sub.add_argument("--q0", type=str, default=None,
+    sub.add_argument("--q0", default=None,
                      help='initial adaptive strategy as "q0,q1,q2,q3,q4"')
-    sub.add_argument("--nu", type=float, default=None, help="learning rate")
-    sub.add_argument("--dq", type=float, default=None,
+    sub.add_argument("--nu", default=None, help="learning rate")
+    sub.add_argument("--dq", default=None,
                      help="finite-difference step, in (0, 1)")
-    sub.add_argument("--step-tol", dest="step_tol", type=float, default=None,
+    sub.add_argument("--step-tol", dest="step_tol", default=None,
                      help="termination threshold on the update size")
-    sub.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--n-paths", dest="n_paths", type=int, default=None)
-    sub.add_argument("--gradient", choices=sorted(_GRADIENT_MODES), default=None)
-    sub.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
-    sub.add_argument("--format", choices=_FORMATS, default=None)
-    sub.add_argument("--config", type=str, default=None,
+    sub.add_argument("--max-steps", dest="max_steps", default=None)
+    sub.add_argument("--seed", default=None)
+    sub.add_argument("--n-paths", dest="n_paths", default=None)
+    sub.add_argument("--gradient", default=None, help="fd or analytic (default fd)")
+    sub.add_argument("--out", default=None, help="output file (default: stdout)")
+    sub.add_argument("--format", default=None, help="csv or json (default csv)")
+    sub.add_argument("--config", default=None,
                      help="JSON file of defaults; explicit flags override it")
     sub.add_argument("--strict-payoffs", dest="strict_payoffs",
                      action="store_const", const=True, default=None,
                      help="additionally require 0 < T + S")
-    sub.add_argument("--workers", type=int, default=None,
+    sub.add_argument("--workers", default=None,
                      help="worker processes for sweeps, each running a contiguous "
                           "chunk of the paths (at least 1; at most one per CPU); a "
                           "batch step costs about the same for any number of paths, "
@@ -142,17 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=text)
         _add_common(sub)
         if name == "zd":
-            sub.add_argument("--phi", type=float, default=None)
-            sub.add_argument("--chi", type=float, default=None)
-            sub.add_argument("--kappa", type=float, default=None)
-            sub.add_argument("--p0", type=float, default=None)
+            sub.add_argument("--phi", default=None)
+            sub.add_argument("--chi", default=None)
+            sub.add_argument("--kappa", default=None)
+            sub.add_argument("--p0", default=None)
             sub.add_argument("--pczd", action="store_const", const=True, default=None,
                              help="require a positively correlated enforcer")
         if name == "verify":
-            sub.add_argument("--sample-scale", dest="sample_scale", type=float, default=None,
+            sub.add_argument("--sample-scale", dest="sample_scale", default=None,
                              help="multiplier on every property's sample count")
         if name == "tables":
-            sub.add_argument("--tol", type=float, default=None,
+            sub.add_argument("--tol", default=None,
                              help="mismatch threshold for the exit code")
     return parser
 
@@ -166,7 +166,8 @@ _CHOICES = {"gradient": tuple(_GRADIENT_MODES), "format": _FORMATS}
 def _coerce(key: str, value):
     """Convert a flag or config value to its RunSpec field's type.
 
-    Numbers may also be given as strings; floats must be finite and
+    This is the only converter: the parser hands every flag over as a
+    string.  Numbers may be given as strings; floats must be finite and
     integers whole.  Strings and booleans must already have their type.
     """
     kind, *optional = _FIELD_TYPES[key]
@@ -420,7 +421,7 @@ def cmd_tables(spec: RunSpec) -> int:
         f"{r.label()} closed={_fmt(r.closed)} direct={_fmt(r.direct)} diff={r.diff:.3e}"
         for r in reports
     ]
-    bad = [r for r in reports if r.diff > spec.tol]
+    bad = [r for r in reports if not r.diff <= spec.tol]
     lines.append(f"{len(reports)} cells checked, {len(bad)} mismatches (tol {spec.tol:g})")
     _write_text(spec.out, "\n".join(lines) + "\n")
     return EXIT_VERIFY_FAILED if bad else EXIT_OK

@@ -19,13 +19,10 @@ __all__ = [
     "PayoffParams",
     "Strategy",
     "StateDistribution",
-    "GameMatrices",
     "validate_payoffs",
     "validate_delta",
     "transition_matrix",
-    "initial_matrix",
     "initial_distribution",
-    "game_matrices",
 ]
 
 
@@ -186,27 +183,3 @@ def initial_distribution(p0: float, q0: float) -> StateDistribution:
     p0, q0 = float(p0), float(q0)
     v = (p0 * q0, p0 * (1.0 - q0), (1.0 - p0) * q0, (1.0 - p0) * (1.0 - q0))
     return StateDistribution(v)
-
-
-def initial_matrix(p0: float, q0: float) -> np.ndarray:
-    """Rank-1 matrix whose every row is the first-round outcome distribution."""
-    v = initial_distribution(p0, q0).v
-    return np.array([v, v, v, v])
-
-
-@dataclass(frozen=True)
-class GameMatrices:
-    """Bundle of the transition matrix, first-round matrix, and first-round distribution."""
-
-    m: np.ndarray
-    m0: np.ndarray
-    v0: StateDistribution
-
-
-def game_matrices(p, q) -> GameMatrices:
-    pt, qt = strategy_tuple(p), strategy_tuple(q)
-    return GameMatrices(
-        m=transition_matrix(pt, qt),
-        m0=initial_matrix(pt[0], qt[0]),
-        v0=initial_distribution(pt[0], qt[0]),
-    )

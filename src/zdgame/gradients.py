@@ -86,9 +86,11 @@ def common_factor(p, delta, params: PayoffParams) -> float:
 
     Strictly positive for any strategy in the cube once S < 0.
     """
-    _, p1, p2, _, p4 = strategy_tuple(p)
-    delta = validate_delta(delta)
-    S = params.S
+    return _common_factor(strategy_tuple(p), validate_delta(delta), params.S)
+
+
+def _common_factor(pt, delta, S):
+    _, p1, p2, _, p4 = pt
     return (1.0 - delta * p2) - (1.0 - delta * p1) * S + delta * p4 * (1.0 - S)
 
 
@@ -135,25 +137,31 @@ def _derivative_stack(rows, g, pt, delta):
     """The matrices of :func:`_q0_derivative_det` and :func:`_row_derivative_det`
     for a ``(4, 3, m)`` row stack, as one ``(4, 4, 9, m)`` stack: the q0
     matrix (without its ``1 - delta`` factor), then for each row ell the
-    matrix with the all-ones weight and the one with ``g``."""
+    matrix with the all-ones weight and the one with ``g``.  The entries of
+    ``pt`` and ``delta`` may be floats or length-m arrays."""
     g = np.array(g)
     out = np.empty((4, 4, 9) + rows.shape[2:])
     out[:3, :3, 0] = rows[:3] - rows[3]
     out[:3, 3, 0] = (g[:3] - g[3])[:, None]
-    out[3, :, 0] = np.array((pt[0], 0.0, 1.0, 0.0))[:, None]
+    out[3, 1::2, 0] = 0.0
+    out[3, 0, 0] = pt[0]
+    out[3, 2, 0] = 1.0
     out[:, :3, 1:] = rows[:, :, None]
     out[:, 3, 1::2] = 1.0
     out[:, 3, 2::2] = g[:, None, None]
     for ell in range(1, 5):
-        derivative_row = (delta * pt[_ROW_P_INDEX[ell]], 0.0, delta, 0.0)
-        out[ell - 1, :, 2 * ell - 1:2 * ell + 1] = np.array(derivative_row)[:, None, None]
+        derivative_row = out[ell - 1, :, 2 * ell - 1:2 * ell + 1]
+        derivative_row[1::2] = 0.0
+        derivative_row[0] = delta * pt[_ROW_P_INDEX[ell]]
+        derivative_row[2] = delta
     return out
 
 
 def _gradient_quotient(pt, qt, delta, params, payoff):
-    """:func:`gradient_quotient` on coerced inputs; the entries of ``qt``
-    may be equal-length arrays, giving a ``(5, m)`` array whose nine
-    derivative determinants went through one ``det4`` call."""
+    """:func:`gradient_quotient` on coerced inputs; the entries of ``qt``,
+    and also those of ``pt`` and ``delta``, may be equal-length arrays,
+    giving a ``(5, m)`` array whose nine derivative determinants went
+    through one ``det4`` call."""
     rows = _matrix_rows(pt, qt, delta)
     ones = (1.0, 1.0, 1.0, 1.0)
     g = _weight_by_row(params, payoff)
@@ -239,8 +247,10 @@ def q0_reduction_vector(p, q, delta) -> tuple[float, float, float]:
 
     Free of q0, and the entry point for the first-round reduced determinant.
     """
-    pt, qt = strategy_tuple(p), strategy_tuple(q)
-    delta = validate_delta(delta)
+    return _q0_reduction(strategy_tuple(p), strategy_tuple(q), validate_delta(delta))
+
+
+def _q0_reduction(pt, qt, delta):
     p0, p1, p2, p3, p4 = pt
     _, q1, q2, q3, q4 = qt
     u1 = (-1.0 + delta * q1 - delta * q4) * p0 - (-1.0 + delta * p1 * q1 - delta * p4 * q4)
@@ -255,8 +265,12 @@ def reduced_det_q0(p, q, delta, params: PayoffParams) -> float:
     Positive at every stalled configuration the ascent can reach, though it
     may be negative elsewhere in the cube.
     """
-    u1, u2, u3 = q0_reduction_vector(p, q, delta)
-    return u1 * params.theta - (u2 + u3)
+    return _reduced_det_q0(q0_reduction_vector(p, q, delta), params.theta)
+
+
+def _reduced_det_q0(u, theta):
+    u1, u2, u3 = u
+    return u1 * theta - (u2 + u3)
 
 
 def gradient_factorized(p, q, delta, params: PayoffParams):
@@ -268,25 +282,34 @@ def gradient_factorized(p, q, delta, params: PayoffParams):
     """
     pt, qt = strategy_tuple(p), strategy_tuple(q)
     delta = validate_delta(delta)
+    grads, common, minors, reduced = _gradient_factorized(pt, qt, delta, params)
+    decomp = [FactorDecomposition(1.0 - delta, common, None, reduced[0])]
+    decomp += [
+        FactorDecomposition(delta, common, minors[ell - 1], reduced[ell]) for ell in range(1, 5)
+    ]
+    return Gradient(*grads), tuple(decomp)
+
+
+def _gradient_factorized(pt, qt, delta, params):
+    """:func:`gradient_factorized` on coerced inputs, as the five gradient
+    components with their common factor, four minors and five reduced
+    determinants.  The entries of ``pt``, ``qt`` and ``delta`` may be
+    equal-length arrays; each element then equals its float result."""
     rows = _matrix_rows(pt, qt, delta)
     c = _cofactors(rows)
     d_ones = _payoff_terms(c, params)[0]
-    common = common_factor(pt, delta, params)
+    common = _common_factor(pt, delta, params.S)
     minors = _minors(c)
     theta = params.theta
     denom_sq = d_ones * d_ones
-    grads = [0.0] * 5
-    decomp: list[FactorDecomposition] = [None] * 5  # type: ignore[list-item]
-    d0 = reduced_det_q0(pt, qt, delta, params)
-    grads[0] = (1.0 - delta) * common * d0 / d_ones
-    decomp[0] = FactorDecomposition(scalar=1.0 - delta, common=common, minor=None, reduced=d0)
+    d0 = _reduced_det_q0(_q0_reduction(pt, qt, delta), theta)
+    grads = [(1.0 - delta) * common * d0 / d_ones]
+    reduced = [d0]
     for ell in range(1, 5):
-        r = _row_reduction(rows, pt, ell)
-        d_ell = _reduced_from_r(r, ell, theta)
-        m_ell = minors[ell - 1]
-        grads[ell] = delta * common * m_ell * d_ell / denom_sq
-        decomp[ell] = FactorDecomposition(scalar=delta, common=common, minor=m_ell, reduced=d_ell)
-    return Gradient(*grads), tuple(decomp)
+        d_ell = _reduced_from_r(_row_reduction(rows, pt, ell), ell, theta)
+        grads.append(delta * common * minors[ell - 1] * d_ell / denom_sq)
+        reduced.append(d_ell)
+    return grads, common, minors, reduced
 
 
 # Exact corner patterns at which one conditional-entry gradient vanishes

@@ -6,9 +6,10 @@ discounted average payoff.  One kernel, :func:`_payoff_terms`, forms the
 normalizer and payoff numerators from the cofactors for this module, the
 gradients and the ascent loop, and holds the only vanishing-normalizer
 check; with the matrix rows and cofactors it also runs on numpy arrays,
-one element per strategy pair, for batched sweeps, where the four 3x3
-minors of every pair are evaluated as one stack.  A direct linear solve
-and a truncated geometric series provide independent cross-checks.
+one element per strategy pair, for batched sweeps and the verify suite,
+where the four 3x3 minors of every pair are evaluated as one stack.  A
+direct linear solve and a truncated geometric series provide independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .game import (
 __all__ = [
     "PayoffPair",
     "state_determinant",
-    "weight_cofactors",
     "payoff_determinant",
     "payoff_inverse",
     "payoff_series",
@@ -117,17 +117,6 @@ def _cofactors(rows):
     )
 
 
-def weight_cofactors(p, q, delta):
-    """Fourth-column cofactors of the payoff determinant, in row order.
-
-    ``state_determinant(p, q, delta, f)`` equals the dot product of these
-    cofactors with the row-ordered weight vector, so they let several
-    weight vectors share one set of 3x3 evaluations.
-    """
-    rows = _matrix_rows(strategy_tuple(p), strategy_tuple(q), validate_delta(delta))
-    return _cofactors(rows)
-
-
 def state_determinant(p, q, delta, f) -> float:
     """4x4 determinant pairing an outcome-weight vector with the game structure.
 
@@ -140,8 +129,13 @@ def state_determinant(p, q, delta, f) -> float:
     pt, qt = strategy_tuple(p), strategy_tuple(q)
     delta = validate_delta(delta)
     rows = _matrix_rows(pt, qt, delta)
-    g = _place_by_row(tuple(float(v) for v in f))
-    c = _cofactors(rows)
+    return _weigh(_cofactors(rows), tuple(float(v) for v in f))
+
+
+def _weigh(c, f):
+    """Pair the cofactors with an outcome-indexed weight vector ``f``; for
+    a ``(4, m)`` cofactor array, one determinant per column."""
+    g = _place_by_row(f)
     return g[0] * c[0] + g[1] * c[1] + g[2] * c[2] + g[3] * c[3]
 
 

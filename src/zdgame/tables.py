@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import MismatchError
+import numpy as np
+
+from .errors import DegenerateError, DomainError, MismatchError
 from .game import PayoffParams, strategy_tuple, validate_delta
 from .gradients import minor_dets, reduced_det_q0, reduced_dets
 from .payoffs import state_determinant
@@ -428,7 +430,7 @@ def applicable_tables(p, delta, params: PayoffParams) -> tuple[str, ...]:
     tables = ["1", "2"]
     try:
         recovered = recover_zd(p, delta, params)
-    except Exception:
+    except (DegenerateError, DomainError, np.linalg.LinAlgError):
         recovered = NotZD(residual=float("inf"))
     if not isinstance(recovered, NotZD):
         tables.extend(["3", "4"])
@@ -449,8 +451,9 @@ def table_report(p, delta, params: PayoffParams, tables=None) -> list[CellReport
 
 def verify_tables(p, delta, params: PayoffParams, tables=None, tol: float = 1e-12,
                   raise_on_mismatch: bool = False) -> list[CellReport]:
-    """Return the cells whose closed form and direct value differ beyond ``tol``."""
-    mismatches = [r for r in table_report(p, delta, params, tables) if r.diff > tol]
+    """Return the cells whose closed form and direct value differ by more
+    than ``tol``, or by an amount that is not finite."""
+    mismatches = [r for r in table_report(p, delta, params, tables) if not r.diff <= tol]
     if mismatches and raise_on_mismatch:
         first = mismatches[0]
         raise MismatchError(

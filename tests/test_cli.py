@@ -209,6 +209,10 @@ class TestInvalidInput:
         ([*VANISHING, "--n-paths", "3"], None),
         ([*VANISHING, "--n-paths", "20", "--gradient", "analytic"], None),
         (["run", *FIG3, "--dq", "1e130"], None),
+        (["run", *GAME, "--seed", "1", "--T", "abc"], None),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "1.5"], None),
+        (["run", *GAME, "--seed", "1", "--gradient", "bogus"], None),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--format", "xml"], None),
     ])
     def test_fails_with_one_error_line(self, tmp_path, capsys, argv, config):
         if config is not None:

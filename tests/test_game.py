@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from zdgame import (
     DomainError,
     Strategy,
-    game_matrices,
     initial_distribution,
-    initial_matrix,
     transition_matrix,
     validate_delta,
     validate_payoffs,
@@ -106,19 +104,6 @@ class TestInitialState:
         v = initial_distribution(p0, q0).validate(tol=1e-14)
         assert abs(sum(v.v) - 1.0) < 1e-14
 
-    @settings(max_examples=30, deadline=None)
-    @given(probs, probs)
-    def test_rank_one_rows_match_distribution(self, p0, q0):
-        m0 = initial_matrix(p0, q0)
-        v = initial_distribution(p0, q0).v
-        for row in m0:
-            assert tuple(row) == v
-
-    def test_game_matrices_bundle(self):
-        g = game_matrices((0.3, 0.1, 0.2, 0.3, 0.4), (0.7, 0.5, 0.6, 0.7, 0.8))
-        assert g.m.shape == (4, 4)
-        assert g.m0.shape == (4, 4)
-        assert abs(sum(g.v0.v) - 1.0) < 1e-15
 
 
 class TestDelta:

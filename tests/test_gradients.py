@@ -27,6 +27,7 @@ from zdgame.gradients import (
     _ROW_P_INDEX,
     ZERO_CONDITIONS,
     _derivative_stack,
+    _gradient_factorized,
     _gradient_quotient,
     _q0_derivative_det,
     _row_derivative_det,
@@ -361,3 +362,24 @@ class TestStackedGradient:
                 alone += [_row_derivative_det(rows, ONES, ell, p_lam, delta),
                           _row_derivative_det(rows, g, ell, p_lam, delta)]
             assert bits([(1.0 - delta) * d[0, k], *d[1:, k]]) == bits(alone)
+
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    def test_per_column_strategies_and_discounts(self, params_main, rng, m):
+        """With p, q and delta all varying by column, each element of both
+        array gradients equals the public float gradient, signed zeros
+        included, and so do the factored route's pieces."""
+        ps, qs = draw_columns(rng, m), draw_columns(rng, m)
+        deltas = rng.uniform(0.05, 0.95, m)
+        quotient = {payoff: _gradient_quotient(ps, qs, deltas, params_main, payoff)
+                    for payoff in ("x", "y")}
+        grads, common, minors, reduced = _gradient_factorized(ps, qs, deltas, params_main)
+        for k in range(m):
+            p, q, delta = ps[:, k], qs[:, k], deltas[k]
+            for payoff, stacked in quotient.items():
+                alone = gradient_quotient(p, q, delta, params_main, payoff)
+                assert bits(stacked[:, k]) == bits(alone)
+            alone, decomp = gradient_factorized(p, q, delta, params_main)
+            assert bits([g[k] for g in grads]) == bits(alone)
+            assert bits([common[k]]) == bits([decomp[0].common])
+            assert bits([v[k] for v in minors]) == bits([d.minor for d in decomp[1:]])
+            assert bits([v[k] for v in reduced]) == bits([d.reduced for d in decomp])

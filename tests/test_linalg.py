@@ -1,10 +1,6 @@
 import numpy as np
 
-from zdgame._linalg import det2, det3, det4
-
-
-def test_det2():
-    assert det2(1.0, 2.0, 3.0, 4.0) == -2.0
+from zdgame._linalg import det3, det4
 
 
 def test_det3_against_numpy(rng):

@@ -15,7 +15,7 @@ from zdgame import (
 )
 from zdgame import payoffs as payoffs_mod
 from zdgame._linalg import det3, det4
-from zdgame.payoffs import _cofactors, _matrix_rows, _payoff_terms
+from zdgame.payoffs import _cofactors, _matrix_rows, _payoff_terms, _weigh
 from conftest import (
     BATCH_SIZES,
     bits,
@@ -246,3 +246,14 @@ class TestStackedCofactors:
     @given(strategy_with_exact_entries, strategy_columns, deltas)
     def test_elements_equal_float_results(self, p, qs, delta):
         assert_cofactors_match(p, qs, delta)
+
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    def test_per_column_strategies_and_discounts(self, rng, m):
+        """p and delta may vary by column too: the weighted determinant of
+        each column equals state_determinant on that column's floats."""
+        ps, qs = draw_columns(rng, m), draw_columns(rng, m)
+        deltas = rng.uniform(0.05, 0.95, m)
+        for f in (ONES, tuple(rng.normal(size=4))):
+            stacked = _weigh(_cofactors(_matrix_rows(ps, qs, deltas)), f)
+            alone = [state_determinant(ps[:, k], qs[:, k], deltas[k], f) for k in range(m)]
+            assert bits(stacked) == bits(alone)
