@@ -8,9 +8,12 @@ factor so quick smoke runs and full runs share one code path.
 The properties built on the determinant kernels run as stacked numpy
 passes over chunks of at most ``_CHUNK`` draws, through the same array
 kernels as the lockstep sweep; each element equals its float result, so
-the report is the one a draw-by-draw loop gives.  The oracle triangle
-(its series horizon varies per draw), the ZD line and the corner tables
-stay draw by draw.
+the report is the one a draw-by-draw loop gives.  Factorization-and-signs
+takes its random pcZD enforcers from :class:`~zdgame.zd.PcZDStream`, which
+evaluates every possible rejection-sampling try of a block of the stream
+at once and gives the columns and rejection count of the draw-by-draw
+``sample_pczd`` retry loop.  The oracle triangle (its series horizon
+varies per draw), the ZD line and the corner tables stay draw by draw.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import det4
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError
 from .game import PayoffParams, _transition_rows
 from .gradients import _gradient_factorized, _gradient_quotient
 from .payoffs import (
@@ -35,7 +38,7 @@ from .payoffs import (
     payoff_series,
 )
 from .tables import table_report
-from .zd import recover_zd, sample_pczd, verify_linear_relation
+from .zd import PcZDStream, recover_zd, sample_pczd, verify_linear_relation
 
 __all__ = ["PropertyResult", "run_verification"]
 
@@ -46,8 +49,8 @@ _EYE = np.eye(4)[:, :, None]
 # (VmHWM 39.4 MB draw by draw; 39.7, 39.9, 40.7, 42.3 and 45.3 MB at 128,
 # 256, 512, 1024 and 2048 draws, most of it in factorization-and-signs),
 # while the stacked properties take ~0.06 s at 256 draws and ~0.03 s at
-# 2048 beside the ~0.9 s of the sequential pcZD sampler (2-vCPU x86 VM,
-# Python 3.11, numpy 2.4).
+# 2048, beside ~0.05-0.1 s for the stacked pcZD sampler's 34 115 tries
+# (2-vCPU x86 VM, Python 3.11, numpy 2.4).
 _CHUNK = 256
 
 _COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge}
@@ -184,24 +187,11 @@ def _zd_linear_relation(params, seed, scale):
 
 def _factorization_and_signs(params, seed, scale):
     n = max(1, int(10_000 * scale))
-    rng = _rng_for(seed, 5)
+    draws = PcZDStream(_rng_for(seed, 5), params, extra=5)
     match = _Worst("factorization-match", 1e-9, "<")
     nonneg = _Worst("gradient-nonnegative", -1e-12, ">=")
-    rejections = 0
     for first in range(0, n, _CHUNK):
-        # The sampler stays draw by draw: how much of the stream a draw
-        # takes depends on its rejections.
-        cols = np.empty((11, min(_CHUNK, n - first)))
-        for k in range(cols.shape[1]):
-            while True:
-                try:
-                    p, _, d = sample_pczd(rng, params, tries=1)
-                    break
-                except (RuntimeError, InfeasibleError):
-                    rejections += 1
-            cols[:5, k] = p.as_tuple()
-            cols[5:10, k] = rng.random(5)
-            cols[10, k] = d
+        cols = draws.take(min(_CHUNK, n - first))
         p, q, d = cols[:5], cols[5:10], cols[10]
         gq = _gradient_quotient(p, q, d, params, "x")
         gf = np.array(_gradient_factorized(p, q, d, params)[0])
@@ -210,7 +200,7 @@ def _factorization_and_signs(params, seed, scale):
             rel = np.where(denom == 0.0, 0.0, np.abs(gq - gf) / denom)
         match.add(rel.T, first)
         nonneg.add(gf[1:].T, first)
-    return match.result(n, [f"construction rejections: {rejections}"]), nonneg.result(n)
+    return match.result(n, [f"construction rejections: {draws.rejections}"]), nonneg.result(n)
 
 
 def _corner_tables(params, seed, scale):

@@ -8,6 +8,7 @@ and generous play and only exists above a critical discount factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "zd_consistency_residual",
     "feasible_phi_interval",
     "sample_pczd",
+    "PcZDStream",
 ]
 
 
@@ -72,16 +74,40 @@ class NotZD:
         return False
 
 
-def _zd_targets(zd: ZDParams, params: PayoffParams):
+def _where(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: one choice for a float
+    condition, element by element for an array one.
+
+    With ``cond = b < a`` it is Python's ``min(a, b)``, and with ``b > a``
+    its ``max(a, b)``, the first of equal values (signed zeros included)
+    kept.  The formulas below go through it, so one copy of each serves
+    the scalar functions and the stacked sampler.
+    """
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _zd_targets(phi, chi, kappa, T, S):
     """Right-hand sides of the four conditional-probability equations."""
-    T, S = params.T, params.S
-    phi, chi, kappa = zd.phi, zd.chi, zd.kappa
     return (
         1.0 - phi * (chi - 1.0) * (1.0 - kappa),
         1.0 - phi * (chi * T - S - (chi - 1.0) * kappa),
         phi * (T - chi * S + (chi - 1.0) * kappa),
         phi * (chi - 1.0) * kappa,
     )
+
+
+def _entries(phi, chi, kappa, p0, delta, T, S):
+    """The enforcer's p1..p4, floats or element by element.  Pure float
+    noise at the cube boundary (within 1e-12 outside) is absorbed."""
+    base = (1.0 - delta) * p0
+    out = []
+    for t in _zd_targets(phi, chi, kappa, T, S):
+        v = (t - base) / delta
+        v = _where((-1e-12 <= v) & (v < 0.0), 0.0, v)
+        out.append(_where((1.0 < v) & (v <= 1.0 + 1e-12), 1.0, v))
+    return out
 
 
 def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Strategy:
@@ -95,20 +121,10 @@ def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Stra
     p0 = float(p0)
     if not (0.0 <= p0 <= 1.0):
         raise DomainError(f"p0={p0} outside [0, 1]")
-    base = (1.0 - delta) * p0
-    targets = _zd_targets(zd, params)
-    entries = [(t - base) / delta for t in targets]
-    # Absorb pure float noise at the cube boundary before feasibility checks.
-    snapped = []
-    violations = []
-    for name, v in zip(("p1", "p2", "p3", "p4"), entries):
-        if -1e-12 <= v < 0.0:
-            v = 0.0
-        elif 1.0 < v <= 1.0 + 1e-12:
-            v = 1.0
-        if not (0.0 <= v <= 1.0):
-            violations.append((name, v))
-        snapped.append(v)
+    entries = _entries(zd.phi, zd.chi, zd.kappa, p0, delta, params.T, params.S)
+    violations = [
+        (name, v) for name, v in zip(("p1", "p2", "p3", "p4"), entries) if not (0.0 <= v <= 1.0)
+    ]
     if violations:
         detail = ", ".join(f"{n}={v:.6g}" for n, v in violations)
         raise InfeasibleError(
@@ -116,7 +132,7 @@ def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Stra
             f"p0={p0}, delta={delta}: {detail}",
             violations=violations,
         )
-    return Strategy(p0, *snapped)
+    return Strategy(p0, *entries)
 
 
 def recover_zd(p, delta, params: PayoffParams, tol: float = 1e-10, alpha_tol: float = 1e-12):
@@ -243,16 +259,17 @@ def verify_linear_relation(p, zd: ZDParams, delta, params: PayoffParams, q) -> f
     return abs(pair.s_x - zd.kappa - zd.chi * (pair.s_y - zd.kappa))
 
 
-def feasible_phi_interval(chi, kappa, p0, delta, params: PayoffParams):
-    """Open interval of scale values phi > 0 yielding a valid strategy, or None.
+def _phi_window(chi, kappa, p0, delta, T, S):
+    """Bounds ``(lo, hi)`` of the scales phi > 0 that keep p1..p4 in the
+    cube, floats or element by element; the window is empty where not
+    ``lo < hi``.
 
-    Each conditional probability is affine in phi, so the cube constraints
-    intersect to a single interval.
+    Each entry is affine in phi, ``p_j = (const_j + slope_j * phi) / delta``,
+    so the cube constraints intersect to a single interval.  An entry with
+    a vanishing slope leaves the window as it is, or empties it when its
+    constant lies outside the cube.
     """
-    delta = validate_delta(delta)
-    T, S = params.T, params.S
-    base = (1.0 - delta) * float(p0)
-    # p_j = (const_j + slope_j * phi) / delta
+    base = (1.0 - delta) * p0
     const = (1.0 - base, 1.0 - base, -base, -base)
     slope = (
         -(chi - 1.0) * (1.0 - kappa),
@@ -260,37 +277,67 @@ def feasible_phi_interval(chi, kappa, p0, delta, params: PayoffParams):
         T - chi * S + (chi - 1.0) * kappa,
         (chi - 1.0) * kappa,
     )
-    lo, hi = 0.0, float("inf")
+    lo, hi = 0.0, math.inf
     for c, s in zip(const, slope):
-        if abs(s) < 1e-300:
-            if not (0.0 <= c / delta <= 1.0):
-                return None
-            continue
+        flat = abs(s) < 1e-300
+        s = _where(flat, 1.0, s)
         bound_a = -c / s
         bound_b = (delta - c) / s
-        left, right = min(bound_a, bound_b), max(bound_a, bound_b)
-        lo, hi = max(lo, left), min(hi, right)
+        left = _where(bound_b < bound_a, bound_b, bound_a)
+        right = _where(bound_b > bound_a, bound_b, bound_a)
+        inside = (0.0 <= c / delta) & (c / delta <= 1.0)
+        lo = _where(flat, lo, _where(left > lo, left, lo))
+        hi = _where(flat, _where(inside, hi, -math.inf), _where(right < hi, right, hi))
+    return lo, hi
+
+
+def feasible_phi_interval(chi, kappa, p0, delta, params: PayoffParams):
+    """Open interval of scale values phi > 0 yielding a valid strategy, or None."""
+    delta = validate_delta(delta)
+    lo, hi = _phi_window(chi, kappa, float(p0), delta, params.T, params.S)
     if not (lo < hi):
         return None
     return (lo, hi)
 
 
+# A drawn enforcer has chi uniform in [_CHI_MIN, chi_max), _CHI_MAX by
+# default, and, unless it is fixed, delta uniform in
+# [critical value + 0.01, _DELTA_MAX).
+_CHI_MIN = 1.0 + 1e-6
+_CHI_MAX = 6.0
+_DELTA_MAX = 0.995
+
+
+def _delta_low(dc: float) -> float:
+    """Lower end of the drawn discount factors above the critical value
+    ``dc``; raises :class:`DomainError` when it leaves no room for them."""
+    if not dc + 0.01 < _DELTA_MAX:
+        raise DomainError(
+            f"critical discount {dc} leaves no room to draw delta: "
+            f"delta_c + 0.01 must stay below {_DELTA_MAX}"
+        )
+    return dc + 0.01
+
+
 def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
-                chi_max: float = 6.0, tries: int = 500):
+                chi_max: float = _CHI_MAX, tries: int = 500):
     """Draw a random feasible positively correlated enforcer.
 
     Returns ``(strategy, zd_params, delta)``.  ``rng`` is a numpy Generator;
     fixing ``delta``, ``p0``, or ``kappa`` narrows the draw (``p0=1,
     kappa=1`` gives the family with p0 = p1 = 1).  Raises ``RuntimeError``
     if no feasible draw is found, which signals an infeasible fixed
-    combination rather than bad luck.
+    combination rather than bad luck, and :class:`DomainError` before any
+    draw when delta is to be drawn but the critical discount leaves no
+    room for it.
     """
     dc = critical_discount(params)
+    d_lo = _delta_low(dc) if delta is None else None
     for _ in range(tries):
-        d = delta if delta is not None else rng.uniform(dc + 0.01, 0.995)
+        d = delta if delta is not None else rng.uniform(d_lo, _DELTA_MAX)
         if not (dc < d < 1.0):
             raise DomainError(f"delta={d} not above critical value {dc}")
-        chi = rng.uniform(1.0 + 1e-6, chi_max)
+        chi = rng.uniform(_CHI_MIN, chi_max)
         k = kappa if kappa is not None else rng.uniform(0.0, 1.0)
         start = p0 if p0 is not None else rng.uniform(0.0, 1.0)
         window = feasible_phi_interval(chi, k, start, d, params)
@@ -311,3 +358,95 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
         f"no feasible pcZD draw in {tries} tries "
         f"(delta={delta}, p0={p0}, kappa={kappa}, T={params.T}, S={params.S})"
     )
+
+
+def _uniform(lo, hi, u):
+    """``rng.uniform(lo, hi)`` given the ``rng.random()`` value ``u`` it draws."""
+    return lo + (hi - lo) * u
+
+
+# Offsets of the uniform stream that one pass of PcZDStream evaluates.  A
+# pass has a fixed cost of ~40 numpy calls, so larger blocks are faster, but
+# the peak RSS of the README verify run grows with them: its 34 115 tries
+# took ~0.2, 0.1 and 0.05 s at 256, 1024 and 2048 offsets, at a VmHWM of
+# 41.1, 41.1, 41.4 and 42.5 MB at 512, 1024, 2048 and 4096 (40.8 MB with
+# the draw-by-draw loop; 2-vCPU x86 VM, Python 3.11, numpy 2.4).
+_BLOCK = 1024
+
+
+class PcZDStream:
+    """The draws of ``sample_pczd(rng, params, tries=1)``, retried until one
+    is accepted and each followed by ``rng.random(extra)``, made as stacked
+    passes over the uniform stream.
+
+    With delta, p0 and kappa drawn, a try takes ``rng.random()`` values in a
+    fixed pattern (``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``):
+    delta, chi, kappa and p0, then phi unless the phi window is empty.  So
+    every offset of the stream is one possible try, and a pass evaluates
+    the tries at all offsets of a block at once.  A try at offset i goes
+    on at i + 4 when its window is empty, at i + 5 when it fails after
+    drawing phi, and at i + 5 + extra when it is accepted.  :meth:`take`
+    then walks that chain from the current offset.  The columns and the
+    rejection count equal the draw-by-draw loop's bit for bit; ``rng`` is
+    read up to a block ahead of it.
+    """
+
+    def __init__(self, rng, params: PayoffParams, extra: int):
+        self._d_lo = _delta_low(critical_discount(params))
+        self._rng = rng
+        self._params = params
+        self._span = 5 + extra  # uniforms an accepted try takes
+        self._u = np.empty(0)
+        self._next: list[int] = []  # offset of the try after the one at i
+        self._accepted: list[bool] = []
+        self._cols = np.empty((6 + extra, 0))
+        self._pos = 0
+        self.rejections = 0
+
+    def take(self, k: int) -> np.ndarray:
+        """The next ``k`` accepted draws as a ``(6 + extra, k)`` array: rows
+        p0..p4, then the ``extra`` uniforms, then delta."""
+        parts = [self._cols[:, :0]]
+        while k:
+            if self._pos >= len(self._next):
+                self._evaluate()
+            nxt, accepted, pos = self._next, self._accepted, self._pos
+            picked = []
+            while len(picked) < k and pos < len(nxt):
+                if accepted[pos]:
+                    picked.append(pos)
+                else:
+                    self.rejections += 1
+                pos = nxt[pos]
+            self._pos = pos
+            parts.append(self._cols[:, picked])
+            k -= len(picked)
+        return np.concatenate(parts, axis=1)
+
+    def _evaluate(self):
+        """Append a block to the stream left from the current offset, and
+        evaluate the try at every offset whose uniforms it holds."""
+        u = np.concatenate([self._u[self._pos:], self._rng.random(_BLOCK)])
+        m = max(0, len(u) - self._span + 1)
+        d, chi, kappa, p0, v = (u[j:j + m] for j in range(5))
+        T, S = self._params.T, self._params.S
+        d = _uniform(self._d_lo, _DELTA_MAX, d)
+        chi = _uniform(_CHI_MIN, _CHI_MAX, chi)
+        kappa = _uniform(0.0, 1.0, kappa)
+        p0 = _uniform(0.0, 1.0, p0)
+        lo, hi = _phi_window(chi, kappa, p0, d, T, S)
+        with np.errstate(invalid="ignore"):  # inf - inf where the window is empty
+            span = hi - lo
+            phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, v)
+        entries = _entries(phi, chi, kappa, p0, d, T, S)
+        inside = np.logical_and.reduce([(0.0 <= e) & (e <= 1.0) for e in entries])
+        open_ = lo < hi
+        accepted = open_ & (phi > 0.0) & inside
+        offsets = np.arange(m)
+        self._next = np.where(accepted, offsets + self._span,
+                              np.where(open_, offsets + 5, offsets + 4)).tolist()
+        self._accepted = accepted.tolist()
+        extra = [u[j:j + m] for j in range(5, self._span)]
+        self._cols = np.array([p0, *entries, *extra, d])
+        self._u = u
+        self._pos = 0

@@ -5,6 +5,8 @@ suite executes.  Sample counts and tolerances are pinned here and are not
 meant to be tuned.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from zdgame import (
     critical_discount,
     gradient_factorized,
     gradient_quotient,
+    is_pczd,
     payoff_determinant,
     payoff_inverse,
     payoff_series,
@@ -28,7 +31,8 @@ from zdgame import (
     verify_linear_relation,
     zero_gradient_condition,
 )
-from zdgame._linalg import det4
+from zdgame import payoffs as payoffs_mod
+from zdgame._linalg import det3, det4
 
 ONES = (1.0, 1.0, 1.0, 1.0)
 SETTINGS = [(1.5, -0.5), (2.0, -0.1), (1.1, -1.0)]
@@ -41,6 +45,8 @@ T2_P = (1.0, 1.0, 0.5, 0.8, 0.3)
 DIP_P = (0.95, 0.7, 0.2, 0.13, 0.0)
 DIP_Q0 = (0.5, 0.0, 0.8, 0.7, 0.8)
 SWEEP_B_P = (0.750, 1.0, 0.0, 0.135, 0.0)
+# the exact enforcer near SWEEP_B_P: p3 = 0.069 / 0.51 puts it on the ZD line
+WIDE_P = (0.75, 1.0, 0.0, 0.069 / 0.51, 0.0)
 
 SWEEP_SEED = 2024
 
@@ -50,16 +56,25 @@ def report(number, passed, detail):
     assert passed, detail
 
 
+def finite(value, number, draw):
+    """``value``, after failing criterion ``number`` if it is not finite:
+    ``min`` and ``max`` would drop a NaN and let the criterion pass."""
+    if not math.isfinite(value):
+        report(number, False, f"non-finite residual {value} at draw {draw}")
+    return value
+
+
 @pytest.fixture(scope="module")
 def main_params():
     return validate_payoffs(1.5, -0.5, strict=True)
 
 
-@pytest.fixture(scope="module")
-def factorization_grid():
+def factorization_draws():
     """10^4 draws of (enforcer, opponent, discount) per payoff setting.
 
-    Shared by the factorization-identity and gradient-positivity criteria.
+    Per setting: the worst relative gap between the two gradients, the
+    lowest conditional gradient, the exact zeros, and the draw at which a
+    gradient was not finite (the setting stops there), or None.
     """
     out = {}
     for T, S in SETTINGS:
@@ -68,11 +83,15 @@ def factorization_grid():
         worst_rel = 0.0
         min_grad = np.inf
         zero_events = []
-        for _ in range(10_000):
+        non_finite = None
+        for i in range(10_000):
             p, _, delta = sample_pczd(rng, params)
             q = rng.random(5)
             gq = gradient_quotient(p, q, delta, params, payoff="x")
             gf, _ = gradient_factorized(p, q, delta, params)
+            if not all(math.isfinite(g) for g in (*gq, *gf)):
+                non_finite = i
+                break
             for j in range(5):
                 denom = max(abs(gq[j]), abs(gf[j]))
                 if denom > 0.0:
@@ -81,8 +100,19 @@ def factorization_grid():
                 min_grad = min(min_grad, gf[ell])
                 if abs(gf[ell]) <= 1e-12:
                     zero_events.append((tuple(p), tuple(q), ell))
-        out[(T, S)] = (worst_rel, min_grad, zero_events)
+        out[(T, S)] = (worst_rel, min_grad, zero_events, non_finite)
     return out
+
+
+def non_finite_detail(grid):
+    bad = [f"T={T}, S={S} draw {v[3]}" for (T, S), v in grid.items() if v[3] is not None]
+    return f"; non-finite gradients at {', '.join(bad)}" if bad else ""
+
+
+@pytest.fixture(scope="module")
+def factorization_grid():
+    """Shared by the factorization-identity and gradient-positivity criteria."""
+    return factorization_draws()
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +131,12 @@ def sweep_t2_main(main_params):
     return sweep(100, SWEEP_SEED, SimConfig(), T2_P, 0.99, main_params)
 
 
+@pytest.fixture(scope="module")
+def sweep_t1_exact():
+    params = validate_payoffs(2.0, -0.1, strict=True)
+    return sweep(40, SWEEP_SEED, SimConfig(gradient_mode="analytic"), WIDE_P, 0.51, params)
+
+
 def test_c01_critical_discount(main_params):
     value = critical_discount(main_params)
     err = abs(value - 1.0 / 3.0)
@@ -110,10 +146,10 @@ def test_c01_critical_discount(main_params):
 def test_c02_normalizer_positive():
     rng = np.random.default_rng(11)
     worst = np.inf
-    for _ in range(100_000):
+    for i in range(100_000):
         p, q = rng.random(5), rng.random(5)
         delta = rng.uniform(0.01, 0.99)
-        worst = min(worst, state_determinant(p, q, delta, ONES))
+        worst = min(worst, finite(state_determinant(p, q, delta, ONES), 2, i))
     report(2, worst > 1e-12, f"normalizer minimum {worst:.3e} over 1e5 draws (must exceed 1e-12)")
 
 
@@ -122,13 +158,13 @@ def test_c03_resolvent_identity():
     # is measured relative to the normalizer
     rng = np.random.default_rng(12)
     worst = 0.0
-    for _ in range(10_000):
+    for i in range(10_000):
         p, q = rng.random(5), rng.random(5)
         delta = rng.uniform(0.01, 0.99)
         m = transition_matrix(p, q)
         direct = det4(tuple(tuple(r) for r in (np.eye(4) - delta * m)))
         d = state_determinant(p, q, delta, ONES)
-        worst = max(worst, abs(direct - (1.0 - delta) * d) / abs(d))
+        worst = max(worst, finite(abs(direct - (1.0 - delta) * d) / abs(d), 3, i))
     report(3, worst < 1e-10, f"resolvent identity worst relative residual {worst:.3e} (tol 1e-10)")
 
 
@@ -142,7 +178,7 @@ def test_c04_oracle_triangle(main_params):
         b = payoff_inverse(p, q, delta, main_params)
         c = payoff_series(p, q, delta, main_params, tol=1e-10)
         for u, v in [(a, b), (a, c), (b, c)]:
-            worst = max(worst, abs(u.s_x - v.s_x), abs(u.s_y - v.s_y))
+            worst = max(worst, finite(abs(u.s_x - v.s_x), 4, i), finite(abs(u.s_y - v.s_y), 4, i))
     report(4, worst < 1e-8, f"three-route payoff agreement worst {worst:.3e} (tol 1e-8)")
 
 
@@ -150,18 +186,20 @@ def test_c05_linear_enforcement(main_params):
     rng = np.random.default_rng(14)
     zd = recover_zd(FIG3_P, 0.99, main_params)
     worst = 0.0
-    for _ in range(1_000):
-        worst = max(worst, verify_linear_relation(FIG3_P, zd, 0.99, main_params, rng.random(5)))
+    for i in range(1_000):
+        residual = verify_linear_relation(FIG3_P, zd, 0.99, main_params, rng.random(5))
+        worst = max(worst, finite(residual, 5, i))
     report(5, worst < 1e-9, f"enforced payoff line worst residual {worst:.3e} (tol 1e-9)")
 
 
 def test_c06_factorization_identity(factorization_grid):
     worst = max(v[0] for v in factorization_grid.values())
+    detail = non_finite_detail(factorization_grid)
     report(
         6,
-        worst < 1e-9,
+        worst < 1e-9 and not detail,
         f"factorized vs quotient gradients worst relative error {worst:.3e} "
-        f"over 3x1e4 draws (tol 1e-9)",
+        f"over 3x1e4 draws (tol 1e-9){detail}",
     )
 
 
@@ -171,12 +209,14 @@ def test_c07_gradient_positivity(factorization_grid):
     unexplained = [
         (p, q, ell) for p, q, ell in zero_events if not zero_gradient_condition(p, q, ell)
     ]
-    passed = worst_min >= -1e-12 and not unexplained
+    detail = non_finite_detail(factorization_grid)
+    passed = worst_min >= -1e-12 and not unexplained and not detail
     report(
         7,
         passed,
         f"conditional gradients min {worst_min:.3e} (floor -1e-12); "
-        f"{len(zero_events)} exact zeros, {len(unexplained)} without a matching corner pattern",
+        f"{len(zero_events)} exact zeros, {len(unexplained)} without a matching corner pattern"
+        f"{detail}",
     )
 
 
@@ -186,7 +226,7 @@ def test_c08_corner_tables():
     worst = 0.0
     bad = []
     min_t5 = np.inf
-    for _ in range(100):
+    for i in range(100):
         p_any = rng.random(5)
         d_any = rng.uniform(0.05, 0.98)
         reports = table_report(p_any, d_any, params, tables=("1", "2"))
@@ -195,7 +235,7 @@ def test_c08_corner_tables():
         p_cc, _, d_cc = sample_pczd(rng, params, p0=1.0, kappa=1.0)
         reports += table_report(p_cc, d_cc, params, tables=("5",))
         for r in reports:
-            worst = max(worst, r.diff)
+            worst = max(worst, finite(r.diff, 8, i))
             if r.diff > 1e-12:
                 bad.append(r.label())
         min_t5 = min(min_t5, min(corner_table("5", p_cc, d_cc, params).values()))
@@ -279,7 +319,7 @@ def test_c15_gradient_crosscheck(main_params):
     rng = np.random.default_rng(17)
     h = 1e-5
     worst = 0.0
-    for _ in range(1_000):
+    for i in range(1_000):
         p, q = rng.random(5), rng.random(5)
         delta = rng.uniform(0.05, 0.95)
         g = gradient_quotient(p, q, delta, main_params, payoff="y")
@@ -293,9 +333,59 @@ def test_c15_gradient_crosscheck(main_params):
                 payoff_determinant(p, plus, delta, main_params).s_y
                 - payoff_determinant(p, minus, delta, main_params).s_y
             ) / (2.0 * h)
-            worst = max(worst, abs(fd - g[j]) / abs(g[j]))
+            worst = max(worst, finite(abs(fd - g[j]) / abs(g[j]), 15, i))
     report(
         15,
         worst < 1e-7,
         f"finite-difference vs analytic gradients worst relative error {worst:.3e} (tol 1e-7)",
     )
+
+
+def test_c16_sweep_against_exact_enforcer(sweep_t1_exact):
+    # C11's wide sweep plays SWEEP_B_P, which is not ZD; this one plays the
+    # exact enforcer on the same game, the benchmark's sweep-wide-analytic job
+    tags = [r.terminal for r in sweep_t1_exact]
+    report(
+        16,
+        tags.count("T1") == 40,
+        f"exact-enforcer sweep: {tags.count('T1')}/40 (delta=0.51, analytic) classified T1",
+    )
+
+
+# --- the criteria's own data and failure modes ----------------------------------
+
+def test_enforcers_the_criteria_call_pczd_are_pczd():
+    for p, delta, (T, S) in [
+        (FIG3_P, 0.99, (1.5, -0.5)),
+        (T2_P, 0.99, (1.5, -0.5)),
+        (FIG4_P, 0.34, (1.5, -0.5)),
+        (DIP_P, 0.9, (2.0, -0.1)),
+        (WIDE_P, 0.51, (2.0, -0.1)),
+    ]:
+        assert is_pczd(p, delta, validate_payoffs(T, S, strict=True)), p
+    # C11's pinned wide-sweep opponent misses the ZD line (residual ~1.5e-4),
+    # so that sweep does not test a pcZD opponent; C16 does
+    assert not is_pczd(SWEEP_B_P, 0.51, validate_payoffs(2.0, -0.1, strict=True)).zd_ok
+
+
+def nan_det3(*rows):
+    return det3(*rows) * math.nan
+
+
+@pytest.mark.parametrize("number", [2, 3, 4, 5, 6, 7, 8, 15])
+def test_criterion_fails_on_a_nan_kernel(monkeypatch, capsys, number):
+    monkeypatch.setattr(payoffs_mod, "det3", nan_det3)
+    params = validate_payoffs(1.5, -0.5, strict=True)
+    criterion, *args = {
+        2: (test_c02_normalizer_positive,),
+        3: (test_c03_resolvent_identity,),
+        4: (test_c04_oracle_triangle, params),
+        5: (test_c05_linear_enforcement, params),
+        6: (test_c06_factorization_identity, factorization_draws()),
+        7: (test_c07_gradient_positivity, factorization_draws()),
+        8: (test_c08_corner_tables,),
+        15: (test_c15_gradient_crosscheck, params),
+    }[number]
+    with pytest.raises(AssertionError):
+        criterion(*args)
+    assert f"ACCEPTANCE {number:02d} FAIL" in capsys.readouterr().out

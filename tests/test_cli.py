@@ -234,6 +234,16 @@ class TestVerify:
         assert "PASS normalizer-positive" in out
         assert "all properties passed" in out
 
+    def test_no_room_to_draw_delta_fails_with_one_line(self, tmp_path, capsys):
+        # delta_c = 150/151, so no delta in [delta_c + 0.01, 0.995) to draw
+        out = tmp_path / "verify.txt"
+        code = main(["verify", "--T", "1.5", "--S", "-150", "--seed", "0",
+                     "--sample-scale", "0.01", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: critical discount 0.9933")
+        assert not out.exists()
+
     def test_fault_injection_names_cell(self, capsys, monkeypatch):
         broken = dict(tables_mod.TABLE3)
         original = broken[(0, 0, 1)]

@@ -20,7 +20,8 @@ from zdgame import (
     verify_linear_relation,
     zd_consistency_residual,
 )
-from conftest import PCZD_A, PCZD_B, PCZD_C, ROSTER
+from zdgame import zd as zd_mod
+from conftest import PCZD_A, PCZD_B, PCZD_C, ROSTER, bits
 
 
 class TestCriticalDiscount:
@@ -190,3 +191,68 @@ class TestLinearRelation:
         better = payoff_determinant(p, (1, 1, 1, 1, 1), delta, params_main)
         assert better.s_y > base.s_y
         assert better.s_x > base.s_x
+
+
+def retry_loop(rng, params, n, extra):
+    """Reference for PcZDStream: ``sample_pczd(tries=1)`` retried draw by
+    draw, each accepted draw followed by ``rng.random(extra)``."""
+    cols = np.empty((6 + extra, n))
+    rejections = 0
+    for k in range(n):
+        while True:
+            try:
+                p, _, d = sample_pczd(rng, params, tries=1)
+                break
+            except (RuntimeError, InfeasibleError):
+                rejections += 1
+        cols[:5, k] = p.as_tuple()
+        cols[5:5 + extra, k] = rng.random(extra)
+        cols[5 + extra, k] = d
+    return cols, rejections
+
+
+def stream_columns(rng, params, sizes, extra):
+    stream = zd_mod.PcZDStream(rng, params, extra=extra)
+    cols = np.concatenate([stream.take(k) for k in sizes], axis=1)
+    return cols, stream.rejections
+
+
+SAMPLER_SETTINGS = [(1.5, -0.5), (2.0, -0.1), (1.1, -1.0)]
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("T, S", SAMPLER_SETTINGS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_draw_by_draw_retry_loop(self, T, S, seed):
+        params = validate_payoffs(T, S, strict=True)
+        want, want_rejections = retry_loop(np.random.default_rng(seed), params, 600, 5)
+        got, rejections = stream_columns(np.random.default_rng(seed), params, [1, 255, 256, 88], 5)
+        assert rejections == want_rejections
+        assert bits(got) == bits(want)
+
+    # a block shorter than an accepted try, one as long as a try with
+    # extra = 5, and two primes, so that walks cross refills at many phases
+    @pytest.mark.parametrize("block", [3, 10, 13, 37])
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_walks_across_block_refills(self, monkeypatch, params_main, block, extra):
+        monkeypatch.setattr(zd_mod, "_BLOCK", block)
+        want, want_rejections = retry_loop(np.random.default_rng(7), params_main, 120, extra)
+        got, rejections = stream_columns(np.random.default_rng(7), params_main, [1, 2, 0, 40, 77],
+                                         extra)
+        assert rejections == want_rejections > 0
+        assert bits(got) == bits(want)
+
+    def test_no_room_above_critical_discount(self):
+        # delta_c = 150/151: delta_c + 0.01 is not below the drawn range's
+        # upper end 0.995, so nothing is drawn
+        params = validate_payoffs(1.5, -150.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="critical discount 0.9933"):
+            sample_pczd(rng, params)
+        with pytest.raises(DomainError, match="critical discount 0.9933"):
+            zd_mod.PcZDStream(rng, params, extra=5)
+        assert rng.bit_generator.state == state
+        # a fixed delta above the critical value still draws
+        p, _, delta = sample_pczd(rng, params, delta=0.999)
+        assert delta == 0.999 and is_pczd(p, delta, params)
