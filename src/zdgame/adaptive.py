@@ -55,10 +55,8 @@ class SimConfig:
     """Ascent parameters.
 
     ``nu`` is the learning rate, ``dq`` the centered-difference probe step
-    (below 1, the width of the strategy cube),
-    ``step_tol`` the termination threshold on the update size, and
-    ``record_stride`` thins the recorded trajectory for very long runs
-    (first and last points are always kept).
+    (below 1, the width of the strategy cube), and ``step_tol`` the
+    termination threshold on the update size.
     """
 
     nu: float = 0.1
@@ -66,7 +64,6 @@ class SimConfig:
     step_tol: float = 1e-12
     max_steps: int = 1_000_000
     gradient_mode: str = "finite_difference"
-    record_stride: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0.0):
@@ -85,8 +82,6 @@ class SimConfig:
             raise DomainError(
                 f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"
             )
-        if self.record_stride < 1:
-            raise DomainError(f"record_stride must be at least 1, got {self.record_stride}")
 
 
 class PathStep(NamedTuple):
@@ -182,7 +177,7 @@ def _climb(qt, n, config, pt, delta, params) -> AdaptingPath:
     """Ascend from ``qt``, already ``n`` steps along, until the update
     vanishes (``converged``) or step ``max_steps`` is taken.
 
-    Records the starting point, every ``record_stride``-th step and the end.
+    Records the starting point and every step.
     """
     path = AdaptingPath()
 
@@ -204,12 +199,9 @@ def _climb(qt, n, config, pt, delta, params) -> AdaptingPath:
             break
         n += 1
         qt = q_next
-        if n % config.record_stride == 0:
-            record(n, qt)
+        record(n, qt)
         if n >= config.max_steps:
             break
-    if path.steps[-1].n != n:
-        record(n, qt)
     path.terminated_at = n
     path.terminal = classify_terminal(pt, qt)
     return path

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, MismatchError
 from .game import PayoffParams, strategy_tuple, validate_delta
-from .gradients import minor_dets, reduced_det_q0, reduced_dets
-from .payoffs import state_determinant
+from .gradients import _minors, _q0_reduction, _reduced_det_q0, _reduced_from_r, _row_reduction
+from .payoffs import _cofactors, _matrix_rows, _weigh
 from .zd import NotZD, recover_zd
 
 __all__ = [
@@ -323,6 +323,11 @@ class CellReport(NamedTuple):
         return f"{self.table} {corner} {self.column}"
 
 
+def _cells(which: str) -> dict:
+    # looked up per call, so that a replaced TABLEn is the one checked
+    return {"1": TABLE1, "2": TABLE2, "3": TABLE3, "4": TABLE4, "5": TABLE5}[which]
+
+
 def corner_table(which: str, p, delta, params: PayoffParams) -> dict:
     """Closed-form values of one table, keyed by corner tuple.
 
@@ -330,9 +335,8 @@ def corner_table(which: str, p, delta, params: PayoffParams) -> dict:
     tables 2 and 3 map corner -> 4-tuple of the printed signed columns.
     """
     c = _ctx(strategy_tuple(p), validate_delta(delta), params.theta)
-    src = {"1": TABLE1, "2": TABLE2, "3": TABLE3, "4": TABLE4, "5": TABLE5}[which]
     out = {}
-    for corner, cell in src.items():
+    for corner, cell in _cells(which).items():
         if isinstance(cell, tuple):
             out[corner] = tuple(f(c) for f in cell)
         else:
@@ -340,85 +344,58 @@ def corner_table(which: str, p, delta, params: PayoffParams) -> dict:
     return out
 
 
-def _insert(corner, position, value):
-    vals = list(corner)
-    vals.insert(position, value)
-    return tuple(vals)
+def _from_cofactors(pt, qt, delta, theta, ell):
+    """The normalizer for ell = 0, else the minor dropping row ell."""
+    c = _cofactors(_matrix_rows(pt, qt, delta))
+    return _weigh(c, (1.0, 1.0, 1.0, 1.0)) if ell == 0 else _minors(c)[ell - 1]
 
 
-def _report_table1(p, delta, params):
-    c = _ctx(p, delta, params.theta)
-    out = []
-    for corner in sorted(TABLE1):
-        closed = TABLE1[corner](c)
-        q = (0.5, *corner)
-        direct = state_determinant(p, q, delta, (1.0, 1.0, 1.0, 1.0))
-        out.append(CellReport("Table 1", corner, "D", closed, direct, abs(closed - direct)))
-    return out
+def _reduced(pt, qt, delta, theta, ell):
+    """The reduced determinant of entry ell; ell = 0 is the first round."""
+    if ell == 0:
+        return _reduced_det_q0(_q0_reduction(pt, qt, delta), theta)
+    return _reduced_from_r(_row_reduction(_matrix_rows(pt, qt, delta), pt, ell), ell, theta)
 
 
-def _report_table2(p, delta, params):
-    c = _ctx(p, delta, params.theta)
-    out = []
-    for corner in sorted(TABLE2):
-        cells = TABLE2[corner]
-        for ell in range(1, 5):
-            closed = cells[ell - 1](c)
-            q = _insert(corner, ell, 0.5)
-            direct = minor_dets(p, q, delta)[ell - 1]
-            signed = direct if ell % 2 == 0 else -direct
-            out.append(
-                CellReport("Table 2", corner, f"M{ell}", closed, signed, abs(closed - signed))
-            )
-    return out
+class _Spec(NamedTuple):
+    """How one table's cells are checked: the cell of column ``ell`` (0 in
+    a one-column table) at ``corner`` against ``(-1)**ell`` times
+    ``direct(p, place(corner, ell), delta, theta, ell)``."""
+
+    place: object  # (corner k of floats, ell) -> q
+    column: str  # column name, formatted with ell
+    direct: object
 
 
-def _report_table3(p, delta, params):
-    c = _ctx(p, delta, params.theta)
-    out = []
-    for corner in sorted(TABLE3):
-        cells = TABLE3[corner]
-        for ell in range(1, 5):
-            closed = cells[ell - 1](c)
-            q = _insert(corner, ell - 1, 0.7)  # place free q_ell among q1..q4
-            q = (0.3, *q)  # free q0
-            direct = reduced_dets(p, q, delta, params)[ell - 1]
-            signed = direct if ell % 2 == 0 else -direct
-            out.append(
-                CellReport("Table 3", corner, f"d{ell}", closed, signed, abs(closed - signed))
-            )
-    return out
-
-
-def _report_table4(p, delta, params):
-    c = _ctx(p, delta, params.theta)
-    out = []
-    for corner in sorted(TABLE4):
-        closed = TABLE4[corner](c)
-        q = (0.3, *corner)
-        direct = reduced_det_q0(p, q, delta, params)
-        out.append(CellReport("Table 4", corner, "d0", closed, direct, abs(closed - direct)))
-    return out
-
-
-def _report_table5(p, delta, params):
-    c = _ctx(p, delta, params.theta)
-    out = []
-    for corner in sorted(TABLE5):
-        closed = TABLE5[corner](c)
-        q = (0.3, 1.0, *corner)
-        direct = reduced_det_q0(p, q, delta, params)
-        out.append(CellReport("Table 5", corner, "d0", closed, direct, abs(closed - direct)))
-    return out
-
-
-_REPORTERS = {
-    "1": _report_table1,
-    "2": _report_table2,
-    "3": _report_table3,
-    "4": _report_table4,
-    "5": _report_table5,
+_SPECS = {
+    "1": _Spec(lambda k, ell: (0.5, *k), "D", _from_cofactors),
+    # the corner holds (q_j, j != ell) in increasing j, q0 included
+    "2": _Spec(lambda k, ell: (*k[:ell], 0.5, *k[ell:]), "M{ell}", _from_cofactors),
+    # a free q0, and a free q_ell placed among q1..q4
+    "3": _Spec(lambda k, ell: (0.3, *k[:ell - 1], 0.7, *k[ell - 1:]), "d{ell}", _reduced),
+    "4": _Spec(lambda k, ell: (0.3, *k), "d0", _reduced),
+    "5": _Spec(lambda k, ell: (0.3, 1.0, *k), "d0", _reduced),
 }
+
+
+def _report(which: str, pt, delta: float, theta: float) -> list[CellReport]:
+    """One table's cells, on a coerced ``pt`` and ``delta``."""
+    spec = _SPECS[which]
+    c = _ctx(pt, delta, theta)
+    table = f"Table {which}"
+    out = []
+    cells = _cells(which)
+    for corner in sorted(cells):
+        forms = cells[corner]
+        columns = enumerate(forms, 1) if isinstance(forms, tuple) else [(0, forms)]
+        at = tuple(float(v) for v in corner)
+        for ell, form in columns:
+            closed = form(c)
+            direct = spec.direct(pt, spec.place(at, ell), delta, theta, ell)
+            signed = direct if ell % 2 == 0 else -direct
+            out.append(CellReport(table, corner, spec.column.format(ell=ell), closed, signed,
+                                  abs(closed - signed)))
+    return out
 
 
 def applicable_tables(p, delta, params: PayoffParams) -> tuple[str, ...]:
@@ -446,7 +423,7 @@ def table_report(p, delta, params: PayoffParams, tables=None) -> list[CellReport
     delta = validate_delta(delta)
     if tables is None:
         tables = applicable_tables(pt, delta, params)
-    return [r for t in tables for r in _REPORTERS[str(t)](pt, delta, params)]
+    return [r for t in tables for r in _report(str(t), pt, delta, params.theta)]
 
 
 def verify_tables(p, delta, params: PayoffParams, tables=None, tol: float = 1e-12,

@@ -1,9 +1,10 @@
 """Randomized property suite behind the ``verify`` CLI command.
 
-Each property draws its own seeded sample stream, reports the worst
+Each property takes a random stream and a sample count, reports the worst
 residual seen, and passes or fails against a fixed threshold; a residual
-that is not finite fails its property.  Sample counts scale with a single
-factor so quick smoke runs and full runs share one code path.
+that is not finite fails its property.  :func:`run_verification` gives
+each property a stream of one seed and scales all counts by one factor;
+the acceptance criteria call the same functions on their own streams.
 
 The properties built on the determinant kernels run as stacked numpy
 passes over chunks of at most ``_CHUNK`` draws, through the same array
@@ -27,7 +28,7 @@ import numpy as np
 from ._linalg import det4
 from .errors import DomainError
 from .game import PayoffParams, _transition_rows
-from .gradients import _gradient_factorized, _gradient_quotient
+from .gradients import _gradient_factorized, _gradient_quotient, zero_gradient_condition
 from .payoffs import (
     _cofactors,
     _matrix_rows,
@@ -65,6 +66,8 @@ class PropertyResult:
     threshold: float
     comparison: str  # ">" means worst must exceed threshold, "<" stay below
     details: list[str] = field(default_factory=list)
+    # further figures the property checked, which its line does not print
+    extra: dict[str, float] = field(default_factory=dict, compare=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -113,10 +116,13 @@ class _Worst:
         if (x < self.value) if self.lowest else (x > self.value):
             self.value = x
 
-    def result(self, samples: int, details=()) -> PropertyResult:
-        passed = not self.details and _COMPARE[self.comparison](self.value, self.threshold)
+    def result(self, samples: int, details=(), failures=(), extra=None) -> PropertyResult:
+        """The property's result; a line of ``failures`` fails it as well."""
+        passed = (not self.details and not failures
+                  and _COMPARE[self.comparison](self.value, self.threshold))
         return PropertyResult(self.name, passed, samples, self.value, self.threshold,
-                              self.comparison, [*details, *self.details])
+                              self.comparison, [*details, *failures, *self.details],
+                              extra or {})
 
 
 def _rng_for(seed, k):
@@ -134,27 +140,23 @@ def _draws(rng, n, lo, hi):
         yield first, u[:5], u[5:10], lo + (hi - lo) * u[10]
 
 
-def _normalizer_positive(params, seed, scale):
-    n = max(1, int(100_000 * scale))
+def _normalizer_positive(params, rng, n):
     worst = _Worst("normalizer-positive", 1e-12, ">")
-    for first, p, q, d in _draws(_rng_for(seed, 1), n, 0.01, 0.99):
+    for first, p, q, d in _draws(rng, n, 0.01, 0.99):
         worst.add(_weigh(_cofactors(_matrix_rows(p, q, d)), _ONES), first)
     return worst.result(n)
 
 
-def _regularity_identity(params, seed, scale):
-    n = max(1, int(10_000 * scale))
+def _regularity_identity(params, rng, n):
     worst = _Worst("regularity-identity", 1e-10, "<")
-    for first, p, q, d in _draws(_rng_for(seed, 2), n, 0.01, 0.99):
+    for first, p, q, d in _draws(rng, n, 0.01, 0.99):
         lhs = det4(_EYE - d * np.array(_transition_rows(p, q)))
         d_ones = _weigh(_cofactors(_matrix_rows(p, q, d)), _ONES)
         worst.add(np.abs(lhs - (1.0 - d) * d_ones) / np.abs(d_ones), first)
     return worst.result(n)
 
 
-def _oracle_triangle(params, seed, scale):
-    n = max(2, int(1_000 * scale))
-    rng = _rng_for(seed, 3)
+def _oracle_triangle(params, rng, n):
     residuals = np.empty((n, 6))
     for i in range(n):
         p = rng.random(5)
@@ -173,10 +175,8 @@ def _oracle_triangle(params, seed, scale):
     return worst.result(n)
 
 
-def _zd_linear_relation(params, seed, scale):
-    n = max(1, int(1_000 * scale))
-    rng = _rng_for(seed, 4)
-    p, _, d = sample_pczd(rng, params)
+def _zd_linear_relation(p, d, params, rng, n):
+    """The enforcer ``p`` at discount ``d`` against ``n`` random opponents."""
     zd = recover_zd(p, d, params)
     worst = _Worst("zd-linear-relation", 1e-9, "<")
     worst.add(np.fromiter(
@@ -185,11 +185,15 @@ def _zd_linear_relation(params, seed, scale):
     return worst.result(n)
 
 
-def _factorization_and_signs(params, seed, scale):
-    n = max(1, int(10_000 * scale))
-    draws = PcZDStream(_rng_for(seed, 5), params, extra=5)
+def _factorization_and_signs(params, rng, n):
+    """The two gradient routes against random pcZD enforcers: they agree,
+    and every conditional component is nonnegative, an exact zero only at
+    a corner pattern of ``zero_gradient_condition``."""
+    draws = PcZDStream(rng, params, extra=5)
     match = _Worst("factorization-match", 1e-9, "<")
     nonneg = _Worst("gradient-nonnegative", -1e-12, ">=")
+    zeros = 0
+    unexplained = []
     for first in range(0, n, _CHUNK):
         cols = draws.take(min(_CHUNK, n - first))
         p, q, d = cols[:5], cols[5:10], cols[10]
@@ -200,15 +204,26 @@ def _factorization_and_signs(params, seed, scale):
             rel = np.where(denom == 0.0, 0.0, np.abs(gq - gf) / denom)
         match.add(rel.T, first)
         nonneg.add(gf[1:].T, first)
-    return match.result(n, [f"construction rejections: {draws.rejections}"]), nonneg.result(n)
+        for i, k in np.argwhere(np.abs(gf[1:].T) <= 1e-12).tolist():
+            zeros += 1
+            if not zero_gradient_condition(p[:, i], q[:, i], k + 1):
+                unexplained.append(f"zero gradient in q{k + 1} at draw {first + i} "
+                                   "matches no corner pattern")
+    notes = []
+    if not params.theta > 0.0:
+        notes.append(f"claim needs 0 < T + S; here T + S = {params.theta:g}")
+    return (match.result(n, [f"construction rejections: {draws.rejections}"]),
+            nonneg.result(n, notes, unexplained[:20], {"exact zeros": zeros}))
 
 
-def _corner_tables(params, seed, scale):
-    n = max(1, int(100 * scale))
-    rng = _rng_for(seed, 6)
+def _corner_tables(params, rng, n):
+    """Every applicable table's closed forms against direct evaluation, on
+    ``n`` rounds of a random strategy, a random pcZD enforcer and a random
+    one with p0 = p1 = 1, whose Table 5 cells must also be positive."""
     worst = _Worst("corner-tables", 1e-12, "<")
     bad: list[str] = []
     checked = 0
+    table5_min = math.inf
     for i in range(n):
         p_any = rng.random(5)
         d_any = rng.uniform(0.05, 0.98)
@@ -222,9 +237,14 @@ def _corner_tables(params, seed, scale):
             pass
         checked += len(reports)
         worst.add([[r.diff for r in reports]], i)
-        bad += [r.label() for r in reports if not r.diff <= 1e-12][:20 - len(bad)]
+        bad += [r.label() for r in reports if not r.diff <= 1e-12]
+        for r in reports:
+            if r.table == "Table 5":
+                table5_min = min(table5_min, r.closed)
+                if not r.closed > 0.0:
+                    bad.append(f"{r.label()} closed={r.closed:.3e} is not positive")
     return PropertyResult("corner-tables", not bad, checked, worst.value, 1e-12, "<",
-                          details=bad + worst.details)
+                          bad[:20] + worst.details, {"Table 5 min": table5_min})
 
 
 def _central_difference(p, q, d, params, j, h):
@@ -235,11 +255,10 @@ def _central_difference(p, q, d, params, j, h):
     return (_payoffs(p, plus, d, params)[1] - _payoffs(p, minus, d, params)[1]) / (2.0 * h)
 
 
-def _fd_analytic_match(params, seed, scale):
-    n = max(1, int(1_000 * scale))
+def _fd_analytic_match(params, rng, n):
     h = 1e-3
     worst = _Worst("fd-analytic-match", 1e-7, "<")
-    for first, p, q, d in _draws(_rng_for(seed, 7), n, 0.05, 0.95):
+    for first, p, q, d in _draws(rng, n, 0.05, 0.95):
         g = _gradient_quotient(p, q, d, params, "y")
         rel = np.zeros_like(g)
         for j in range(5):
@@ -262,13 +281,20 @@ def run_verification(params: PayoffParams, seed: int = 0, scale: float = 1.0) ->
     """Run every property at ``scale`` times its default sample count."""
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"sample scale must be finite and positive, got {scale}")
+
+    def stream(key, base, least=1):
+        return _rng_for(seed, key), max(least, int(base * scale))
+
     results = [
-        _normalizer_positive(params, seed, scale),
-        _regularity_identity(params, seed, scale),
-        _oracle_triangle(params, seed, scale),
-        _zd_linear_relation(params, seed, scale),
+        _normalizer_positive(params, *stream(1, 100_000)),
+        _regularity_identity(params, *stream(2, 10_000)),
+        # at least the two draws at the pinned discounts
+        _oracle_triangle(params, *stream(3, 1_000, least=2)),
     ]
-    results.extend(_factorization_and_signs(params, seed, scale))
-    results.append(_corner_tables(params, seed, scale))
-    results.append(_fd_analytic_match(params, seed, scale))
+    rng, n = stream(4, 1_000)
+    p, _, d = sample_pczd(rng, params)
+    results.append(_zd_linear_relation(p, d, params, rng, n))
+    results.extend(_factorization_and_signs(params, *stream(5, 10_000)))
+    results.append(_corner_tables(params, *stream(6, 100)))
+    results.append(_fd_analytic_match(params, *stream(7, 1_000)))
     return results

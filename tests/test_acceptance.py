@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
-suite executes.  Sample counts and tolerances are pinned here and are not
-meant to be tuned.
+suite executes.  Seeds, sample counts and tolerances are pinned and are not
+meant to be tuned; C02-C08 run the property functions of ``zdgame.verify``,
+which hold their tolerances, on the seeds and counts pinned here.
 """
 
 import math
@@ -12,29 +13,18 @@ import pytest
 
 from zdgame import (
     SimConfig,
-    corner_table,
     critical_discount,
-    gradient_factorized,
     gradient_quotient,
     is_pczd,
     payoff_determinant,
-    payoff_inverse,
-    payoff_series,
-    recover_zd,
     run_path,
-    sample_pczd,
-    state_determinant,
     sweep,
-    table_report,
-    transition_matrix,
     validate_payoffs,
-    verify_linear_relation,
-    zero_gradient_condition,
 )
 from zdgame import payoffs as payoffs_mod
-from zdgame._linalg import det3, det4
+from zdgame import verify
+from zdgame._linalg import det3
 
-ONES = (1.0, 1.0, 1.0, 1.0)
 SETTINGS = [(1.5, -0.5), (2.0, -0.1), (1.1, -1.0)]
 
 FIG3_P = (0.0, 0.75, 0.25, 0.5, 0.0)
@@ -69,50 +59,30 @@ def main_params():
     return validate_payoffs(1.5, -0.5, strict=True)
 
 
-def factorization_draws():
-    """10^4 draws of (enforcer, opponent, discount) per payoff setting.
-
-    Per setting: the worst relative gap between the two gradients, the
-    lowest conditional gradient, the exact zeros, and the draw at which a
-    gradient was not finite (the setting stops there), or None.
-    """
-    out = {}
-    for T, S in SETTINGS:
-        params = validate_payoffs(T, S, strict=True)
-        rng = np.random.default_rng(77)
-        worst_rel = 0.0
-        min_grad = np.inf
-        zero_events = []
-        non_finite = None
-        for i in range(10_000):
-            p, _, delta = sample_pczd(rng, params)
-            q = rng.random(5)
-            gq = gradient_quotient(p, q, delta, params, payoff="x")
-            gf, _ = gradient_factorized(p, q, delta, params)
-            if not all(math.isfinite(g) for g in (*gq, *gf)):
-                non_finite = i
-                break
-            for j in range(5):
-                denom = max(abs(gq[j]), abs(gf[j]))
-                if denom > 0.0:
-                    worst_rel = max(worst_rel, abs(gq[j] - gf[j]) / denom)
-            for ell in range(1, 5):
-                min_grad = min(min_grad, gf[ell])
-                if abs(gf[ell]) <= 1e-12:
-                    zero_events.append((tuple(p), tuple(q), ell))
-        out[(T, S)] = (worst_rel, min_grad, zero_events, non_finite)
-    return out
+def failures(result, where=""):
+    """The detail lines of a failed property result, for a criterion's line."""
+    return "" if result.passed else "".join(f"; {where}{d}" for d in result.details)
 
 
-def non_finite_detail(grid):
-    bad = [f"T={T}, S={S} draw {v[3]}" for (T, S), v in grid.items() if v[3] is not None]
-    return f"; non-finite gradients at {', '.join(bad)}" if bad else ""
+def setting_failures(results):
+    return "".join(failures(r, f"T={T}, S={S}: ") for (T, S), r in results.items())
+
+
+def factorization_results():
+    """Verify's factorization-and-signs property on 10^4 draws of (enforcer,
+    opponent, discount) per payoff setting: its match and sign results."""
+    return {
+        (T, S): verify._factorization_and_signs(
+            validate_payoffs(T, S, strict=True), np.random.default_rng(77), 10_000
+        )
+        for T, S in SETTINGS
+    }
 
 
 @pytest.fixture(scope="module")
 def factorization_grid():
     """Shared by the factorization-identity and gradient-positivity criteria."""
-    return factorization_draws()
+    return factorization_results()
 
 
 @pytest.fixture(scope="module")
@@ -143,108 +113,84 @@ def test_c01_critical_discount(main_params):
     report(1, err < 1e-15, f"critical discount {value!r}, |err|={err:.1e} (tol 1e-15)")
 
 
-def test_c02_normalizer_positive():
-    rng = np.random.default_rng(11)
-    worst = np.inf
-    for i in range(100_000):
-        p, q = rng.random(5), rng.random(5)
-        delta = rng.uniform(0.01, 0.99)
-        worst = min(worst, finite(state_determinant(p, q, delta, ONES), 2, i))
-    report(2, worst > 1e-12, f"normalizer minimum {worst:.3e} over 1e5 draws (must exceed 1e-12)")
+def test_c02_normalizer_positive(main_params):
+    r = verify._normalizer_positive(main_params, np.random.default_rng(11), 100_000)
+    report(
+        2,
+        r.passed,
+        f"normalizer minimum {r.worst:.3e} over {r.samples} draws "
+        f"(must exceed {r.threshold:g}){failures(r)}",
+    )
 
 
-def test_c03_resolvent_identity():
+def test_c03_resolvent_identity(main_params):
     # det(I - delta*M) equals (1 - delta) times the normalizer; the residual
     # is measured relative to the normalizer
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for i in range(10_000):
-        p, q = rng.random(5), rng.random(5)
-        delta = rng.uniform(0.01, 0.99)
-        m = transition_matrix(p, q)
-        direct = det4(tuple(tuple(r) for r in (np.eye(4) - delta * m)))
-        d = state_determinant(p, q, delta, ONES)
-        worst = max(worst, finite(abs(direct - (1.0 - delta) * d) / abs(d), 3, i))
-    report(3, worst < 1e-10, f"resolvent identity worst relative residual {worst:.3e} (tol 1e-10)")
+    r = verify._regularity_identity(main_params, np.random.default_rng(12), 10_000)
+    report(
+        3,
+        r.passed,
+        f"resolvent identity worst relative residual {r.worst:.3e} "
+        f"(tol {r.threshold:g}){failures(r)}",
+    )
 
 
 def test_c04_oracle_triangle(main_params):
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for i in range(1_000):
-        p, q = rng.random(5), rng.random(5)
-        delta = 0.99 if i == 0 else 0.34 if i == 1 else rng.uniform(0.01, 0.99)
-        a = payoff_determinant(p, q, delta, main_params)
-        b = payoff_inverse(p, q, delta, main_params)
-        c = payoff_series(p, q, delta, main_params, tol=1e-10)
-        for u, v in [(a, b), (a, c), (b, c)]:
-            worst = max(worst, finite(abs(u.s_x - v.s_x), 4, i), finite(abs(u.s_y - v.s_y), 4, i))
-    report(4, worst < 1e-8, f"three-route payoff agreement worst {worst:.3e} (tol 1e-8)")
+    # the first two draws are at delta = 0.99 and 0.34
+    r = verify._oracle_triangle(main_params, np.random.default_rng(13), 1_000)
+    report(
+        4,
+        r.passed,
+        f"three-route payoff agreement worst {r.worst:.3e} (tol {r.threshold:g}){failures(r)}",
+    )
 
 
 def test_c05_linear_enforcement(main_params):
-    rng = np.random.default_rng(14)
-    zd = recover_zd(FIG3_P, 0.99, main_params)
-    worst = 0.0
-    for i in range(1_000):
-        residual = verify_linear_relation(FIG3_P, zd, 0.99, main_params, rng.random(5))
-        worst = max(worst, finite(residual, 5, i))
-    report(5, worst < 1e-9, f"enforced payoff line worst residual {worst:.3e} (tol 1e-9)")
+    r = verify._zd_linear_relation(FIG3_P, 0.99, main_params, np.random.default_rng(14), 1_000)
+    report(
+        5,
+        r.passed,
+        f"enforced payoff line worst residual {r.worst:.3e} (tol {r.threshold:g}){failures(r)}",
+    )
 
 
 def test_c06_factorization_identity(factorization_grid):
-    worst = max(v[0] for v in factorization_grid.values())
-    detail = non_finite_detail(factorization_grid)
+    match = {ts: m for ts, (m, _) in factorization_grid.items()}
+    worst = max(r.worst for r in match.values())
+    first = match[SETTINGS[0]]
     report(
         6,
-        worst < 1e-9 and not detail,
+        all(r.passed for r in match.values()),
         f"factorized vs quotient gradients worst relative error {worst:.3e} "
-        f"over 3x1e4 draws (tol 1e-9){detail}",
+        f"over {len(match)}x{first.samples} draws (tol {first.threshold:g})"
+        f"{setting_failures(match)}",
     )
 
 
 def test_c07_gradient_positivity(factorization_grid):
-    worst_min = min(v[1] for v in factorization_grid.values())
-    zero_events = [e for v in factorization_grid.values() for e in v[2]]
-    unexplained = [
-        (p, q, ell) for p, q, ell in zero_events if not zero_gradient_condition(p, q, ell)
-    ]
-    detail = non_finite_detail(factorization_grid)
-    passed = worst_min >= -1e-12 and not unexplained and not detail
+    # an exact zero fails the property unless it matches a corner pattern
+    # of zero_gradient_condition
+    signs = {ts: s for ts, (_, s) in factorization_grid.items()}
+    worst_min = min(r.worst for r in signs.values())
+    zeros = sum(r.extra["exact zeros"] for r in signs.values())
     report(
         7,
-        passed,
-        f"conditional gradients min {worst_min:.3e} (floor -1e-12); "
-        f"{len(zero_events)} exact zeros, {len(unexplained)} without a matching corner pattern"
-        f"{detail}",
+        all(r.passed for r in signs.values()),
+        f"conditional gradients min {worst_min:.3e} (floor {signs[SETTINGS[0]].threshold:g}); "
+        f"{zeros} exact zeros, each to match a corner pattern{setting_failures(signs)}",
     )
 
 
-def test_c08_corner_tables():
-    rng = np.random.default_rng(16)
-    params = validate_payoffs(1.5, -0.5, strict=True)
-    worst = 0.0
-    bad = []
-    min_t5 = np.inf
-    for i in range(100):
-        p_any = rng.random(5)
-        d_any = rng.uniform(0.05, 0.98)
-        reports = table_report(p_any, d_any, params, tables=("1", "2"))
-        p_zd, _, d_zd = sample_pczd(rng, params)
-        reports += table_report(p_zd, d_zd, params, tables=("3", "4"))
-        p_cc, _, d_cc = sample_pczd(rng, params, p0=1.0, kappa=1.0)
-        reports += table_report(p_cc, d_cc, params, tables=("5",))
-        for r in reports:
-            worst = max(worst, finite(r.diff, 8, i))
-            if r.diff > 1e-12:
-                bad.append(r.label())
-        min_t5 = min(min_t5, min(corner_table("5", p_cc, d_cc, params).values()))
-    passed = not bad and min_t5 > 0.0
+def test_c08_corner_tables(main_params):
+    # tables 1-2 on a random p, 1-4 on a pcZD p and 4-5 on one with
+    # p0 = p1 = 1: 232 cells a draw, so no cooperative draw was skipped
+    r = verify._corner_tables(main_params, np.random.default_rng(16), 100)
     report(
         8,
-        passed,
-        f"corner tables worst |closed-direct| {worst:.3e} over 100 draws "
-        f"(tol 1e-12); cooperative-enforcer cells min {min_t5:.3e} (must be > 0)",
+        r.passed and r.samples == 23_200,
+        f"corner tables worst |closed-direct| {r.worst:.3e} over {r.samples} cells of 100 draws "
+        f"(tol {r.threshold:g}); cooperative-enforcer cells min "
+        f"{r.extra['Table 5 min']:.3e} (must be > 0){failures(r)}",
     )
 
 
@@ -375,17 +321,20 @@ def nan_det3(*rows):
 @pytest.mark.parametrize("number", [2, 3, 4, 5, 6, 7, 8, 15])
 def test_criterion_fails_on_a_nan_kernel(monkeypatch, capsys, number):
     monkeypatch.setattr(payoffs_mod, "det3", nan_det3)
-    params = validate_payoffs(1.5, -0.5, strict=True)
-    criterion, *args = {
-        2: (test_c02_normalizer_positive,),
-        3: (test_c03_resolvent_identity,),
-        4: (test_c04_oracle_triangle, params),
-        5: (test_c05_linear_enforcement, params),
-        6: (test_c06_factorization_identity, factorization_draws()),
-        7: (test_c07_gradient_positivity, factorization_draws()),
-        8: (test_c08_corner_tables,),
-        15: (test_c15_gradient_crosscheck, params),
+    criterion = {
+        2: test_c02_normalizer_positive,
+        3: test_c03_resolvent_identity,
+        4: test_c04_oracle_triangle,
+        5: test_c05_linear_enforcement,
+        6: test_c06_factorization_identity,
+        7: test_c07_gradient_positivity,
+        8: test_c08_corner_tables,
+        15: test_c15_gradient_crosscheck,
     }[number]
+    if number in (6, 7):
+        arg = factorization_results()
+    else:
+        arg = validate_payoffs(1.5, -0.5, strict=True)
     with pytest.raises(AssertionError):
-        criterion(*args)
+        criterion(arg)
     assert f"ACCEPTANCE {number:02d} FAIL" in capsys.readouterr().out

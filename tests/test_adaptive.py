@@ -47,7 +47,6 @@ class TestSimConfig:
             {"step_tol": math.inf},
             {"max_steps": 0},
             {"gradient_mode": "exact"},
-            {"record_stride": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -177,15 +176,6 @@ class TestRunPath:
         assert exc.value.path is not None
         assert exc.value.path.terminated_at == 10
         assert not exc.value.path.converged
-
-    def test_stride_thins_recording_but_keeps_ends(self, params_main):
-        p, delta, _ = PCZD_A
-        full = run_path(FIG3_Q0, SimConfig(), p, delta, params_main)
-        thin = run_path(FIG3_Q0, SimConfig(record_stride=50), p, delta, params_main)
-        assert thin.terminated_at == full.terminated_at
-        assert thin.steps[0].n == 0
-        assert thin.steps[-1].n == full.terminated_at
-        assert len(thin.steps) < len(full.steps)
 
     def test_requires_strict_payoffs(self):
         loose = validate_payoffs(1.4, -1.5, strict=False)

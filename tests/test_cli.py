@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import tempfile
@@ -259,6 +260,17 @@ class TestVerify:
         assert "Table 3 (0,0,1) d2" in out
 
 
+    def test_non_strict_payoffs_name_the_claims_domain(self, capsys):
+        code = main(["verify", "--T", "1.5", "--S", "-2", "--seed", "0",
+                     "--sample-scale", "0.1"])
+        assert code == 3
+        lines = capsys.readouterr().out.split("\n")
+        i = lines.index("FAIL gradient-nonnegative samples=1000 worst=-4.636e-01 "
+                        "(required >= -1e-12)")
+        assert lines[i + 1] == "    claim needs 0 < T + S; here T + S = -0.5"
+        assert lines[i + 2].startswith("PASS corner-tables")
+
+
 class TestZd:
     def test_recover_paper_strategy(self, capsys):
         code = main(["zd", "--T", "1.5", "--S", "-0.5", "--delta", "0.99",
@@ -309,6 +321,22 @@ class TestTables:
         text = out.read_text()
         assert "Table 1 (0,0,0,0) D" in text
         assert "0 mismatches" in text
+
+    # the README command, and a cooperative enforcer that Table 5 applies to
+    @pytest.mark.parametrize("p, cells, sha256", [
+        ("0.0,0.75,0.25,0.5,0.0", 128,
+         "88169eee1d4fe237c9890d036504a43599c64c0e6e4aa1e8ac25aa35eb726ed1"),
+        ("1.0,1.0,0.5,0.8,0.3", 136,
+         "efc3e7ff83c437485b693db575dc1369ee0a0eeeb32a486d7b9aa3bd2ddab312"),
+    ])
+    def test_report_bytes_are_unchanged(self, tmp_path, p, cells, sha256):
+        out = tmp_path / "tables.txt"
+        code = main(["tables", "--T", "1.5", "--S", "-0.5", "--delta", "0.99",
+                     "--p", p, "--out", str(out)])
+        assert code == 0
+        text = out.read_bytes()
+        assert text.endswith(f"{cells} cells checked, 0 mismatches (tol 1e-12)\n".encode())
+        assert hashlib.sha256(text).hexdigest() == sha256
 
     def test_generic_strategy_checks_fewer_tables(self, capsys):
         code = main(["tables", "--T", "1.5", "--S", "-0.5", "--delta", "0.9",

@@ -115,22 +115,14 @@ def reference_fd_analytic_match(params, seed, n):
     return PropertyResult("fd-analytic-match", worst < 1e-7, n, worst, 1e-7, "<")
 
 
-# property, its reference, its sample count at scale 1
+# property, its reference, the key of its stream in run_verification
 STACKED = {
-    "normalizer-positive": (verify._normalizer_positive, reference_normalizer_positive, 100_000),
-    "regularity-identity": (verify._regularity_identity, reference_regularity_identity, 10_000),
+    "normalizer-positive": (verify._normalizer_positive, reference_normalizer_positive, 1),
+    "regularity-identity": (verify._regularity_identity, reference_regularity_identity, 2),
     "factorization-and-signs": (verify._factorization_and_signs,
-                                reference_factorization_and_signs, 10_000),
-    "fd-analytic-match": (verify._fd_analytic_match, reference_fd_analytic_match, 1_000),
+                                reference_factorization_and_signs, 5),
+    "fd-analytic-match": (verify._fd_analytic_match, reference_fd_analytic_match, 7),
 }
-
-
-def scale_for(base, n):
-    """The sample scale at which a property of ``base`` samples draws ``n``."""
-    scale = n / base
-    while int(base * scale) < n:
-        scale = math.nextafter(scale, math.inf)
-    return scale
 
 
 def assert_same_results(stacked, reference):
@@ -150,14 +142,14 @@ CHUNK_COUNTS = [(4, 1), (4, 3), (4, 4), (4, 5), (4, 12),
 @pytest.mark.parametrize("chunk, n", CHUNK_COUNTS)
 def test_stacked_property_equals_draw_by_draw_loop(monkeypatch, name, chunk, n):
     monkeypatch.setattr(verify, "_CHUNK", chunk)
-    prop, reference, base = STACKED[name]
-    result = prop(PARAMS, 3, scale_for(base, n))
+    prop, reference, key = STACKED[name]
+    result = prop(PARAMS, verify._rng_for(3, key), n)
     assert_same_results(result, reference(PARAMS, 3, n))
 
 
 def test_fd_analytic_match_passes_on_documented_command():
     # the draws of `zdgame verify --T 1.5 --S -0.5 --seed 0 --sample-scale 1.0`
-    result = verify._fd_analytic_match(validate_payoffs(1.5, -0.5), 0, 1.0)
+    result = verify._fd_analytic_match(validate_payoffs(1.5, -0.5), verify._rng_for(0, 7), 1000)
     assert result.passed, result.line()
     assert result.samples == 1000
 
@@ -166,6 +158,56 @@ def test_documented_report_is_unchanged(tmp_path):
     out = tmp_path / "verify.txt"
     assert main([*README_VERIFY, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == README_VERIFY_SHA256
+
+
+# --- checks beyond the worst residual ------------------------------------------
+
+def with_exact_zero(monkeypatch, draw, ell):
+    """Make the factored gradient's q_ell component an exact 0 at ``draw``."""
+    factorized = verify._gradient_factorized
+
+    def patched(*args):
+        grads, *rest = factorized(*args)
+        grads[ell][draw] = 0.0
+        return (grads, *rest)
+
+    monkeypatch.setattr(verify, "_gradient_factorized", patched)
+
+
+def test_exact_zero_off_the_corner_patterns_fails_gradient_nonnegative(monkeypatch):
+    with_exact_zero(monkeypatch, draw=4, ell=2)
+    _, nonneg = verify._factorization_and_signs(PARAMS, verify._rng_for(3, 5), 6)
+    assert nonneg.worst == 0.0
+    assert not nonneg.passed
+    assert nonneg.details == ["zero gradient in q2 at draw 4 matches no corner pattern"]
+    assert nonneg.extra == {"exact zeros": 1}
+
+
+def test_exact_zero_at_a_corner_pattern_passes(monkeypatch):
+    with_exact_zero(monkeypatch, draw=4, ell=2)
+    calls = []
+    monkeypatch.setattr(verify, "zero_gradient_condition",
+                        lambda p, q, ell: calls.append(ell) or True)
+    _, nonneg = verify._factorization_and_signs(PARAMS, verify._rng_for(3, 5), 6)
+    assert nonneg.passed and nonneg.details == []
+    assert calls == [2]
+
+
+def test_table5_cell_that_is_not_positive_fails_corner_tables(monkeypatch):
+    # negate Table 5's closed forms and direct values alike: every cell
+    # still matches, but none is positive
+    negated = {k: (lambda c, f=f: -f(c)) for k, f in tables_mod.TABLE5.items()}
+    monkeypatch.setattr(tables_mod, "TABLE5", negated)
+    spec = tables_mod._SPECS["5"]
+    monkeypatch.setitem(tables_mod._SPECS, "5",
+                        spec._replace(direct=lambda *args: -spec.direct(*args)))
+    result = verify._corner_tables(PARAMS, verify._rng_for(3, 6), 2)
+    assert result.samples == 2 * 232 and result.worst < 1e-12
+    assert not result.passed
+    assert len(result.details) == 2 * 8
+    assert result.details[0].startswith("Table 5 (0,0,0) d0 closed=-")
+    assert result.details[0].endswith(" is not positive")
+    assert result.extra["Table 5 min"] < 0.0
 
 
 # --- residuals that are not finite ---------------------------------------------
@@ -205,7 +247,7 @@ def test_non_finite_residual_names_its_draw(monkeypatch):
         return out
 
     monkeypatch.setattr(payoffs_mod, "det3", one_nan_column)
-    result = verify._normalizer_positive(PARAMS, 3, scale_for(100_000, 10))
+    result = verify._normalizer_positive(PARAMS, verify._rng_for(3, 1), 10)
     assert not result.passed
     assert result.details == ["non-finite residual at draw 5"]
     assert math.isnan(result.worst)
