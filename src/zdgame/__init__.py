@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     InfeasibleError,
     MaxStepsError,
-    MismatchError,
     NotRelayError,
     NumericalError,
 )

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -340,5 +339,8 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
     args = [(chunk, seed, config, pt, delta, params) for chunk in _chunks(n_paths, workers)]
     if len(args) == 1:
         return _sweep_chunk(args[0])
+    # imported here, so that a start without workers leaves multiprocessing unloaded
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(args)) as pool:
         return [r for part in pool.map(_sweep_chunk, args) for r in part]

@@ -44,7 +44,6 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
 _GRADIENT_MODES = {"fd": "finite_difference", "analytic": "analytic"}
-_FORMATS = ("csv", "json")
 
 
 def _fmt(x: float) -> str:
@@ -89,78 +88,84 @@ class RunSpec:
             gradient_mode=_GRADIENT_MODES[self.gradient],
         )
 
-    def payoffs(self, strict: bool | None = None):
-        if strict is None:
-            strict = self.strict_payoffs
-        return validate_payoffs(self.T, self.S, strict=strict)
+
+# RunSpec field -> declared type names, "float | None" -> ["float", "None"]
+_FIELD_TYPES = {f.name: f.type.split(" | ") for f in fields(RunSpec)}
+
+# The RunSpec fields each subcommand reads, as flags and config keys
+# ("config" itself is a flag only).  run and sweep always need 0 < T + S.
+_TAKES = {
+    "run": "T S config delta p seed nu dq step_tol max_steps gradient format out q0".split(),
+    "sweep": ("T S config delta p seed nu dq step_tol max_steps gradient format out "
+              "n_paths workers").split(),
+    "verify": "T S config strict_payoffs seed sample_scale out".split(),
+    "zd": "T S config strict_payoffs delta p phi chi kappa p0 pczd".split(),
+    "tables": "T S config strict_payoffs delta p tol out".split(),
+}
+
+_COMMAND_HELP = {
+    "run": "run one gradient-ascent trajectory and write it as CSV/JSON",
+    "sweep": "run many seeded trajectories and summarize their endpoints",
+    "verify": "run the randomized property suite",
+    "zd": "recover an enforcer from --p, or construct one from --phi --chi --kappa --p0",
+    "tables": "report closed-form corner values against direct determinants",
+}
+
+_HELP = {
+    "T": "temptation payoff (> 1)",
+    "S": "sucker payoff (< 0)",
+    "config": "JSON file of defaults for this command's flags; explicit flags override it",
+    "strict_payoffs": "additionally require 0 < T + S",
+    "delta": "discount factor in (0, 1)",
+    "p": 'opponent strategy as "p0,p1,p2,p3,p4"',
+    "q0": 'initial adaptive strategy as "q0,q1,q2,q3,q4"',
+    "seed": "seed of the random initial strategies or draws (verify: default 0)",
+    "nu": "learning rate",
+    "dq": "finite-difference step, in (0, 1)",
+    "step_tol": "termination threshold on the update size",
+    "max_steps": "step cap per path",
+    "gradient": "fd or analytic (default fd)",
+    "format": "csv or json (default csv)",
+    "out": "output file (default: stdout)",
+    "n_paths": "number of paths (default 100)",
+    "workers": "worker processes for sweeps, each running a contiguous chunk of the "
+               "paths (at least 1; at most one per CPU); a batch step costs about the "
+               "same for any number of paths, so splitting pays only when a chunk runs "
+               "for seconds",
+    "sample_scale": "multiplier on every property's sample count",
+    "phi": "ZD scale phi",
+    "chi": "ZD slope chi",
+    "kappa": "ZD baseline payoff kappa",
+    "p0": "first-round cooperation probability",
+    "pczd": "require a positively correlated enforcer",
+    "tol": "mismatch threshold for the exit code",
+}
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--T", default=None, help="temptation payoff (> 1)")
-    sub.add_argument("--S", default=None, help="sucker payoff (< 0)")
-    sub.add_argument("--delta", default=None, help="discount factor in (0, 1)")
-    sub.add_argument("--p", default=None,
-                     help='opponent strategy as "p0,p1,p2,p3,p4"')
-    sub.add_argument("--q0", default=None,
-                     help='initial adaptive strategy as "q0,q1,q2,q3,q4"')
-    sub.add_argument("--nu", default=None, help="learning rate")
-    sub.add_argument("--dq", default=None,
-                     help="finite-difference step, in (0, 1)")
-    sub.add_argument("--step-tol", dest="step_tol", default=None,
-                     help="termination threshold on the update size")
-    sub.add_argument("--max-steps", dest="max_steps", default=None)
-    sub.add_argument("--seed", default=None)
-    sub.add_argument("--n-paths", dest="n_paths", default=None)
-    sub.add_argument("--gradient", default=None, help="fd or analytic (default fd)")
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument("--format", default=None, help="csv or json (default csv)")
-    sub.add_argument("--config", default=None,
-                     help="JSON file of defaults; explicit flags override it")
-    sub.add_argument("--strict-payoffs", dest="strict_payoffs",
-                     action="store_const", const=True, default=None,
-                     help="additionally require 0 < T + S")
-    sub.add_argument("--workers", default=None,
-                     help="worker processes for sweeps, each running a contiguous "
-                          "chunk of the paths (at least 1; at most one per CPU); a "
-                          "batch step costs about the same for any number of paths, "
-                          "so splitting pays only when a chunk runs for seconds")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as DomainError, so it exits 1 with one line."""
+
+    def error(self, message):
+        raise DomainError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zdgame",
         description="Discounted repeated prisoner's dilemma with zero-determinant strategies",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, text in [
-        ("run", "run one gradient-ascent trajectory and write it as CSV/JSON"),
-        ("sweep", "run many seeded trajectories and summarize their endpoints"),
-        ("verify", "run the randomized property suite"),
-        ("zd", "construct or recover an enforcer strategy"),
-        ("tables", "report closed-form corner values against direct determinants"),
-    ]:
-        sub = subs.add_parser(name, help=text)
-        _add_common(sub)
-        if name == "zd":
-            sub.add_argument("--phi", default=None)
-            sub.add_argument("--chi", default=None)
-            sub.add_argument("--kappa", default=None)
-            sub.add_argument("--p0", default=None)
-            sub.add_argument("--pczd", action="store_const", const=True, default=None,
-                             help="require a positively correlated enforcer")
-        if name == "verify":
-            sub.add_argument("--sample-scale", dest="sample_scale", default=None,
-                             help="multiplier on every property's sample count")
-        if name == "tables":
-            sub.add_argument("--tol", default=None,
-                             help="mismatch threshold for the exit code")
+    for command, names in _TAKES.items():
+        sub = subs.add_parser(command, help=_COMMAND_HELP[command])
+        for name in names:
+            switch = _FIELD_TYPES.get(name) == ["bool"]
+            sub.add_argument("--" + name.replace("_", "-"), default=None, help=_HELP[name],
+                             **(dict(action="store_const", const=True) if switch else {}))
     return parser
 
 
-# RunSpec field -> declared type names, "float | None" -> ["float", "None"]
-_FIELD_TYPES = {f.name: f.type.split(" | ") for f in fields(RunSpec)}
 _NUMBERS = {"float": float, "int": int}
-_CHOICES = {"gradient": tuple(_GRADIENT_MODES), "format": _FORMATS}
+_CHOICES = {"gradient": tuple(_GRADIENT_MODES), "format": ("csv", "json")}
 
 
 def _coerce(key: str, value):
@@ -194,6 +199,7 @@ def _coerce(key: str, value):
 
 
 def spec_from_args(args: argparse.Namespace) -> RunSpec:
+    takes = [key for key in _TAKES[args.command] if key != "config"]
     merged: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -207,12 +213,11 @@ def spec_from_args(args: argparse.Namespace) -> RunSpec:
         if not isinstance(loaded, dict):
             raise DomainError(f"config file {config_path} must hold a JSON object")
         merged.update(loaded)
-    known = {f.name for f in fields(RunSpec)}
-    unknown = set(merged) - known
+    unknown = set(merged) - set(takes)
     if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in vars(args).items():
-        if key in known and value is not None:
+        raise DomainError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    for key in takes:
+        if (value := getattr(args, key, None)) is not None:
             merged[key] = value
     for key in ("p", "q0"):
         value = merged.get(key)
@@ -256,12 +261,22 @@ def _trajectory_json(path, seed) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def cmd_run(spec: RunSpec) -> int:
-    if spec.p is None:
-        raise DomainError("run needs --p (the opponent strategy)")
-    params = spec.payoffs(strict=True)
+def _game(spec: RunSpec):
+    """Validated ``(params, delta, p)`` of run, sweep, zd and tables.
+
+    Only zd goes without --p (p is then None), and run and sweep always
+    need 0 < T + S.
+    """
+    if spec.p is None and spec.command != "zd":
+        raise DomainError(f"{spec.command} needs --p (the opponent strategy)")
+    strict = spec.strict_payoffs or spec.command in ("run", "sweep")
+    params = validate_payoffs(spec.T, spec.S, strict=strict)
     delta = validate_delta(spec.delta)
-    p = Strategy.parse(spec.p)
+    return params, delta, None if spec.p is None else Strategy.parse(spec.p)
+
+
+def cmd_run(spec: RunSpec) -> int:
+    params, delta, p = _game(spec)
     if spec.q0 is not None:
         q0 = Strategy.parse(spec.q0)
     elif spec.seed is not None:
@@ -294,26 +309,15 @@ _SWEEP_HEADER = (
 )
 
 
-def _aggregate(results) -> dict:
-    counts = {"T1": 0, "T2": 0, "OTHER": 0}
-    for r in results:
-        counts[r.terminal] += 1
-    return counts
-
-
 def cmd_sweep(spec: RunSpec) -> int:
-    if spec.p is None:
-        raise DomainError("sweep needs --p (the opponent strategy)")
+    params, delta, p = _game(spec)
     if spec.seed is None:
         raise DomainError("sweep needs --seed for reproducible initial strategies")
-    params = spec.payoffs(strict=True)
-    delta = validate_delta(spec.delta)
-    p = Strategy.parse(spec.p)
     results = sweep(
         spec.n_paths, int(spec.seed), spec.sim_config(), p, delta, params,
         workers=spec.workers,
     )
-    counts = _aggregate(results)
+    counts = {tag: sum(r.terminal == tag for r in results) for tag in ("T1", "T2", "OTHER")}
     aggregate = ", ".join(f"{k}: {v}" for k, v in counts.items())
     if spec.format == "csv":
         lines = [_SWEEP_HEADER]
@@ -352,29 +356,35 @@ def cmd_sweep(spec: RunSpec) -> int:
 
 
 def cmd_verify(spec: RunSpec) -> int:
-    params = spec.payoffs()
+    params = validate_payoffs(spec.T, spec.S, strict=spec.strict_payoffs)
     seed = 0 if spec.seed is None else int(spec.seed)
     results = run_verification(params, seed=seed, scale=spec.sample_scale)
     failed = [r.name for r in results if not r.passed]
-    lines = [r.line() for r in results]
-    if failed:
-        lines.append(f"FAILED: {', '.join(failed)}")
-    else:
-        lines.append("all properties passed")
-    _write_text(spec.out, "\n".join(lines) + "\n")
+    summary = f"FAILED: {', '.join(failed)}" if failed else "all properties passed"
+    _write_text(spec.out, "\n".join([*(r.line() for r in results), summary]) + "\n")
     if spec.out:
-        print("all properties passed" if not failed else f"FAILED: {', '.join(failed)}")
+        print(summary)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def cmd_zd(spec: RunSpec) -> int:
-    params = spec.payoffs()
-    delta = validate_delta(spec.delta)
+    construct = (spec.phi, spec.chi, spec.kappa, spec.p0)
+    if spec.p is not None and (spec.pczd or construct != (None,) * 4):
+        raise DomainError("zd takes either --p (recover) or --phi, --chi, --kappa, --p0 "
+                          "[--pczd] (construct), not both")
+    if spec.p is None and None in construct:
+        raise DomainError("zd needs either --p or all of --phi, --chi, --kappa, --p0")
+    params, delta, p = _game(spec)
     dc = critical_discount(params)
-    out = [f"delta_c = {_fmt(dc)}"]
+    if p is None:
+        if spec.pczd and spec.chi < 1.0:
+            raise DomainError(f"pcZD requested but chi={spec.chi} < 1")
+        if spec.pczd and not delta > dc:
+            raise DomainError(f"pcZD requested but delta={delta} <= delta_c={_fmt(dc)}")
+        p = make_zd(ZDParams(phi=spec.phi, chi=spec.chi, kappa=spec.kappa), spec.p0,
+                    delta, params)
+    out = [f"delta_c = {_fmt(dc)}", "strategy p = " + ",".join(_fmt(v) for v in p)]
     if spec.p is not None:
-        p = Strategy.parse(spec.p)
-        out.append("strategy p = " + ",".join(_fmt(v) for v in p))
         try:
             recovered = recover_zd(p, delta, params)
         except DegenerateError as exc:
@@ -387,35 +397,16 @@ def cmd_zd(spec: RunSpec) -> int:
                 f"phi = {_fmt(recovered.phi)}, chi = {_fmt(recovered.chi)}, "
                 f"kappa = {_fmt(recovered.kappa)}"
             )
-        report = is_pczd(p, delta, params)
-        out.append(f"pcZD: {'yes' if report else 'no'}")
-        out.append(f"consistency residual = {_fmt(zd_consistency_residual(p, delta, params))}")
-        print("\n".join(out))
-        return EXIT_OK
-    if None in (spec.phi, spec.chi, spec.kappa, spec.p0):
-        raise DomainError("zd needs either --p or all of --phi, --chi, --kappa, --p0")
-    if spec.pczd and spec.chi < 1.0:
-        raise DomainError(f"pcZD requested but chi={spec.chi} < 1")
-    if spec.pczd and not delta > dc:
-        raise DomainError(f"pcZD requested but delta={delta} <= delta_c={_fmt(dc)}")
-    zd = ZDParams(phi=spec.phi, chi=spec.chi, kappa=spec.kappa)
-    p = make_zd(zd, spec.p0, delta, params)
-    out.append("strategy p = " + ",".join(_fmt(v) for v in p))
-    report = is_pczd(p, delta, params)
-    out.append(f"pcZD: {'yes' if report else 'no'}")
+    out.append(f"pcZD: {'yes' if is_pczd(p, delta, params) else 'no'}")
     out.append(f"consistency residual = {_fmt(zd_consistency_residual(p, delta, params))}")
     print("\n".join(out))
     return EXIT_OK
 
 
 def cmd_tables(spec: RunSpec) -> int:
-    if spec.p is None:
-        raise DomainError("tables needs --p")
-    params = spec.payoffs()
-    delta = validate_delta(spec.delta)
+    params, delta, p = _game(spec)
     if not spec.tol >= 0.0:
         raise DomainError(f"tol must be finite and at least 0, got {spec.tol}")
-    p = Strategy.parse(spec.p)
     reports = table_report(p, delta, params)
     lines = [
         f"{r.label()} closed={_fmt(r.closed)} direct={_fmt(r.direct)} diff={r.diff:.3e}"
@@ -437,10 +428,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        spec = spec_from_args(args)
+        spec = spec_from_args(build_parser().parse_args(argv))
         return _HANDLERS[spec.command](spec)
     except (DomainError, InfeasibleError, DegenerateError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,17 +25,6 @@ class DegenerateError(ValueError):
     """The recovered enforcer has a vanishing own-payoff coefficient (equalizer branch)."""
 
 
-class MismatchError(ValueError):
-    """A closed-form corner value disagreed with its direct determinant evaluation.
-
-    ``cell`` carries ``(table, corner, column)`` of the first offending entry.
-    """
-
-    def __init__(self, message, cell=None):
-        super().__init__(message)
-        self.cell = cell
-
-
 class NotRelayError(ValueError):
     """The supplied strategy does not satisfy the stalled-coordinate precondition."""
 

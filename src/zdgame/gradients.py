@@ -418,20 +418,18 @@ _RELAY_PATTERNS = {
 }
 
 
-def classify_relay(p, q_prime, delta, params: PayoffParams, tol: float = 1e-6,
-                   grad_tol: float | None = None) -> RelayClassification:
+def classify_relay(p, q_prime, delta, params: PayoffParams,
+                   tol: float = 1e-6) -> RelayClassification:
     """Match a stalled strategy against the relay catalog R1..R5.
 
     Precondition: every conditional entry below 1 has a vanishing payoff
-    gradient (within ``grad_tol``, defaulting to ``tol``); otherwise
-    :class:`NotRelayError` is raised.  All matching tags are reported.
+    gradient (within ``tol``); otherwise :class:`NotRelayError` is raised.
+    All matching tags are reported.
     """
-    if grad_tol is None:
-        grad_tol = tol
     pt, qt = strategy_tuple(p), strategy_tuple(q_prime)
     g = gradient_quotient(pt, qt, delta, params, payoff="y")
     for ell in range(1, 5):
-        if qt[ell] < 1.0 - tol and abs(g[ell]) >= grad_tol:
+        if qt[ell] < 1.0 - tol and abs(g[ell]) >= tol:
             raise NotRelayError(
                 f"entry q{ell}={qt[ell]:.6g} is below 1 but its gradient "
                 f"{g[ell]:.3e} has not vanished"

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, MismatchError
+from .errors import DegenerateError, DomainError
 from .game import PayoffParams, strategy_tuple, validate_delta
 from .gradients import _minors, _q0_reduction, _reduced_det_q0, _reduced_from_r, _row_reduction
 from .payoffs import _cofactors, _matrix_rows, _weigh
@@ -426,15 +426,8 @@ def table_report(p, delta, params: PayoffParams, tables=None) -> list[CellReport
     return [r for t in tables for r in _report(str(t), pt, delta, params.theta)]
 
 
-def verify_tables(p, delta, params: PayoffParams, tables=None, tol: float = 1e-12,
-                  raise_on_mismatch: bool = False) -> list[CellReport]:
+def verify_tables(p, delta, params: PayoffParams, tables=None,
+                  tol: float = 1e-12) -> list[CellReport]:
     """Return the cells whose closed form and direct value differ by more
     than ``tol``, or by an amount that is not finite."""
-    mismatches = [r for r in table_report(p, delta, params, tables) if not r.diff <= tol]
-    if mismatches and raise_on_mismatch:
-        first = mismatches[0]
-        raise MismatchError(
-            f"{first.label()}: closed {first.closed!r} != direct {first.direct!r}",
-            cell=(first.table, first.corner, first.column),
-        )
-    return mismatches
+    return [r for r in table_report(p, delta, params, tables) if not r.diff <= tol]

@@ -135,15 +135,15 @@ def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Stra
     return Strategy(p0, *entries)
 
 
-def recover_zd(p, delta, params: PayoffParams, tol: float = 1e-10, alpha_tol: float = 1e-12):
+def recover_zd(p, delta, params: PayoffParams, tol: float = 1e-10):
     """Fit the enforcer coefficients to a strategy.
 
     The four defining equations form an overdetermined linear system in
     (alpha, beta, gamma); it is solved by least squares and accepted only
     when the worst equation residual stays below ``tol``.  Returns
     :class:`ZDParams`, or :class:`NotZD` when inconsistent.  Raises
-    :class:`DegenerateError` on the equalizer branch (alpha ~ 0), where the
-    slope is undefined.
+    :class:`DegenerateError` on the equalizer branch (|alpha| <= 1e-12),
+    where the slope is undefined.
     """
     pt = strategy_tuple(p)
     delta = validate_delta(delta)
@@ -171,7 +171,7 @@ def recover_zd(p, delta, params: PayoffParams, tol: float = 1e-10, alpha_tol: fl
     if residual > tol:
         return NotZD(residual=residual)
     alpha, beta, gamma = (float(v) for v in coeffs)
-    if abs(alpha) <= alpha_tol:
+    if abs(alpha) <= 1e-12:
         raise DegenerateError(
             f"alpha={alpha:.3e} vanishes: equalizer strategy, slope undefined"
         )
@@ -300,9 +300,8 @@ def feasible_phi_interval(chi, kappa, p0, delta, params: PayoffParams):
     return (lo, hi)
 
 
-# A drawn enforcer has chi uniform in [_CHI_MIN, chi_max), _CHI_MAX by
-# default, and, unless it is fixed, delta uniform in
-# [critical value + 0.01, _DELTA_MAX).
+# A drawn enforcer has chi uniform in [_CHI_MIN, _CHI_MAX) and, unless it
+# is fixed, delta uniform in [critical value + 0.01, _DELTA_MAX).
 _CHI_MIN = 1.0 + 1e-6
 _CHI_MAX = 6.0
 _DELTA_MAX = 0.995
@@ -320,7 +319,7 @@ def _delta_low(dc: float) -> float:
 
 
 def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
-                chi_max: float = _CHI_MAX, tries: int = 500):
+                tries: int = 500):
     """Draw a random feasible positively correlated enforcer.
 
     Returns ``(strategy, zd_params, delta)``.  ``rng`` is a numpy Generator;
@@ -337,7 +336,7 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
         d = delta if delta is not None else rng.uniform(d_lo, _DELTA_MAX)
         if not (dc < d < 1.0):
             raise DomainError(f"delta={d} not above critical value {dc}")
-        chi = rng.uniform(_CHI_MIN, chi_max)
+        chi = rng.uniform(_CHI_MIN, _CHI_MAX)
         k = kappa if kappa is not None else rng.uniform(0.0, 1.0)
         start = p0 if p0 is not None else rng.uniform(0.0, 1.0)
         window = feasible_phi_interval(chi, k, start, d, params)

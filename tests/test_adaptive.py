@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -334,7 +335,7 @@ class TestWorkers:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(adaptive.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(adaptive, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         p, delta, _ = PCZD_A
         cfg = SimConfig()
         assert sweep(3, 991, cfg, p, delta, params_main, workers=64) == \

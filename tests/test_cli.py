@@ -3,6 +3,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zdgame
 from zdgame import DomainError
 from zdgame import tables as tables_mod
-from zdgame.cli import RunSpec, main, spec_from_args
+from zdgame.cli import RunSpec, build_parser, main, spec_from_args
 
 FIG3 = [
     "--T", "1.5", "--S", "-0.5", "--delta", "0.99",
@@ -376,6 +381,102 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_key_of_another_command_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_paths": 3}))
+        assert main(["run", *FIG3, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys for run: ['n_paths']\n"
+
+
+# Every flag each subcommand takes, written out rather than read from the parser.
+FLAGS = {
+    "run": {"--T", "--S", "--config", "--delta", "--p", "--seed", "--nu", "--dq",
+            "--step-tol", "--max-steps", "--gradient", "--format", "--out", "--q0"},
+    "sweep": {"--T", "--S", "--config", "--delta", "--p", "--seed", "--nu", "--dq",
+              "--step-tol", "--max-steps", "--gradient", "--format", "--out",
+              "--n-paths", "--workers"},
+    "verify": {"--T", "--S", "--config", "--strict-payoffs", "--seed", "--sample-scale",
+               "--out"},
+    "zd": {"--T", "--S", "--config", "--strict-payoffs", "--delta", "--p", "--phi",
+           "--chi", "--kappa", "--p0", "--pczd"},
+    "tables": {"--T", "--S", "--config", "--strict-payoffs", "--delta", "--p", "--tol",
+               "--out"},
+}
+SWITCHES = {"--strict-payoffs", "--pczd"}
+# a valid call of each subcommand, to which a foreign flag is added
+VALID = {
+    "run": ["run", *FIG3],
+    "sweep": ["sweep", *GAME, "--seed", "1", "--n-paths", "1"],
+    "verify": ["verify", "--T", "1.5", "--S", "-0.5", "--seed", "3", "--sample-scale", "0.002"],
+    "zd": ["zd", *GAME],
+    "tables": ["tables", *GAME],
+}
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+class TestFlags:
+    def test_each_command_takes_its_own_flags(self):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+        taken = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+                 for name, sub in subs.items()}
+        assert taken == FLAGS
+        assert sum(map(len, taken.values())) == 55
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in FLAGS
+        for flag in sorted(set().union(*FLAGS.values()) - FLAGS[command])
+    ])
+    def test_foreign_flag_fails_with_one_line(self, capsys, command, flag):
+        given = [flag] if flag in SWITCHES else [flag, "1"]
+        assert main([*VALID[command], *given]) == 1
+        assert _one_error_line(capsys) == f"error: unrecognized arguments: {' '.join(given)}"
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["run", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["frob"], "argument command: invalid choice"),
+        (["run", *FIG3, "--T"], "argument --T: expected one argument"),
+        (["zd", *GAME, "--phi", "0.1"], "zd takes either --p"),
+        (["zd", *GAME, "--pczd"], "zd takes either --p"),
+        (["zd", "--T", "1.5", "--S", "-0.5", "--phi", "0.1"], "zd needs either --p"),
+    ])
+    def test_usage_errors_fail_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert _one_error_line(capsys).startswith(f"error: {message}")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--q0" in capsys.readouterr().out
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        code = readme.split("```")[1::2]  # the insides of the fenced blocks
+        calls = [shlex.split(line)[1:]
+                 for block in code for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("zdgame ")]
+        assert {argv[0] for argv in calls} == set(FLAGS)
+        for argv in calls:
+            assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    src = str(Path(zdgame.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, zdgame.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    assert out == "False\n"
+
 
 # RunSpec field -> (types its value may have, whether None is allowed)
 _SPEC_FIELDS = {
@@ -394,6 +495,11 @@ _CONFIG_TEXT = (
     | _JSON.map(json.dumps)
     | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 )
+
+
+# the RunSpec fields each command reads, as namespace attributes
+_OWN_FIELDS = {command: sorted(flag[2:].replace("-", "_") for flag in flags - {"--config"})
+               for command, flags in FLAGS.items()}
 
 
 def _assert_valid_spec(spec: RunSpec):
@@ -415,23 +521,24 @@ class TestSpecFuzz:
 
     @settings(max_examples=400, deadline=None)
     @given(
-        command=st.sampled_from(["run", "sweep", "verify", "zd", "tables"]),
-        flags=st.dictionaries(st.sampled_from(sorted(set(_SPEC_FIELDS) - {"command"})),
-                              _SCALARS, max_size=6),
+        job=st.sampled_from(sorted(_OWN_FIELDS)).flatmap(lambda command: st.tuples(
+            st.just(command),
+            st.dictionaries(st.sampled_from(_OWN_FIELDS[command]), _SCALARS, max_size=6))),
         config=st.none() | _CONFIG_TEXT,
     )
-    @example(command="sweep", flags={"seed": "1" + "0" * 400}, config=None)
-    @example(command="sweep", flags={"max_steps": 10 ** 400}, config=None)
-    @example(command="run", flags={}, config=json.dumps({"T": 10 ** 400}))
-    @example(command="zd", flags={}, config='{"T": [')
-    @example(command="zd", flags={}, config="[" * 100_000)
-    def test_returns_a_valid_spec_or_rejects(self, command, flags, config):
+    @example(job=("sweep", {"seed": "1" + "0" * 400}), config=None)
+    @example(job=("sweep", {"max_steps": 10 ** 400}), config=None)
+    @example(job=("run", {}), config=json.dumps({"T": 10 ** 400}))
+    @example(job=("zd", {}), config='{"T": [')
+    @example(job=("zd", {}), config="[" * 100_000)
+    def test_returns_a_valid_spec_or_rejects(self, job, config):
+        command, flags = job
         with tempfile.TemporaryDirectory() as tmp:
             path = None
             if config is not None:
                 path = Path(tmp) / "config.json"
                 path.write_text(config, encoding="utf-8")
-            values = {**dict.fromkeys(_SPEC_FIELDS), **flags,
+            values = {**dict.fromkeys(_OWN_FIELDS[command]), **flags,
                       "command": command, "config": path and str(path)}
             try:
                 spec = spec_from_args(argparse.Namespace(**values))

@@ -1,7 +1,6 @@
 import pytest
 
 from zdgame import (
-    MismatchError,
     applicable_tables,
     corner_table,
     sample_pczd,
@@ -98,17 +97,15 @@ def test_first_round_table_spot_value(params_main):
     assert cells[(1, 1, 1, 1)] == pytest.approx(tm2 * p[0] + (1 - p[0]), abs=1e-15)
 
 
-def test_verify_raises_with_cell_name(params_main, monkeypatch):
+def test_verify_names_the_flipped_cell(params_main, monkeypatch):
     # flip one closed-form cell and expect the verifier to name it
     broken = dict(tables_mod.TABLE3)
     original = broken[(0, 0, 1)]
     broken[(0, 0, 1)] = (original[0], lambda c: -original[1](c), original[2], original[3])
     monkeypatch.setattr(tables_mod, "TABLE3", broken)
     p, delta, _ = PCZD_A
-    with pytest.raises(MismatchError) as exc:
-        verify_tables(p, delta, params_main, tables=("3",), raise_on_mismatch=True)
-    assert exc.value.cell == ("Table 3", (0, 0, 1), "d2")
-    assert "Table 3 (0,0,1) d2" in str(exc.value)
+    assert verify_tables(p, delta, params_main, tables=("3",))[0].label() == \
+        "Table 3 (0,0,1) d2"
 
 
 def test_cell_report_label_format(params_main):
