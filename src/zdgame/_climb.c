@@ -1,0 +1,190 @@
+/* One adapting path's whole ascent loop, for zdgame's sweeps.
+ *
+ * The loop is adaptive._climb without the recording: the same payoff
+ * kernel (payoffs._matrix_rows -> _cofactors -> _payoff_terms), the same
+ * scaled moves (adaptive._fd_move, or the scalar gradients._gradient_quotient),
+ * the same clamp and the same Euclidean stopping rule, each written with
+ * its Python operation order.  Built with -ffp-contract=off, so that no
+ * a*b + c becomes a fused multiply-add, every double equals its Python
+ * result bit for bit.  The loader is zdgame/_native.py.
+ */
+#include <math.h>
+#include <stdint.h>
+
+enum { CONVERGED = 0, STEP_CAP = 1, VANISHED = 2 };
+
+/* The opponent p0..p4, delta, T, S, Y's payoff weights by matrix row
+ * g0..g3, nu, dq, step_tol and the normalizer floor: sixteen doubles,
+ * passed from Python as one array. */
+typedef struct {
+    double p[5], delta, T, S, g[4], nu, dq, step_tol, norm_floor;
+} Game;
+
+/* Row ell of the payoff determinant couples q_ell with this entry of p. */
+static const int ROW_P_INDEX[5] = {0, 1, 3, 2, 4};
+
+static double det3(const double *r0, const double *r1, const double *r2)
+{
+    return r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+         - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+         + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]);
+}
+
+/* Laplace expansion along the first two rows, as _linalg.det4. */
+static double det4(const double m[4][4])
+{
+    double t01 = m[0][0] * m[1][1] - m[0][1] * m[1][0];
+    double t02 = m[0][0] * m[1][2] - m[0][2] * m[1][0];
+    double t03 = m[0][0] * m[1][3] - m[0][3] * m[1][0];
+    double t12 = m[0][1] * m[1][2] - m[0][2] * m[1][1];
+    double t13 = m[0][1] * m[1][3] - m[0][3] * m[1][1];
+    double t23 = m[0][2] * m[1][3] - m[0][3] * m[1][2];
+    double b01 = m[2][0] * m[3][1] - m[2][1] * m[3][0];
+    double b02 = m[2][0] * m[3][2] - m[2][2] * m[3][0];
+    double b03 = m[2][0] * m[3][3] - m[2][3] * m[3][0];
+    double b12 = m[2][1] * m[3][2] - m[2][2] * m[3][1];
+    double b13 = m[2][1] * m[3][3] - m[2][3] * m[3][1];
+    double b23 = m[2][2] * m[3][3] - m[2][3] * m[3][2];
+    return t01 * b23 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + t23 * b01;
+}
+
+static void matrix_rows(const Game *G, const double *q, double r[4][3])
+{
+    const double *p = G->p;
+    double delta = G->delta;
+    double a = 1.0 - delta;
+    double ap0 = a * p[0], aq0 = a * q[0], apq = ap0 * q[0];
+    r[0][0] = -1.0 + delta * p[1] * q[1] + apq;
+    r[0][1] = -1.0 + delta * p[1] + ap0;
+    r[0][2] = -1.0 + delta * q[1] + aq0;
+    r[1][0] = delta * p[3] * q[2] + apq;
+    r[1][1] = delta * p[3] + ap0;
+    r[1][2] = -1.0 + delta * q[2] + aq0;
+    r[2][0] = delta * p[2] * q[3] + apq;
+    r[2][1] = -1.0 + delta * p[2] + ap0;
+    r[2][2] = delta * q[3] + aq0;
+    r[3][0] = delta * p[4] * q[4] + apq;
+    r[3][1] = delta * p[4] + ap0;
+    r[3][2] = delta * q[4] + aq0;
+}
+
+/* Rows of q's payoff determinant, its normalizer and Y's payoff numerator;
+ * returns 0, or VANISHED with the normalizer in *vanished. */
+static int payoff_terms(const Game *G, const double *q, double r[4][3],
+                        double *d_ones, double *n_y, double *vanished)
+{
+    matrix_rows(G, q, r);
+    double c0 = -det3(r[1], r[2], r[3]);
+    double c1 = det3(r[0], r[2], r[3]);
+    double c2 = -det3(r[0], r[1], r[3]);
+    double c3 = det3(r[0], r[1], r[2]);
+    *d_ones = c0 + c1 + c2 + c3;
+    if (fabs(*d_ones) < G->norm_floor) {
+        *vanished = *d_ones;
+        return VANISHED;
+    }
+    *n_y = c0 + G->S * c1 + G->T * c2;
+    return 0;
+}
+
+/* Y's payoff at q, for the finite-difference probes. */
+static int payoff_y(const Game *G, const double *q, double *s_y, double *vanished)
+{
+    double r[4][3], d_ones, n_y;
+    if (payoff_terms(G, q, r, &d_ones, &n_y, vanished))
+        return VANISHED;
+    *s_y = n_y / d_ones;
+    return 0;
+}
+
+static int fd_moves(const Game *G, const double *q, double *move, double *vanished)
+{
+    for (int j = 0; j < 5; j++) {
+        double plus[5], minus[5], s_plus, s_minus;
+        for (int i = 0; i < 5; i++)
+            plus[i] = minus[i] = q[i];
+        plus[j] += G->dq;
+        minus[j] -= G->dq;
+        if (payoff_y(G, plus, &s_plus, vanished) || payoff_y(G, minus, &s_minus, vanished))
+            return VANISHED;
+        move[j] = G->nu * (s_plus - s_minus) / (2.0 * G->dq);
+    }
+    return 0;
+}
+
+static int analytic_moves(const Game *G, const double *q, double *move, double *vanished)
+{
+    double r[4][3], d_ones, n_y, m[4][4];
+    if (payoff_terms(G, q, r, &d_ones, &n_y, vanished))
+        return VANISHED;
+    double denom = d_ones * d_ones;
+    /* q0: every row minus the last, which then alone holds q0 */
+    for (int i = 0; i < 3; i++) {
+        for (int k = 0; k < 3; k++)
+            m[i][k] = r[i][k] - r[3][k];
+        m[i][3] = G->g[i] - G->g[3];
+    }
+    m[3][0] = G->p[0];
+    m[3][1] = 0.0;
+    m[3][2] = 1.0;
+    m[3][3] = 0.0;
+    double q0det = (1.0 - G->delta) * det4((const double (*)[4])m);
+    move[0] = G->nu * (d_ones * q0det / denom);
+    for (int ell = 1; ell < 5; ell++) {
+        double det[2];
+        for (int weighted = 0; weighted < 2; weighted++) {
+            for (int i = 0; i < 4; i++) {
+                if (i == ell - 1) {
+                    m[i][0] = G->delta * G->p[ROW_P_INDEX[ell]];
+                    m[i][1] = 0.0;
+                    m[i][2] = G->delta;
+                    m[i][3] = 0.0;
+                } else {
+                    for (int k = 0; k < 3; k++)
+                        m[i][k] = r[i][k];
+                    m[i][3] = weighted ? G->g[i] : 1.0;
+                }
+            }
+            det[weighted] = det4((const double (*)[4])m);
+        }
+        move[ell] = G->nu * ((d_ones * det[1] - det[0] * n_y) / denom);
+    }
+    return 0;
+}
+
+/* Climb from q (five entries, overwritten with the final point) until
+ * the update's Euclidean norm drops below step_tol or step max_steps is
+ * taken.  Like _climb, the finite-difference loop also checks the
+ * normalizer at each point it records, where the analytic gradient
+ * evaluates it anyway, save at the capped last point. */
+int zd_climb(const Game *G, int64_t max_steps, int analytic,
+             double *q, int64_t *steps, double *vanished)
+{
+    double s_y, move[5], next[5], diff[5];
+    int64_t n = 0;
+    *steps = 0;
+    if (!analytic && payoff_y(G, q, &s_y, vanished))
+        return VANISHED;
+    for (;;) {
+        if ((analytic ? analytic_moves : fd_moves)(G, q, move, vanished))
+            return VANISHED;
+        for (int j = 0; j < 5; j++) {
+            double x = q[j] + move[j];
+            x = (0.0 > x) ? 0.0 : x; /* max(x, 0.0), NaN and -0.0 kept */
+            x = (1.0 < x) ? 1.0 : x; /* min(x, 1.0) */
+            next[j] = x;
+            diff[j] = x - q[j];
+        }
+        double euclid = sqrt(diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
+                             + diff[3] * diff[3] + diff[4] * diff[4]);
+        if (euclid < G->step_tol)
+            return CONVERGED;
+        *steps = ++n;
+        for (int j = 0; j < 5; j++)
+            q[j] = next[j];
+        if ((!analytic || n >= max_steps) && payoff_y(G, q, &s_y, vanished))
+            return VANISHED;
+        if (n >= max_steps)
+            return STEP_CAP;
+    }
+}

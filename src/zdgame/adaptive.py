@@ -6,16 +6,14 @@ vanishes.  Against a positively correlated enforcer every such path ends
 in unconditional cooperation; the terminal classifier checks which of the
 two endpoint patterns was reached.
 
-A sweep runs its paths as one lockstep batch: the strategies are held as
-five numpy columns and take each step together, through the same payoff
-and gradient kernels and the same operations as a single path, so every
-path ends exactly as it would alone.  A path leaves the batch when its
-update vanishes; once only a few remain (fewer than 2 with finite
-differences, 6 with the analytic gradient), each finishes on the scalar
-loop, which is cheaper there.  The determinants of one iteration are
-evaluated as stacks: one 3x3 call for the payoffs, and with the analytic
-gradient one 4x4 call for its nine derivative determinants.  ``workers``
-splits the path indices into contiguous chunks, one batch per process.
+A sweep runs each path's whole ascent in one call of a compiled loop
+(``_climb.c``, built on first use by ``_native``), which performs the
+operations of :func:`_climb` in the same order, so every path ends
+exactly as it would alone.  Where the loop cannot be built or loaded, or
+where a function it repeats has been rebound since import (by a tracer
+counting calls, say), each path runs on :func:`_climb` itself.
+``workers`` splits the path indices into contiguous chunks, one per
+process.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import gradients, payoffs
 from .errors import DomainError, MaxStepsError
 from .game import PayoffParams, Strategy, strategy_tuple, validate_delta
 from .gradients import TerminalClassification, _gradient_quotient, classify_terminal
@@ -136,8 +135,7 @@ def _ascent_update(qt, config, pt, delta, params):
 
 
 def _sum_squares(d):
-    """Squared Euclidean norm of a 5-entry update, summed left to right;
-    the entries may be floats or arrays."""
+    """Squared Euclidean norm of a 5-entry update, summed left to right."""
     return d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3] + d[4] * d[4]
 
 
@@ -166,15 +164,15 @@ def run_path(q0, config: SimConfig, p, delta, params: PayoffParams,
             "the path may not end in unconditional cooperation",
             stacklevel=2,
         )
-    path = _climb(qt, 0, config, pt, delta, params)
+    path = _climb(qt, config, pt, delta, params)
     if not path.converged:
         raise MaxStepsError(f"no convergence within {config.max_steps} steps", path=path)
     return path
 
 
-def _climb(qt, n, config, pt, delta, params) -> AdaptingPath:
-    """Ascend from ``qt``, already ``n`` steps along, until the update
-    vanishes (``converged``) or step ``max_steps`` is taken.
+def _climb(qt, config, pt, delta, params) -> AdaptingPath:
+    """Ascend from ``qt`` until the update vanishes (``converged``) or step
+    ``max_steps`` is taken.
 
     Records the starting point and every step.
     """
@@ -186,6 +184,7 @@ def _climb(qt, n, config, pt, delta, params) -> AdaptingPath:
             path.monotonic_violations += 1
         path.steps.append(PathStep(n, q, s_y, s_x))
 
+    n = 0
     record(n, qt)
     while True:
         q_next = _ascent_update(qt, config, pt, delta, params)
@@ -229,67 +228,6 @@ class PathResult:
     converged: bool
 
 
-# A lockstep iteration costs about the same for any batch of up to ~100
-# paths, so once fewer paths than this stay active, each finishes on the
-# scalar loop.  On a 2-vCPU VM (Python 3.11, numpy 2.4) a finite-difference
-# iteration took 80-150 us against 30-45 us per scalar step, an analytic
-# one, with its nine derivative determinants in one stack, 100-150 us at
-# 1 to 40 paths against 22-31 us; the 40-path analytic benchmark sweep
-# took 1.9-2.8 s for thresholds 4 to 10 against 2.5-3.1 s at 3 and
-# 3.4-3.8 s at 16.  With the fd value of 2, a 1-path sweep makes exactly
-# the calls of run_path.
-_SCALAR_BELOW = {"finite_difference": 2, "analytic": 6}
-
-
-def _batch_moves(qs, config, pt, delta, params):
-    """Scaled gradients of the (5, m) strategy columns ``qs``, shaped (5, m).
-
-    Same arithmetic as the scalar update, element by element: the ten
-    finite-difference probes of all m strategies go through one kernel call.
-    """
-    if config.gradient_mode == "analytic":
-        return config.nu * _gradient_quotient(pt, qs, delta, params, "y")
-    m = qs.shape[1]
-    probes = np.repeat(qs[:, None, :], 10, axis=1)  # entry j's +/- probes in slots 2j, 2j+1
-    for j in range(5):
-        probes[j, 2 * j] += config.dq
-        probes[j, 2 * j + 1] -= config.dq
-    s_y = _payoffs(pt, probes.reshape(5, 10 * m), delta, params)[1].reshape(5, 2, m)
-    return config.nu * (s_y[:, 0] - s_y[:, 1]) / (2.0 * config.dq)
-
-
-def _lockstep(starts, config, pt, delta, params):
-    """(final q, steps, converged) of the path from each start.
-
-    All active paths take their n-th step together; a path leaves the batch
-    when its update vanishes, and the step cap ends every remaining path.
-    """
-    ends = [None] * len(starts)
-    live = np.arange(len(starts))
-    qs = np.array(starts).T
-    n = 0
-    while len(live) >= _SCALAR_BELOW[config.gradient_mode]:
-        moved = qs + _batch_moves(qs, config, pt, delta, params)
-        # min(max(x, 0.0), 1.0) of each entry, NaN and signed zeros included
-        moved = np.where(moved < 0.0, 0.0, moved)
-        moved = np.where(moved > 1.0, 1.0, moved)
-        done = np.sqrt(_sum_squares(moved - qs)) < config.step_tol
-        for k in np.flatnonzero(done):
-            ends[live[k]] = (tuple(qs[:, k].tolist()), n, True)
-        n += 1
-        keep = ~done
-        if n >= config.max_steps:
-            for k in np.flatnonzero(keep):
-                ends[live[k]] = (tuple(moved[:, k].tolist()), n, False)
-            return ends
-        live, qs = live[keep], moved[:, keep]
-    for k, i in enumerate(live):
-        path = _climb(tuple(qs[:, k].tolist()), n, config, pt, delta, params)
-        ends[i] = (path.final_q, path.terminated_at, path.converged)
-        del path  # free its recorded steps before the next path records its own
-    return ends
-
-
 def _chunks(n_paths: int, workers: int) -> list[range]:
     """Contiguous index ranges of near-equal size, one per worker process:
     min(workers, CPU count, n_paths) of them."""
@@ -299,10 +237,37 @@ def _chunks(n_paths: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _ascent_functions():
+    """The functions that a path's ascent calls, as bound where they are called."""
+    return (_climb, _ascent_update, _fd_move, _sum_squares, _payoffs, _gradient_quotient,
+            payoffs._matrix_rows, payoffs._cofactors, payoffs._payoff_terms, payoffs.det3,
+            gradients._matrix_rows, gradients._cofactors, gradients._payoff_terms,
+            gradients._weight_by_row, gradients._place_by_row, gradients._q0_derivative_det,
+            gradients._row_derivative_det, gradients.det4)
+
+
+# The functions whose operations the compiled loop repeats.  A tuple, which
+# patches of module namespaces and their dicts leave alone.
+_AS_IMPORTED = _ascent_functions()
+
+
+def _climb_end(q0, config, pt, delta, params):
+    path = _climb(q0, config, pt, delta, params)
+    return path.final_q, path.terminated_at, path.converged
+
+
 def _sweep_chunk(args) -> list[PathResult]:
     indices, seed, config, pt, delta, params = args
     starts = [initial_strategy(seed, i).as_tuple() for i in indices]
-    ends = _lockstep(starts, config, pt, delta, params)
+    climb = None
+    if _ascent_functions() == _AS_IMPORTED:
+        from . import _native  # imported by the first sweep, so no other command loads it
+
+        climb = _native.climber(config, pt, delta, params)
+    if climb is None:
+        ends = [_climb_end(q0, config, pt, delta, params) for q0 in starts]
+    else:
+        ends = [climb(q0) for q0 in starts]
     return [
         PathResult(
             index=i,
@@ -321,9 +286,9 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
           params: PayoffParams, workers: int = 1) -> list[PathResult]:
     """Run ascent paths from ``n_paths`` seeded random initial strategies.
 
-    The paths advance in lockstep as one batch, the last few on the scalar
-    loop; ``workers`` > 1 splits the indices into contiguous chunks, one
-    batch per worker process.  Every path ends exactly as :func:`run_path`
+    Each path climbs in one call of the compiled loop, or, without it, on
+    :func:`_climb`; ``workers`` > 1 splits the indices into contiguous
+    chunks, one per worker process.  Every path ends exactly as :func:`run_path`
     would end it.  Paths that hit the step cap are recorded with
     ``converged=False`` rather than aborting the sweep.  Results are
     ordered by path index.

@@ -143,7 +143,15 @@ _HELP = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as DomainError, so it exits 1 with one line."""
+    """Reports a usage error as DomainError, so it exits 1 with one line.
+
+    Flags must be spelled out: with abbreviations on, ``--max 5`` would
+    silently stand for ``--max-steps 5``.  The subcommand parsers are of
+    this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise DomainError(message)

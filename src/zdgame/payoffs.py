@@ -5,10 +5,11 @@ outcome-weight vector; the ratio of two such determinants gives the
 discounted average payoff.  One kernel, :func:`_payoff_terms`, forms the
 normalizer and payoff numerators from the cofactors for this module, the
 gradients and the ascent loop, and holds the only vanishing-normalizer
-check; with the matrix rows and cofactors it also runs on numpy arrays,
-one element per strategy pair, for batched sweeps and the verify suite,
-where the four 3x3 minors of every pair are evaluated as one stack.  A
-direct linear solve and a truncated geometric series provide independent
+check in Python (the compiled sweep loop, ``_climb.c``, repeats it in
+C); with the matrix rows and cofactors it also runs on numpy arrays, one
+element per strategy pair, for batched sweeps and the verify suite, where
+the four 3x3 minors of every pair are evaluated as one stack.  A direct
+linear solve and a truncated geometric series provide independent
 cross-checks.
 """
 
@@ -139,6 +140,13 @@ def _weigh(c, f):
     return g[0] * c[0] + g[1] * c[1] + g[2] * c[2] + g[3] * c[3]
 
 
+def _vanished_normalizer(value: float) -> NumericalError:
+    return NumericalError(
+        f"normalizing determinant {value!r} below {NORMALIZER_FLOOR}; "
+        "inputs lie outside the valid domain"
+    )
+
+
 def _payoff_terms(c, params: PayoffParams) -> tuple[float, float, float]:
     """Normalizer and X's and Y's payoff numerators; rejects a vanished normalizer.
 
@@ -148,11 +156,7 @@ def _payoff_terms(c, params: PayoffParams) -> tuple[float, float, float]:
     d_ones = c[0] + c[1] + c[2] + c[3]
     below = abs(d_ones) < NORMALIZER_FLOOR
     if below if type(below) is bool else below.any():
-        vanished = d_ones if type(below) is bool else float(d_ones[below][0])
-        raise NumericalError(
-            f"normalizing determinant {vanished!r} below {NORMALIZER_FLOOR}; "
-            "inputs lie outside the valid domain"
-        )
+        raise _vanished_normalizer(d_ones if type(below) is bool else float(d_ones[below][0]))
     T, S = params.T, params.S
     # payoff vectors placed by row: X -> (1, T, S, 0), Y -> (1, S, T, 0)
     return d_ones, c[0] + T * c[1] + S * c[2], c[0] + S * c[1] + T * c[2]

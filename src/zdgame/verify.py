@@ -7,8 +7,8 @@ each property a stream of one seed and scales all counts by one factor;
 the acceptance criteria call the same functions on their own streams.
 
 The properties built on the determinant kernels run as stacked numpy
-passes over chunks of at most ``_CHUNK`` draws, through the same array
-kernels as the lockstep sweep; each element equals its float result, so
+passes over chunks of at most ``_CHUNK`` draws, through the array
+branches of the payoff and gradient kernels; each element equals its float result, so
 the report is the one a draw-by-draw loop gives.  Factorization-and-signs
 takes its random pcZD enforcers from :class:`~zdgame.zd.PcZDStream`, which
 evaluates every possible rejection-sampling try of a block of the stream

@@ -1,8 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from zdgame import validate_payoffs
+from zdgame import _native, validate_payoffs
 
 # Known positively correlated enforcers with exact rational entries, each
 # paired with a discount factor above critical and its payoff setting.
@@ -56,3 +58,26 @@ def params_tight():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)
+
+
+# How sweeps run their paths: the compiled ascent loop, or adaptive._climb,
+# which stands in for it where no C compiler is found.
+KERNELS = ("compiled", "python")
+
+
+@contextlib.contextmanager
+def kernel_forced(mode):
+    """Sweeps inside take the compiled loop ("compiled"; the test is skipped
+    if it cannot be built) or run each path on adaptive._climb ("python")."""
+    if mode == "compiled" and _native._kernel() is None:
+        pytest.skip("the compiled ascent loop could not be built")
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "python":
+            mp.setattr(_native, "climber", lambda *args: None)
+        yield mode
+
+
+@pytest.fixture(params=KERNELS)
+def kernel(request):
+    with kernel_forced(request.param) as mode:
+        yield mode

@@ -288,21 +288,22 @@ def scalar_reference(params_main):
     return reference
 
 
-class TestLockstepSweep:
+class TestSweepPaths:
+    """A sweep ends every path as run_path does."""
+
     def test_reference_has_capped_and_converged_paths(self, scalar_reference):
         for results in scalar_reference.values():
             assert {r.converged for r in results} == {True, False}
 
-    # 1 and 2 paths sit below the analytic crossover, 1 below the fd one
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_paths", [1, 2, 5, 6, 7, 17, 40])
-    def test_batch_equals_scalar_paths(self, scalar_reference, params_main, mode, n_paths):
+    def test_sweep_equals_run_path(self, scalar_reference, params_main, mode, n_paths):
         p, delta, _ = PCZD_C
         cfg = SimConfig(max_steps=EQUIV_CAP, gradient_mode=mode)
         assert sweep(n_paths, EQUIV_SEED, cfg, p, delta, params_main) == \
             scalar_reference[mode][:n_paths]
 
-    def test_chunked_batches_equal_one_batch(self, scalar_reference, params_main):
+    def test_chunks_equal_one_sweep(self, scalar_reference, params_main):
         p, delta, _ = PCZD_C
         cfg = SimConfig(max_steps=EQUIV_CAP)
         args = [(range(a, b), EQUIV_SEED, cfg, p, delta, params_main)

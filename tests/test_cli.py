@@ -437,6 +437,23 @@ class TestFlags:
         assert main([*VALID[command], *given]) == 1
         assert _one_error_line(capsys) == f"error: unrecognized arguments: {' '.join(given)}"
 
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in FLAGS for flag in sorted(FLAGS[command])
+    ])
+    def test_every_listed_spelling_parses(self, command, flag):
+        given = [flag] if flag in SWITCHES else [flag, "1"]
+        args = build_parser().parse_args([command, *given])
+        assert getattr(args, flag[2:].replace("-", "_")) == (True if flag in SWITCHES else "1")
+
+    # prefixes of --max-steps and --sample-scale, which abbreviation would accept
+    @pytest.mark.parametrize("argv", [
+        ["run", *FIG3, "--max", "5"],
+        ["verify", "--T", "1.5", "--S", "-0.5", "--sample", "0.002"],
+    ])
+    def test_abbreviated_flag_fails_with_one_line(self, capsys, argv):
+        assert main(argv) == 1
+        assert _one_error_line(capsys) == f"error: unrecognized arguments: {' '.join(argv[-2:])}"
+
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),
         (["run", "--bogus", "1"], "unrecognized arguments: --bogus 1"),

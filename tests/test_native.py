@@ -1,0 +1,279 @@
+"""The compiled ascent loop against its reference ``adaptive._climb``, and
+its build: the cache, the silent fallback, concurrent builds, and the
+promise that only a sweep loads it."""
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from zdgame import (
+    NumericalError,
+    SimConfig,
+    critical_discount,
+    initial_strategy,
+    run_path,
+    sweep,
+    validate_payoffs,
+)
+from zdgame import _native, payoffs
+from zdgame._linalg import det3
+from zdgame.adaptive import _climb
+from zdgame.cli import main
+from conftest import (
+    KERNELS,
+    PCZD_A,
+    bits,
+    exact_or_unit,
+    kernel_forced,
+    strategy_with_exact_entries,
+)
+
+SRC = str(Path(_native.__file__).parents[1])
+MODES = ("finite_difference", "analytic")
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    with kernel_forced("compiled"):
+        yield
+
+
+def outcome(climb):
+    """(final q as bytes, steps, converged) of a climb, or its error text.
+
+    A NaN entry counts as one value: IEEE arithmetic leaves the sign and
+    payload of a NaN result open, the C compiler may order the operands of
+    a commutative operation either way, and every NaN prints as ``nan``.
+    """
+    try:
+        final, steps, converged = climb()
+    except NumericalError as exc:
+        return str(exc)
+    return bits([math.nan if math.isnan(v) else v for v in final]), steps, converged
+
+
+def both_outcomes(q0, config, pt, delta, params):
+    def reference():
+        path = _climb(q0, config, pt, delta, params)
+        return path.final_q, path.terminated_at, path.converged
+
+    kernel = _native.climber(config, pt, delta, params)
+    return outcome(lambda: kernel(q0)), outcome(reference)
+
+
+@st.composite
+def games(draw):
+    """(params, delta): delta anywhere in (0, 1), at its ends, or just above
+    the critical discount."""
+    T = draw(st.floats(1.0, 3.0, exclude_min=True))
+    S = draw(st.floats(-3.0, 0.0, exclude_max=True))
+    assume(T + S < 2.0)
+    params = validate_payoffs(T, S)
+    dc = critical_discount(params)
+    edges = [d for d in (math.nextafter(dc, 1.0), dc + 1e-9) if 0.0 < d < 1.0]
+    edges += [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)]
+    delta = draw(st.sampled_from(edges)
+                 | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return params, delta
+
+
+configs = st.builds(
+    SimConfig,
+    nu=st.sampled_from([0.1, 1.0]) | st.floats(1e-3, 10.0),
+    dq=st.sampled_from([1e-4]) | st.floats(1e-6, 0.5),
+    step_tol=st.sampled_from([1e-12]) | st.floats(1e-14, 1e-3),
+    # most paths take hundreds to thousands of steps, so some hit the cap
+    max_steps=st.integers(1, 200),
+    gradient_mode=st.sampled_from(MODES),
+)
+
+
+# starts off the cube and NaN entries take the clamp's other branches
+starts = strategy_with_exact_entries | st.tuples(
+    *[exact_or_unit | st.sampled_from([math.nan, -0.5, 1.5])] * 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=games(), p=strategy_with_exact_entries, q0=starts, config=configs)
+def test_kernel_ends_every_path_as_climb(compiled, game, p, q0, config):
+    params, delta = game
+    kernel, reference = both_outcomes(q0, config, p, delta, params)
+    assert kernel == reference
+
+
+# Paths that meet a vanished normalizer, the discount being within 1e-13
+# of 1.  Mathematically the normalizer does not depend on q0, so the first
+# finite-difference probe usually repeats a recorded point's value; at the
+# recorded points below it differs in its last bits.
+@pytest.mark.parametrize("mode, delta, p, q0, nu, dq, cap", [
+    # at the start
+    ("finite_difference", 1 - 1e-16, (0.25, 0.25, 0.5, 0.0, 0.0), (1.0, 0.75, 1.0, 0.75, 0.0),
+     0.1, 0.01, 50),
+    ("analytic", 1 - 1e-16, (0.25, 0.25, 0.5, 0.0, 0.0), (1.0, 0.75, 1.0, 0.75, 0.0),
+     0.1, 0.01, 50),
+    # at a finite-difference probe
+    ("finite_difference", 1 - 1e-13, (0.0, 1.0, 0.0, 0.5, 0.0), (1.0, 1.0, 0.0, 1.0, 0.0),
+     0.1, 0.3, 50),
+    # at a point the finite-difference loop records, after some steps
+    ("finite_difference", 1 - 1e-14, (0.75, 1.0, 1.0, 0.0, 0.25), (0.75, 0.25, 1.0, 1.0, 1.0),
+     1.0, 0.01, 30),
+    # at the point where the analytic loop reaches its cap
+    ("analytic", 1 - 1e-14, (0.5, 1.0, 1.0, 0.0, 0.0), (1.0, 0.25, 0.25, 0.5, 0.25),
+     10.0, 1e-4, 1),
+])
+def test_vanished_normalizer_raises_the_same_error(compiled, mode, delta, p, q0, nu, dq, cap):
+    config = SimConfig(nu=nu, dq=dq, max_steps=cap, gradient_mode=mode)
+    kernel, reference = both_outcomes(q0, config, p, delta, validate_payoffs(1.5, -0.5))
+    assert isinstance(reference, str)
+    assert kernel == reference
+
+
+def test_huge_step_cap_runs_like_run_path(kernel, params_main):
+    p, delta, _ = PCZD_A
+    config = SimConfig(max_steps=2**70)
+    if kernel == "compiled":
+        assert _native.climber(config, p, delta, params_main) is not None
+    result = sweep(1, 1234, config, p, delta, params_main)[0]
+    path = run_path(initial_strategy(1234, 0), config, p, delta, params_main,
+                    check_pczd=False)
+    assert (result.final, result.steps, result.converged) == \
+        (path.final_q, path.terminated_at, True)
+
+
+@pytest.mark.parametrize("gradient", ["fd", "analytic"])
+def test_cli_sweep_bytes_do_not_depend_on_the_kernel(tmp_path, gradient):
+    out = {}
+    for mode in KERNELS:
+        out[mode] = tmp_path / f"{mode}.csv"
+        with kernel_forced(mode):
+            assert main(["sweep", "--T", "2.0", "--S", "-0.1", "--delta", "0.51",
+                         "--p", "0.75,1.0,0.0,0.13529411764705881,0.0", "--seed", "7",
+                         "--n-paths", "6", "--max-steps", "3000", "--gradient", gradient,
+                         "--out", str(out[mode])]) in (0, 2)
+    assert out["compiled"].read_bytes() == out["python"].read_bytes()
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch):
+    """A monkeypatch under which the kernel is looked up afresh, and after
+    which the real one is found again."""
+    _native._kernel.cache_clear()
+    yield monkeypatch
+    _native._kernel.cache_clear()
+
+
+def fallback_is_silent(capfd, params):
+    p, delta, _ = PCZD_A
+    got = sweep(3, 991, SimConfig(), p, delta, params)
+    assert _native._kernel() is None
+    with kernel_forced("python"):
+        assert got == sweep(3, 991, SimConfig(), p, delta, params)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("compiler", [
+    ["no-such-compiler-for-zdgame"],
+    [sys.executable, "-c", "import sys; sys.exit('cc: error: cannot compile')"],
+])
+def test_no_working_compiler_falls_back_silently(fresh_kernel, tmp_path, capfd,
+                                                 params_main, compiler):
+    fresh_kernel.setattr(_native, "_compiler", lambda: compiler)
+    fresh_kernel.setattr(_native, "CACHE_DIR", tmp_path / "cache")
+    fallback_is_silent(capfd, params_main)
+    assert list((tmp_path / "cache").iterdir()) == []  # no temporary file left
+
+
+def test_unwritable_cache_falls_back_silently(fresh_kernel, tmp_path, capfd, params_main):
+    # a directory below a regular file cannot be made, even by root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    fresh_kernel.setattr(_native, "CACHE_DIR", blocker / "__pycache__")
+    fallback_is_silent(capfd, params_main)
+
+
+def test_world_writable_cache_is_not_used(fresh_kernel, tmp_path, capfd, params_main):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    shared.chmod(0o777)
+    fresh_kernel.setattr(_native, "CACHE_DIR", shared)
+    fallback_is_silent(capfd, params_main)
+    assert list(shared.iterdir()) == []
+
+
+def test_sweep_takes_the_compiled_loop(compiled, monkeypatch, params_main):
+    made, climber = [], _native.climber
+
+    def spy(*args):
+        made.append(climber(*args))
+        return made[-1]
+
+    p, delta, _ = PCZD_A
+    with monkeypatch.context() as mp:
+        mp.setattr(_native, "climber", spy)
+        sweep(2, 991, SimConfig(), p, delta, params_main)
+    assert len(made) == 1 and made[0] is not None
+
+
+def test_sweep_calls_a_rebound_function(compiled, monkeypatch, params_main):
+    """A patched kernel function (here a counting det3) is called by a
+    sweep as by run_path: one recorded payoff per step and the start, ten
+    probes per update, four minors per payoff."""
+    calls = []
+
+    def counted(*rows):
+        calls.append(None)
+        return det3(*rows)
+
+    p, delta, _ = PCZD_A
+    monkeypatch.setattr(payoffs, "det3", counted)
+    [result] = sweep(1, 2024, SimConfig(), p, delta, params_main)
+    assert result.converged
+    assert len(calls) == 4 * (11 * result.steps + 11)
+
+
+RACE = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from zdgame import _native
+_native.CACHE_DIR = Path(sys.argv[2])
+sys.exit(0 if _native._kernel() is not None else 1)
+"""
+
+
+def test_concurrent_builds_into_a_fresh_cache_both_succeed(compiled, tmp_path):
+    cache = tmp_path / "cache"
+    procs = [subprocess.Popen([sys.executable, "-c", RACE, SRC, str(cache)])
+             for _ in range(2)]
+    assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
+    assert [f.suffix for f in cache.iterdir()] == [".so"]
+
+
+LOADS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import zdgame.cli
+
+def loaded():
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = "_climb-" in fh.read()
+    except OSError:
+        mapped = False
+    return "zdgame._native" in sys.modules or mapped
+
+assert not loaded(), "import"
+zdgame.cli.main(["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "0.002",
+                 "--out", sys.argv[2]])
+assert not loaded(), "verify"
+"""
+
+
+def test_import_and_verify_load_no_kernel(tmp_path):
+    subprocess.run([sys.executable, "-c", LOADS, SRC, str(tmp_path / "verify.txt")],
+                   check=True, capture_output=True)
