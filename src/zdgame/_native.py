@@ -23,7 +23,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import operator
 import os
 import shlex
 import stat
@@ -96,8 +95,7 @@ def _kernel():
 
 def climber(config, pt, delta, params):
     """A function from a start q to its path's (final q, steps, converged),
-    one C call per path; None if the kernel is unavailable or the step cap
-    is not an integer.
+    one C call per path; None if the kernel is unavailable.
 
     The cap is clamped to the int64 range, which no path can reach: ctypes
     would silently wrap a larger one.
@@ -105,10 +103,7 @@ def climber(config, pt, delta, params):
     run = _kernel()
     if run is None:
         return None
-    try:
-        cap = min(operator.index(config.max_steps), _INT64_MAX)
-    except TypeError:
-        return None
+    cap = min(config.max_steps, _INT64_MAX)
     game = (ctypes.c_double * 16)(
         *pt, delta, params.T, params.S, *_weight_by_row(params, "y"),
         config.nu, config.dq, config.step_tol, NORMALIZER_FLOOR,

@@ -12,14 +12,11 @@ operations of :func:`_climb` in the same order, so every path ends
 exactly as it would alone.  Where the loop cannot be built or loaded, or
 where a function it repeats has been rebound since import (by a tracer
 counting calls, say), each path runs on :func:`_climb` itself.
-``workers`` splits the path indices into contiguous chunks, one per
-process.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -74,8 +71,9 @@ class SimConfig:
             raise DomainError(
                 f"termination threshold must be finite and positive, got {self.step_tol}"
             )
-        if self.max_steps < 1:
-            raise DomainError(f"max_steps must be at least 1, got {self.max_steps}")
+        cap = self.max_steps
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise DomainError(f"max_steps must be an integer of at least 1, got {cap!r}")
         if self.gradient_mode not in GRADIENT_MODES:
             raise DomainError(
                 f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"
@@ -208,8 +206,8 @@ def _climb(qt, config, pt, delta, params) -> AdaptingPath:
 def initial_strategy(seed: int, index: int) -> Strategy:
     """Uniform draw from the strategy cube on the (seed, index) stream.
 
-    Streams are independent per index, so parallel and serial sweeps
-    produce identical draws.
+    Streams are independent per index, so a path's start does not depend
+    on how many paths the sweep runs.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     return Strategy(*(float(v) for v in rng.random(5)))
@@ -226,15 +224,6 @@ class PathResult:
     terminal: str
     steps: int
     converged: bool
-
-
-def _chunks(n_paths: int, workers: int) -> list[range]:
-    """Contiguous index ranges of near-equal size, one per worker process:
-    min(workers, CPU count, n_paths) of them."""
-    k = max(1, min(workers, os.cpu_count() or 1, n_paths))
-    size, extra = divmod(n_paths, k)
-    bounds = [i * size + min(i, extra) for i in range(k + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _ascent_functions():
@@ -256,9 +245,23 @@ def _climb_end(q0, config, pt, delta, params):
     return path.final_q, path.terminated_at, path.converged
 
 
-def _sweep_chunk(args) -> list[PathResult]:
-    indices, seed, config, pt, delta, params = args
-    starts = [initial_strategy(seed, i).as_tuple() for i in indices]
+def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
+          params: PayoffParams) -> list[PathResult]:
+    """Run ascent paths from ``n_paths`` seeded random initial strategies.
+
+    The paths run one after another, each in one call of the compiled
+    loop, or, without it, on :func:`_climb`.  Every path ends exactly as
+    :func:`run_path` would end it.  Paths that hit the step cap are
+    recorded with ``converged=False`` rather than aborting the sweep.
+    Results are ordered by path index.
+    """
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be at least 1, got {n_paths}")
+    pt = strategy_tuple(p)
+    delta = validate_delta(delta)
+    if not params.strict:
+        raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
+    starts = [initial_strategy(seed, i).as_tuple() for i in range(n_paths)]
     climb = None
     if _ascent_functions() == _AS_IMPORTED:
         from . import _native  # imported by the first sweep, so no other command loads it
@@ -278,34 +281,5 @@ def _sweep_chunk(args) -> list[PathResult]:
             steps=steps,
             converged=converged,
         )
-        for i, q0, (final, steps, converged) in zip(indices, starts, ends)
+        for i, (q0, (final, steps, converged)) in enumerate(zip(starts, ends))
     ]
-
-
-def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
-          params: PayoffParams, workers: int = 1) -> list[PathResult]:
-    """Run ascent paths from ``n_paths`` seeded random initial strategies.
-
-    Each path climbs in one call of the compiled loop, or, without it, on
-    :func:`_climb`; ``workers`` > 1 splits the indices into contiguous
-    chunks, one per worker process.  Every path ends exactly as :func:`run_path`
-    would end it.  Paths that hit the step cap are recorded with
-    ``converged=False`` rather than aborting the sweep.  Results are
-    ordered by path index.
-    """
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be at least 1, got {n_paths}")
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
-    pt = strategy_tuple(p)
-    delta = validate_delta(delta)
-    if not params.strict:
-        raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
-    args = [(chunk, seed, config, pt, delta, params) for chunk in _chunks(n_paths, workers)]
-    if len(args) == 1:
-        return _sweep_chunk(args[0])
-    # imported here, so that a start without workers leaves multiprocessing unloaded
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(args)) as pool:
-        return [r for part in pool.map(_sweep_chunk, args) for r in part]

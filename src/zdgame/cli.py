@@ -70,7 +70,6 @@ class RunSpec:
     out: str | None = None
     format: str = "csv"
     strict_payoffs: bool = False
-    workers: int = 1
     phi: float | None = None
     chi: float | None = None
     kappa: float | None = None
@@ -96,8 +95,7 @@ _FIELD_TYPES = {f.name: f.type.split(" | ") for f in fields(RunSpec)}
 # ("config" itself is a flag only).  run and sweep always need 0 < T + S.
 _TAKES = {
     "run": "T S config delta p seed nu dq step_tol max_steps gradient format out q0".split(),
-    "sweep": ("T S config delta p seed nu dq step_tol max_steps gradient format out "
-              "n_paths workers").split(),
+    "sweep": "T S config delta p seed nu dq step_tol max_steps gradient format out n_paths".split(),
     "verify": "T S config strict_payoffs seed sample_scale out".split(),
     "zd": "T S config strict_payoffs delta p phi chi kappa p0 pczd".split(),
     "tables": "T S config strict_payoffs delta p tol out".split(),
@@ -128,10 +126,6 @@ _HELP = {
     "format": "csv or json (default csv)",
     "out": "output file (default: stdout)",
     "n_paths": "number of paths (default 100)",
-    "workers": "worker processes for sweeps, each running a contiguous chunk of the "
-               "paths (at least 1; at most one per CPU); a batch step costs about the "
-               "same for any number of paths, so splitting pays only when a chunk runs "
-               "for seconds",
     "sample_scale": "multiplier on every property's sample count",
     "phi": "ZD scale phi",
     "chi": "ZD slope chi",
@@ -321,10 +315,7 @@ def cmd_sweep(spec: RunSpec) -> int:
     params, delta, p = _game(spec)
     if spec.seed is None:
         raise DomainError("sweep needs --seed for reproducible initial strategies")
-    results = sweep(
-        spec.n_paths, int(spec.seed), spec.sim_config(), p, delta, params,
-        workers=spec.workers,
-    )
+    results = sweep(spec.n_paths, int(spec.seed), spec.sim_config(), p, delta, params)
     counts = {tag: sum(r.terminal == tag for r in results) for tag in ("T1", "T2", "OTHER")}
     aggregate = ", ".join(f"{k}: {v}" for k, v in counts.items())
     if spec.format == "csv":

@@ -1,9 +1,7 @@
-import concurrent.futures
 import math
 
 import pytest
 
-from zdgame import adaptive
 from zdgame import (
     DomainError,
     MaxStepsError,
@@ -18,7 +16,7 @@ from zdgame import (
     sweep,
     validate_payoffs,
 )
-from zdgame.adaptive import PathResult, _chunks, _sweep_chunk
+from zdgame.adaptive import PathResult
 from conftest import PCZD_A, PCZD_C
 
 FIG3_Q0 = (0.863, 0.071, 0.593, 0.968, 0.420)
@@ -47,6 +45,12 @@ class TestSimConfig:
             {"step_tol": math.nan},
             {"step_tol": math.inf},
             {"max_steps": 0},
+            {"max_steps": math.nan},
+            {"max_steps": math.inf},
+            {"max_steps": 5.5},
+            {"max_steps": 5.0},
+            {"max_steps": True},
+            {"max_steps": "10"},
             {"gradient_mode": "exact"},
         ],
     )
@@ -222,13 +226,6 @@ class TestSweep:
         second = sweep(5, 991, cfg, p, delta, params_main)
         assert first == second
 
-    def test_parallel_equals_serial(self, params_main):
-        p, delta, _ = PCZD_A
-        cfg = SimConfig()
-        serial = sweep(4, 991, cfg, p, delta, params_main, workers=1)
-        parallel = sweep(4, 991, cfg, p, delta, params_main, workers=2)
-        assert serial == parallel
-
     def test_single_path_matches_run_path(self, params_main):
         p, delta, _ = PCZD_A
         cfg = SimConfig()
@@ -303,49 +300,10 @@ class TestSweepPaths:
         assert sweep(n_paths, EQUIV_SEED, cfg, p, delta, params_main) == \
             scalar_reference[mode][:n_paths]
 
-    def test_chunks_equal_one_sweep(self, scalar_reference, params_main):
-        p, delta, _ = PCZD_C
-        cfg = SimConfig(max_steps=EQUIV_CAP)
-        args = [(range(a, b), EQUIV_SEED, cfg, p, delta, params_main)
-                for a, b in ((0, 1), (1, 18), (18, 40))]
-        chunked = [r for a in args for r in _sweep_chunk(a)]
-        assert chunked == scalar_reference["finite_difference"]
-
     def test_final_entries_are_plain_floats(self, params_main):
         p, delta, _ = PCZD_A
         for r in sweep(3, 991, SimConfig(), p, delta, params_main):
             assert all(type(v) is float for v in r.final)
-
-
-class TestWorkers:
-    @pytest.mark.parametrize("n_paths, workers, cpus, sizes", [
-        (10, 3, 4, [4, 3, 3]),
-        (3, 8, 4, [1, 1, 1]),
-        (100, 64, 2, [50, 50]),
-        (5, 1, 8, [5]),
-        (7, 4, None, [7]),
-    ])
-    def test_chunks_clamp_to_cpus_and_paths(self, monkeypatch, n_paths, workers, cpus, sizes):
-        monkeypatch.setattr(adaptive.os, "cpu_count", lambda: cpus)
-        chunks = _chunks(n_paths, workers)
-        assert [len(c) for c in chunks] == sizes
-        assert [i for c in chunks for i in c] == list(range(n_paths))
-
-    def test_one_cpu_runs_without_a_pool(self, monkeypatch, params_main):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(adaptive.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        p, delta, _ = PCZD_A
-        cfg = SimConfig()
-        assert sweep(3, 991, cfg, p, delta, params_main, workers=64) == \
-            sweep(3, 991, cfg, p, delta, params_main)
-
-    @pytest.mark.parametrize("workers", [0, -5])
-    def test_rejects_fewer_than_one_worker(self, params_main, workers):
-        with pytest.raises(DomainError):
-            sweep(2, 7, SimConfig(), PCZD_A[0], 0.99, params_main, workers=workers)
 
 
 def test_initial_strategy_streams_are_stable():

@@ -158,15 +158,16 @@ class TestSweep:
         assert main([*args, "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        args = [
-            "sweep", "--T", "1.5", "--S", "-0.5", "--delta", "0.99",
-            "--p", "0.0,0.75,0.25,0.5,0.0", "--seed", "9", "--n-paths", "3",
-        ]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main([*args, "--workers", "1", "--out", str(a)]) == 0
-        assert main([*args, "--workers", "2", "--out", str(b)]) == 0
-        assert a.read_text() == b.read_text()
+    def test_workers_flag_is_gone(self, capsys):
+        args = ["sweep", *GAME, "--seed", "9", "--n-paths", "3", "--workers", "2"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --workers 2\n"
+
+    def test_workers_config_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        assert main(["sweep", *GAME, "--seed", "9", "--n-paths", "3", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys for sweep: ['workers']\n"
 
     def test_nonconvergence_exit_code_still_writes(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -394,7 +395,7 @@ FLAGS = {
             "--step-tol", "--max-steps", "--gradient", "--format", "--out", "--q0"},
     "sweep": {"--T", "--S", "--config", "--delta", "--p", "--seed", "--nu", "--dq",
               "--step-tol", "--max-steps", "--gradient", "--format", "--out",
-              "--n-paths", "--workers"},
+              "--n-paths"},
     "verify": {"--T", "--S", "--config", "--strict-payoffs", "--seed", "--sample-scale",
                "--out"},
     "zd": {"--T", "--S", "--config", "--strict-payoffs", "--delta", "--p", "--phi",
@@ -426,7 +427,7 @@ class TestFlags:
         taken = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
                  for name, sub in subs.items()}
         assert taken == FLAGS
-        assert sum(map(len, taken.values())) == 55
+        assert sum(map(len, taken.values())) == 54
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in FLAGS
