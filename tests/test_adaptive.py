@@ -226,6 +226,10 @@ class TestSweep:
         second = sweep(5, 991, cfg, p, delta, params_main)
         assert first == second
 
+    def test_workers_keyword_is_gone(self, params_main):
+        with pytest.raises(TypeError, match="workers"):
+            sweep(2, 7, SimConfig(), PCZD_A[0], PCZD_A[1], params_main, workers=2)
+
     def test_single_path_matches_run_path(self, params_main):
         p, delta, _ = PCZD_A
         cfg = SimConfig()

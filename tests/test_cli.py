@@ -220,6 +220,10 @@ class TestInvalidInput:
         (["sweep", *GAME, "--seed", "1", "--n-paths", "1.5"], None),
         (["run", *GAME, "--seed", "1", "--gradient", "bogus"], None),
         (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--format", "xml"], None),
+        (["run", *FIG3, "--max-steps", "0"], None),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--max-steps", "5.5"], None),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2"], {"max_steps": True}),
+        (["run", *FIG3], {"max_steps": "inf"}),
     ])
     def test_fails_with_one_error_line(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -404,6 +408,8 @@ FLAGS = {
                "--out"},
 }
 SWITCHES = {"--strict-payoffs", "--pczd"}
+# flags that were removed, which every subcommand must now reject
+REMOVED = {"--workers"}
 # a valid call of each subcommand, to which a foreign flag is added
 VALID = {
     "run": ["run", *FIG3],
@@ -431,7 +437,7 @@ class TestFlags:
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in FLAGS
-        for flag in sorted(set().union(*FLAGS.values()) - FLAGS[command])
+        for flag in sorted(set().union(REMOVED, *FLAGS.values()) - FLAGS[command])
     ])
     def test_foreign_flag_fails_with_one_line(self, capsys, command, flag):
         given = [flag] if flag in SWITCHES else [flag, "1"]
