@@ -44,6 +44,9 @@ __all__ = [
 
 GRADIENT_MODES = ("finite_difference", "analytic")
 
+_NOT_PCZD = ("opponent strategy is not a positively correlated enforcer; "
+             "the path may not end in unconditional cooperation")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -137,6 +140,14 @@ def _sum_squares(d):
     return d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3] + d[4] * d[4]
 
 
+def _finite(name, t):
+    """``t``, unless an entry is NaN or infinite: the ascent would take
+    every step up to the cap on it."""
+    if not all(map(math.isfinite, t)):
+        raise DomainError(f"{name} has a non-finite entry: {t}")
+    return t
+
+
 def step(q, config: SimConfig, p, delta, params: PayoffParams) -> Strategy:
     """One ascent update: every entry moves by its scaled gradient, then clamps."""
     qt, pt = strategy_tuple(q), strategy_tuple(p)
@@ -151,17 +162,15 @@ def run_path(q0, config: SimConfig, p, delta, params: PayoffParams,
     final step is recorded alongside).  Requires strict payoffs, since the
     endpoint classification is only guaranteed there.  Raises
     :class:`MaxStepsError` carrying the partial path when the cap is hit.
+    Entries of ``q0`` outside [0, 1] are clamped by the first step, but a
+    NaN or infinite entry of ``q0`` or ``p`` raises :class:`DomainError`.
     """
-    pt, qt = strategy_tuple(p), strategy_tuple(q0)
+    pt, qt = _finite("p", strategy_tuple(p)), _finite("q0", strategy_tuple(q0))
     delta = validate_delta(delta)
     if not params.strict:
         raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
     if check_pczd and not is_pczd(pt, delta, params):
-        warnings.warn(
-            "opponent strategy is not a positively correlated enforcer; "
-            "the path may not end in unconditional cooperation",
-            stacklevel=2,
-        )
+        warnings.warn(_NOT_PCZD, stacklevel=2)
     path = _climb(qt, config, pt, delta, params)
     if not path.converged:
         raise MaxStepsError(f"no convergence within {config.max_steps} steps", path=path)
@@ -257,7 +266,7 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be at least 1, got {n_paths}")
-    pt = strategy_tuple(p)
+    pt = _finite("p", strategy_tuple(p))
     delta = validate_delta(delta)
     if not params.strict:
         raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")

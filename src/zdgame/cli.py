@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .adaptive import SimConfig, initial_strategy, run_path, sweep
+from .adaptive import _NOT_PCZD, SimConfig, initial_strategy, run_path, sweep
 from .errors import (
     DegenerateError,
     DomainError,
@@ -287,10 +287,12 @@ def cmd_run(spec: RunSpec) -> int:
         raise DomainError("run needs --q0 or --seed to fix the initial strategy")
     code = EXIT_OK
     try:
-        path = run_path(q0, spec.sim_config(), p, delta, params)
+        path = run_path(q0, spec.sim_config(), p, delta, params, check_pczd=False)
     except MaxStepsError as exc:
         path = exc.path
         code = EXIT_NO_CONVERGENCE
+    if not is_pczd(p, delta, params):
+        print(f"warning: {_NOT_PCZD}", file=sys.stderr)
     text = (
         _trajectory_csv(path) if spec.format == "csv" else _trajectory_json(path, spec.seed)
     )

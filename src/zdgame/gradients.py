@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from ._linalg import det4
 from .errors import NotRelayError
 from .game import PayoffParams, strategy_tuple, validate_delta
@@ -133,47 +131,16 @@ def gradient_quotient(p, q, delta, params: PayoffParams, payoff: str = "x") -> G
     return Gradient(*_gradient_quotient(pt, qt, validate_delta(delta), params, payoff))
 
 
-def _derivative_stack(rows, g, pt, delta):
-    """The matrices of :func:`_q0_derivative_det` and :func:`_row_derivative_det`
-    for a ``(4, 3, m)`` row stack, as one ``(4, 4, 9, m)`` stack: the q0
-    matrix (without its ``1 - delta`` factor), then for each row ell the
-    matrix with the all-ones weight and the one with ``g``.  The entries of
-    ``pt`` and ``delta`` may be floats or length-m arrays."""
-    g = np.array(g)
-    out = np.empty((4, 4, 9) + rows.shape[2:])
-    out[:3, :3, 0] = rows[:3] - rows[3]
-    out[:3, 3, 0] = (g[:3] - g[3])[:, None]
-    out[3, 1::2, 0] = 0.0
-    out[3, 0, 0] = pt[0]
-    out[3, 2, 0] = 1.0
-    out[:, :3, 1:] = rows[:, :, None]
-    out[:, 3, 1::2] = 1.0
-    out[:, 3, 2::2] = g[:, None, None]
-    for ell in range(1, 5):
-        derivative_row = out[ell - 1, :, 2 * ell - 1:2 * ell + 1]
-        derivative_row[1::2] = 0.0
-        derivative_row[0] = delta * pt[_ROW_P_INDEX[ell]]
-        derivative_row[2] = delta
-    return out
-
-
 def _gradient_quotient(pt, qt, delta, params, payoff):
-    """:func:`gradient_quotient` on coerced inputs; the entries of ``qt``,
-    and also those of ``pt`` and ``delta``, may be equal-length arrays,
-    giving a ``(5, m)`` array whose nine derivative determinants went
-    through one ``det4`` call."""
+    """:func:`gradient_quotient` on coerced inputs, as a list of the five
+    components.  The entries of ``pt``, ``qt`` and ``delta`` may be
+    equal-length arrays; each element then equals its float result."""
     rows = _matrix_rows(pt, qt, delta)
     ones = (1.0, 1.0, 1.0, 1.0)
     g = _weight_by_row(params, payoff)
     d_ones, n_x, n_y = _payoff_terms(_cofactors(rows), params)
     d_pay = n_x if payoff == "x" else n_y
     denom = d_ones * d_ones
-    if isinstance(rows, np.ndarray):
-        d = det4(_derivative_stack(rows, g, pt, delta))
-        out = np.empty((5,) + d_ones.shape)
-        out[0] = d_ones * ((1.0 - delta) * d[0]) / denom
-        out[1:] = (d_ones * d[2::2] - d[1::2] * d_pay) / denom
-        return out
     out = [0.0] * 5
     # the normalizer's q0 derivative is exactly 0: its weight column cancels
     out[0] = d_ones * _q0_derivative_det(rows, g, pt[0], delta) / denom
@@ -449,14 +416,5 @@ def classify_terminal(p, q_star, tol: float = 1e-6) -> TerminalClassification:
     p_cc = near_one(pt[0]) and near_one(pt[1])
     t2 = p_cc and near_one(qt[0]) and near_one(qt[1])
     witness = {"p0": pt[0], "p1": pt[1], "q0": qt[0], "q1": qt[1], "q2": qt[2]}
-    if p_cc:
-        if t2:
-            return TerminalClassification(tag="T2", both_satisfied=t1, witness=witness)
-        if t1:
-            return TerminalClassification(tag="T1", both_satisfied=False, witness=witness)
-        return TerminalClassification(tag="OTHER", both_satisfied=False, witness=witness)
-    if t1:
-        return TerminalClassification(tag="T1", both_satisfied=t2, witness=witness)
-    if t2:
-        return TerminalClassification(tag="T2", both_satisfied=False, witness=witness)
-    return TerminalClassification(tag="OTHER", both_satisfied=False, witness=witness)
+    tag = "T2" if t2 else "T1" if t1 else "OTHER"
+    return TerminalClassification(tag=tag, both_satisfied=t1 and t2, witness=witness)

@@ -6,9 +6,9 @@ that is not finite fails its property.  :func:`run_verification` gives
 each property a stream of one seed and scales all counts by one factor;
 the acceptance criteria call the same functions on their own streams.
 
-The properties built on the determinant kernels run as stacked numpy
-passes over chunks of at most ``_CHUNK`` draws, through the array
-branches of the payoff and gradient kernels; each element equals its float result, so
+The properties built on the determinant kernels run as numpy passes over
+chunks of at most ``_CHUNK`` draws: the payoff and gradient kernels take
+arrays element by element, each element equals its float result, and so
 the report is the one a draw-by-draw loop gives.  Factorization-and-signs
 takes its random pcZD enforcers from :class:`~zdgame.zd.PcZDStream`, which
 evaluates every possible rejection-sampling try of a block of the stream
@@ -46,12 +46,12 @@ __all__ = ["PropertyResult", "run_verification"]
 _ONES = (1.0, 1.0, 1.0, 1.0)
 _EYE = np.eye(4)[:, :, None]
 
-# Draws per stacked pass.  Peak RSS of the README verify run grows with it
+# Draws per pass.  Peak RSS of the README verify run grows with it
 # (VmHWM 39.4 MB draw by draw; 39.7, 39.9, 40.7, 42.3 and 45.3 MB at 128,
 # 256, 512, 1024 and 2048 draws, most of it in factorization-and-signs),
-# while the stacked properties take ~0.06 s at 256 draws and ~0.03 s at
-# 2048, beside ~0.05-0.1 s for the stacked pcZD sampler's 34 115 tries
-# (2-vCPU x86 VM, Python 3.11, numpy 2.4).
+# while the four chunked properties, the stacked pcZD sampler's 34 115
+# tries included, take ~0.32 s at 256 draws and ~0.20 s at 2048 (best of
+# three, 2-vCPU x86 VM, Python 3.11, numpy 2.4).
 _CHUNK = 256
 
 _COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge}
@@ -197,7 +197,7 @@ def _factorization_and_signs(params, rng, n):
     for first in range(0, n, _CHUNK):
         cols = draws.take(min(_CHUNK, n - first))
         p, q, d = cols[:5], cols[5:10], cols[10]
-        gq = _gradient_quotient(p, q, d, params, "x")
+        gq = np.array(_gradient_quotient(p, q, d, params, "x"))
         gf = np.array(_gradient_factorized(p, q, d, params)[0])
         denom = np.maximum(np.abs(gq), np.abs(gf))
         with np.errstate(invalid="ignore"):  # 0/0 where both vanish
@@ -259,7 +259,7 @@ def _fd_analytic_match(params, rng, n):
     h = 1e-3
     worst = _Worst("fd-analytic-match", 1e-7, "<")
     for first, p, q, d in _draws(rng, n, 0.05, 0.95):
-        g = _gradient_quotient(p, q, d, params, "y")
+        g = np.array(_gradient_quotient(p, q, d, params, "y"))
         rel = np.zeros_like(g)
         for j in range(5):
             # components at or below 1e-6 are skipped; a NaN one is kept

@@ -16,8 +16,8 @@ PCZD_E = ((0.95, 0.7, 0.2, 0.13, 0.0), 0.9, (2.0, -0.1))
 
 ROSTER = (PCZD_A, PCZD_B, PCZD_C, PCZD_D, PCZD_E)
 
-# Batch sizes and exact entries (signed zero included) on which the stacked
-# array kernels must reproduce the float kernels bit for bit.
+# Batch sizes and exact entries (signed zero included) on which the kernels,
+# given numpy arrays, must reproduce their float results bit for bit.
 BATCH_SIZES = (1, 2, 9, 40)
 EXACT_ENTRIES = (0.0, 1.0, -0.0)
 exact_or_unit = st.sampled_from(EXACT_ENTRIES) | st.floats(min_value=0.0, max_value=1.0)

@@ -200,6 +200,21 @@ class TestRunPath:
             except MaxStepsError:
                 pass
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("vector", ["q0", "p"])
+    def test_rejects_non_finite_entries(self, params_main, vector, value):
+        # a small cap, so that a missing check fails fast instead of spinning
+        q0, p = list(FIG3_Q0), list(PCZD_A[0])
+        (q0 if vector == "q0" else p)[3] = value
+        with pytest.raises(DomainError, match=f"{vector} has a non-finite entry"):
+            run_path(q0, SimConfig(max_steps=50), p, PCZD_A[1], params_main)
+
+    def test_clamps_finite_start_outside_cube(self, params_main):
+        p, delta, _ = PCZD_A
+        path = run_path((1.5, -0.25, 0.593, 0.968, 0.420), SimConfig(), p, delta, params_main)
+        assert path.steps[1].q[:2] == (1.0, 0.0)
+        assert path.converged and all(0.0 <= v <= 1.0 for v in path.final_q)
+
     def test_terminal_t2_against_cooperative_enforcer(self, params_main):
         p, delta, _ = PCZD_C
         path = run_path((0.877, 0.449, 0.751, 0.684, 0.04), SimConfig(), p, delta, params_main)
@@ -260,6 +275,13 @@ class TestSweep:
     def test_rejects_empty_sweep(self, params_main):
         with pytest.raises(DomainError):
             sweep(0, 7, SimConfig(), PCZD_A[0], 0.99, params_main)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_opponent(self, params_main, kernel, value):
+        p = list(PCZD_A[0])
+        p[2] = value
+        with pytest.raises(DomainError, match="p has a non-finite entry"):
+            sweep(3, 7, SimConfig(max_steps=50), p, PCZD_A[1], params_main)
 
 
 # Against PCZD_C, seed 5 paths take 36..1807 steps: a 600-step cap ends

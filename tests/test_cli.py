@@ -98,7 +98,16 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "traj.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:opponent strategy is not")
+    def test_non_enforcer_opponent_warns_in_one_line(self, tmp_path, capsys):
+        code = main(["run", "--T", "1.5", "--S", "-0.5", "--delta", "0.99",
+                     "--p", "0.5,0.5,0.5,0.5,0.5", "--seed", "1",
+                     "--out", str(tmp_path / "traj.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: opponent strategy is not a positively correlated enforcer; "
+            "the path may not end in unconditional cooperation\n"
+        )
+
     def test_vanishing_normalizer_fails_with_one_line(self, capsys):
         # delta within 1e-16 of 1 leaves the valid domain; fd probes hit the floor
         code = main(["run", "--T", "1.5", "--S", "-0.5", "--delta", "0.9999999999999999",
