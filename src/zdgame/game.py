@@ -178,8 +178,12 @@ def transition_matrix(p, q) -> np.ndarray:
     return np.array(_transition_rows(strategy_tuple(p), strategy_tuple(q)))
 
 
+def _initial_terms(p0, q0):
+    """First-round outcome probabilities (CC, CD, DC, DD); floats or
+    arrays, element by element."""
+    return (p0 * q0, p0 * (1.0 - q0), (1.0 - p0) * q0, (1.0 - p0) * (1.0 - q0))
+
+
 def initial_distribution(p0: float, q0: float) -> StateDistribution:
     """First-round outcome distribution from the two first-round cooperation probabilities."""
-    p0, q0 = float(p0), float(q0)
-    v = (p0 * q0, p0 * (1.0 - q0), (1.0 - p0) * q0, (1.0 - p0) * (1.0 - q0))
-    return StateDistribution(v)
+    return StateDistribution(_initial_terms(float(p0), float(q0)))

@@ -22,10 +22,9 @@ from ._linalg import det3
 from .errors import NumericalError
 from .game import (
     PayoffParams,
+    _initial_terms,
     _transition_rows,
-    initial_distribution,
     strategy_tuple,
-    transition_matrix,
     validate_delta,
 )
 
@@ -144,23 +143,35 @@ def payoff_determinant(p, q, delta, params: PayoffParams) -> PayoffPair:
     return PayoffPair(*_payoffs(pt, qt, validate_delta(delta), params))
 
 
+def _inverse_payoffs(pt, qt, delta, params: PayoffParams):
+    """(s_X, s_Y) by the resolvent solve, on coerced floats or on arrays
+    with one element per strategy pair.
+
+    A stack of pairs is one stacked solve; its systems, and the payoff
+    products taken as ``(1, 4) @ (4, 1)`` matrix products, give each pair
+    the bits of its own solve.
+    """
+    m = np.moveaxis(np.array(_transition_rows(pt, qt)), (0, 1), (-1, -2))  # transposed
+    v0 = np.moveaxis(np.array(_initial_terms(pt[0], qt[0])), 0, -1)
+    delta = np.asarray(delta)[..., None, None]
+    try:
+        w = np.linalg.solve(np.eye(4) - delta * m, v0[..., None])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"resolvent solve failed: {exc}") from None
+    w = np.swapaxes((1.0 - delta) * w, -1, -2)
+    s_x = np.matmul(w, np.array(params.payoff_vector_x())[:, None])[..., 0, 0]
+    s_y = np.matmul(w, np.array(params.payoff_vector_y())[:, None])[..., 0, 0]
+    return s_x, s_y
+
+
 def payoff_inverse(p, q, delta, params: PayoffParams) -> PayoffPair:
     """Discounted average payoffs via the resolvent linear solve.
 
     Solves (I - delta*M)^T w^T = v(0)^T and returns (1-delta) * w . S_i.
     """
     pt, qt = strategy_tuple(p), strategy_tuple(q)
-    delta = validate_delta(delta)
-    m = transition_matrix(pt, qt)
-    v0 = np.array(initial_distribution(pt[0], qt[0]).v)
-    try:
-        w = np.linalg.solve((np.eye(4) - delta * m).T, v0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"resolvent solve failed: {exc}") from None
-    w = (1.0 - delta) * w
-    s_x = float(w @ np.array(params.payoff_vector_x()))
-    s_y = float(w @ np.array(params.payoff_vector_y()))
-    return PayoffPair(s_x, s_y)
+    s_x, s_y = _inverse_payoffs(pt, qt, validate_delta(delta), params)
+    return PayoffPair(float(s_x), float(s_y))
 
 
 def series_horizon(delta: float, params: PayoffParams, tol: float) -> int:
@@ -168,8 +179,9 @@ def series_horizon(delta: float, params: PayoffParams, tol: float) -> int:
 
     The bound used is delta^(H+1) * max(T, -S, 1) / (1 - delta) < tol.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     delta = validate_delta(delta)
     m = max(params.T, -params.S, 1.0)
 
@@ -185,6 +197,28 @@ def series_horizon(delta: float, params: PayoffParams, tol: float) -> int:
     return h
 
 
+def _series_rounds(rounds, v, rows, weight, delta, acc_x, acc_y, sx, sy):
+    """Add ``rounds`` terms of the discounted payoff series to ``acc_x`` and
+    ``acc_y``, from state distribution ``v`` at discount weight ``weight``;
+    returns the state after them as ``(v, weight, acc_x, acc_y)``.
+
+    Floats or equal-length arrays (one element per strategy pair, updated
+    in place); each element equals its float result.
+    """
+    r0, r1, r2, r3 = rows
+    for _ in range(rounds):
+        acc_x += weight * (v[0] * sx[0] + v[1] * sx[1] + v[2] * sx[2] + v[3] * sx[3])
+        acc_y += weight * (v[0] * sy[0] + v[1] * sy[1] + v[2] * sy[2] + v[3] * sy[3])
+        weight *= delta
+        v = (
+            v[0] * r0[0] + v[1] * r1[0] + v[2] * r2[0] + v[3] * r3[0],
+            v[0] * r0[1] + v[1] * r1[1] + v[2] * r2[1] + v[3] * r3[1],
+            v[0] * r0[2] + v[1] * r1[2] + v[2] * r2[2] + v[3] * r3[2],
+            v[0] * r0[3] + v[1] * r1[3] + v[2] * r2[3] + v[3] * r3[3],
+        )
+    return v, weight, acc_x, acc_y
+
+
 def payoff_series(p, q, delta, params: PayoffParams, tol: float = 1e-10) -> PayoffPair:
     """Discounted average payoffs by direct summation of the round series.
 
@@ -194,23 +228,60 @@ def payoff_series(p, q, delta, params: PayoffParams, tol: float = 1e-10) -> Payo
     pt, qt = strategy_tuple(p), strategy_tuple(q)
     delta = validate_delta(delta)
     horizon = series_horizon(delta, params, tol)
-    rows = _transition_rows(pt, qt)
-    sx_vec = params.payoff_vector_x()
-    sy_vec = params.payoff_vector_y()
-    v = initial_distribution(pt[0], qt[0]).v
-    acc_x = 0.0
-    acc_y = 0.0
-    weight = 1.0
-    for _ in range(horizon + 1):
-        acc_x += weight * (v[0] * sx_vec[0] + v[1] * sx_vec[1] + v[2] * sx_vec[2] + v[3] * sx_vec[3])
-        acc_y += weight * (v[0] * sy_vec[0] + v[1] * sy_vec[1] + v[2] * sy_vec[2] + v[3] * sy_vec[3])
-        weight *= delta
-        r0, r1, r2, r3 = rows
-        v = (
-            v[0] * r0[0] + v[1] * r1[0] + v[2] * r2[0] + v[3] * r3[0],
-            v[0] * r0[1] + v[1] * r1[1] + v[2] * r2[1] + v[3] * r3[1],
-            v[0] * r0[2] + v[1] * r1[2] + v[2] * r2[2] + v[3] * r3[2],
-            v[0] * r0[3] + v[1] * r1[3] + v[2] * r2[3] + v[3] * r3[3],
-        )
+    _, _, acc_x, acc_y = _series_rounds(
+        horizon + 1, _initial_terms(pt[0], qt[0]), _transition_rows(pt, qt), 1.0, delta,
+        0.0, 0.0, params.payoff_vector_x(), params.payoff_vector_y(),
+    )
     scale = 1.0 - delta
     return PayoffPair(scale * acc_x, scale * acc_y)
+
+
+# At or below this many unfinished pairs, the stacked series sums each one
+# on floats: a round costs ~47 numpy calls on the arrays.  1 000 random
+# pairs (delta uniform in [0.01, 0.99)) took ~90 ms with no float tail and
+# ~40-45 ms with a tail of 16 to 48 pairs (best of 7, 2-vCPU x86 VM,
+# Python 3.11, numpy 2.4).
+_SERIES_TAIL = 32
+
+
+def _series_payoffs(p, q, delta, params: PayoffParams, tol: float):
+    """(s_X, s_Y) of :func:`payoff_series` for ``(5, n)`` strategy arrays
+    and ``n`` discounts, each element bit for bit.
+
+    The pairs are summed longest horizon first, so the unfinished ones are
+    always a prefix: a pass of rounds runs until the shortest unfinished
+    horizon ends, then that prefix shrinks.  Each pair thus adds its terms
+    in :func:`payoff_series`'s order.
+    """
+    horizon = np.array([series_horizon(d, params, tol) for d in delta.tolist()], dtype=np.int64)
+    order = np.argsort(-horizon, kind="stable")
+    horizon = horizon[order].tolist()
+    p, q, d = p[:, order], q[:, order], delta[order]
+    n = len(d)
+    v = _initial_terms(p[0], q[0])
+    rows = _transition_rows(p, q)
+    weight, acc_x, acc_y = np.ones(n), np.zeros(n), np.zeros(n)
+    sx, sy = params.payoff_vector_x(), params.payoff_vector_y()
+    sum_x, sum_y = np.empty(n), np.empty(n)
+    done = 0  # rounds summed so far by every unfinished pair
+    while n > _SERIES_TAIL:
+        # pairs [live, n) have the shortest horizon left
+        live = horizon.index(horizon[n - 1])
+        v, weight, acc_x, acc_y = _series_rounds(horizon[n - 1] + 1 - done, v, rows, weight,
+                                                 d[:n], acc_x, acc_y, sx, sy)
+        done = horizon[n - 1] + 1
+        sum_x[live:n], sum_y[live:n] = acc_x[live:], acc_y[live:]
+        v = tuple(x[:live] for x in v)
+        rows = tuple(tuple(x[:live] for x in r) for r in rows)
+        weight, acc_x, acc_y = weight[:live], acc_x[:live], acc_y[:live]
+        n = live
+    for i in range(n):
+        _, _, sum_x[i], sum_y[i] = _series_rounds(
+            horizon[i] + 1 - done, tuple(float(x[i]) for x in v),
+            tuple(tuple(float(x[i]) for x in r) for r in rows), float(weight[i]),
+            float(d[i]), float(acc_x[i]), float(acc_y[i]), sx, sy,
+        )
+    s_x, s_y = np.empty_like(sum_x), np.empty_like(sum_y)
+    s_x[order] = (1.0 - d) * sum_x
+    s_y[order] = (1.0 - d) * sum_y
+    return s_x, s_y

@@ -378,8 +378,10 @@ _SPECS = {
 }
 
 
-def _report(which: str, pt, delta: float, theta: float) -> list[CellReport]:
-    """One table's cells, on a coerced ``pt`` and ``delta``."""
+def _report(which: str, pt, delta, theta: float) -> list[CellReport]:
+    """One table's cells, on a coerced ``pt`` and ``delta``: floats, or
+    arrays with one element per strategy, whose cells then hold arrays (a
+    constant closed form stays one float)."""
     spec = _SPECS[which]
     c = _ctx(pt, delta, theta)
     table = f"Table {which}"

@@ -6,15 +6,19 @@ that is not finite fails its property.  :func:`run_verification` gives
 each property a stream of one seed and scales all counts by one factor;
 the acceptance criteria call the same functions on their own streams.
 
-The properties built on the determinant kernels run as numpy passes over
-chunks of at most ``_CHUNK`` draws: the payoff and gradient kernels take
-arrays element by element, each element equals its float result, and so
-the report is the one a draw-by-draw loop gives.  Factorization-and-signs
-takes its random pcZD enforcers from :class:`~zdgame.zd.PcZDStream`, which
-evaluates every possible rejection-sampling try of a block of the stream
-at once and gives the columns and rejection count of the draw-by-draw
-``sample_pczd`` retry loop.  The oracle triangle (its series horizon
-varies per draw), the ZD line and the corner tables stay draw by draw.
+Every property runs as numpy passes over its draws: the payoff, gradient
+and table kernels take arrays element by element, each element equals
+its float result, and so the report is the one a draw-by-draw loop
+gives.  The properties on pure random draws take them in chunks of at
+most ``_CHUNK``; the oracle triangle takes all of its draws at once and
+sums their payoff series longest horizon first (``payoffs._series_payoffs``),
+and the corner tables check each cell as one column over all the
+strategies of a kind.  Factorization-and-signs takes its random pcZD
+enforcers from :class:`~zdgame.zd.PcZDStream`, which evaluates every
+possible rejection-sampling try of a block of the stream at once and
+gives the columns and rejection count of the draw-by-draw ``sample_pczd``
+retry loop; the corner tables draw theirs one at a time, as their stream
+interleaves three kinds of draw.
 """
 
 from __future__ import annotations
@@ -27,19 +31,18 @@ import numpy as np
 
 from ._linalg import det4
 from .errors import DomainError
-from .game import PayoffParams, _transition_rows
+from .game import PayoffParams, _transition_rows, strategy_tuple, validate_delta
 from .gradients import _gradient_factorized, _gradient_quotient, zero_gradient_condition
 from .payoffs import (
     _cofactors,
+    _inverse_payoffs,
     _matrix_rows,
     _payoffs,
+    _series_payoffs,
     _weigh,
-    payoff_determinant,
-    payoff_inverse,
-    payoff_series,
 )
-from .tables import table_report
-from .zd import PcZDStream, recover_zd, sample_pczd, verify_linear_relation
+from .tables import _report
+from .zd import PcZDStream, _line_residual, recover_zd, sample_pczd
 
 __all__ = ["PropertyResult", "run_verification"]
 
@@ -157,31 +160,32 @@ def _regularity_identity(params, rng, n):
 
 
 def _oracle_triangle(params, rng, n):
-    residuals = np.empty((n, 6))
-    for i in range(n):
-        p = rng.random(5)
-        q = rng.random(5)
-        d = 0.99 if i == 0 else 0.34 if i == 1 else rng.uniform(0.01, 0.99)
-        a = payoff_determinant(p, q, d, params)
-        b = payoff_inverse(p, q, d, params)
-        c = payoff_series(p, q, d, params, tol=1e-10)
-        residuals[i] = (
-            abs(a.s_x - b.s_x), abs(a.s_y - b.s_y),
-            abs(a.s_x - c.s_x), abs(a.s_y - c.s_y),
-            abs(b.s_x - c.s_x), abs(b.s_y - c.s_y),
-        )
+    """The determinant, inverse and series payoffs of ``n`` random pairs
+    agree; the first two draws are at delta = 0.99 and 0.34.  A draw takes
+    ``random(5)``, ``random(5)`` and, after those two, ``uniform(0.01,
+    0.99)``: ten or eleven values of one block of the stream."""
+    pinned = (0.99, 0.34)[:n]
+    u = rng.random(10 * len(pinned) + 11 * (n - len(pinned)))
+    head = u[:10 * len(pinned)].reshape(-1, 10)
+    rest = u[10 * len(pinned):].reshape(-1, 11)
+    p = np.concatenate([head[:, :5], rest[:, :5]]).T.copy()
+    q = np.concatenate([head[:, 5:], rest[:, 5:10]]).T.copy()
+    d = np.concatenate([pinned, 0.01 + (0.99 - 0.01) * rest[:, 10]])
+    a = _payoffs(p, q, d, params)
+    b = _inverse_payoffs(p, q, d, params)
+    c = _series_payoffs(p, q, d, params, 1e-10)
     worst = _Worst("oracle-triangle", 1e-8, "<")
-    worst.add(residuals)
+    worst.add(np.abs([a[0] - b[0], a[1] - b[1], a[0] - c[0], a[1] - c[1],
+                      b[0] - c[0], b[1] - c[1]]).T)
     return worst.result(n)
 
 
 def _zd_linear_relation(p, d, params, rng, n):
     """The enforcer ``p`` at discount ``d`` against ``n`` random opponents."""
     zd = recover_zd(p, d, params)
+    q = rng.random((n, 5)).T.copy()
     worst = _Worst("zd-linear-relation", 1e-9, "<")
-    worst.add(np.fromiter(
-        (verify_linear_relation(p, zd, d, params, rng.random(5)) for _ in range(n)), float, n
-    ))
+    worst.add(_line_residual(*_payoffs(strategy_tuple(p), q, validate_delta(d), params), zd))
     return worst.result(n)
 
 
@@ -216,35 +220,64 @@ def _factorization_and_signs(params, rng, n):
             nonneg.result(n, notes, unexplained[:20], {"exact zeros": zeros}))
 
 
+def _table_cells(draws, rows, n, tables, theta):
+    """The cells of ``tables`` on the ``(p0..p4, delta)`` strategies
+    ``draws`` of rounds ``rows`` out of ``n``: their labels, and their
+    diffs and Table 5 closed forms as arrays with one row per round.  A
+    round without such a strategy gets a diff of 0.0 and a closed form of
+    inf, which move neither the worst nor the min."""
+    cols = np.array(draws, dtype=float).reshape(-1, 6).T.copy()
+    labels, diff, closed5 = [], [], []
+    for t in tables:
+        for r in _report(t, cols[:5], cols[5], theta):
+            labels.append(r.label())
+            diff.append(r.diff)
+            if r.table == "Table 5":
+                closed5.append(np.broadcast_to(r.closed, r.diff.shape))
+    diff_rows = np.zeros((n, len(diff)))
+    diff_rows[rows] = np.array(diff).T
+    closed5_rows = np.full((n, len(closed5)), math.inf)
+    closed5_rows[rows] = np.array(closed5).T
+    return labels, diff_rows, closed5_rows
+
+
 def _corner_tables(params, rng, n):
     """Every applicable table's closed forms against direct evaluation, on
     ``n`` rounds of a random strategy, a random pcZD enforcer and a random
-    one with p0 = p1 = 1, whose Table 5 cells must also be positive."""
-    worst = _Worst("corner-tables", 1e-12, "<")
-    bad: list[str] = []
-    checked = 0
-    table5_min = math.inf
+    one with p0 = p1 = 1, whose Table 5 cells must also be positive.
+
+    The rounds draw first, in stream order; then each cell is checked as
+    one column over all the strategies of its kind."""
+    plain, zd, coop, has_coop = [], [], [], []
     for i in range(n):
-        p_any = rng.random(5)
-        d_any = rng.uniform(0.05, 0.98)
-        reports = table_report(p_any, d_any, params, tables=("1", "2"))
+        plain.append((*rng.random(5), rng.uniform(0.05, 0.98)))
         p_zd, _, d_zd = sample_pczd(rng, params)
-        reports += table_report(p_zd, d_zd, params, tables=("1", "2", "3", "4"))
+        zd.append((*p_zd, d_zd))
         try:
             p_cc, _, d_cc = sample_pczd(rng, params, p0=1.0, kappa=1.0)
-            reports += table_report(p_cc, d_cc, params, tables=("4", "5"))
         except RuntimeError:
-            pass
-        checked += len(reports)
-        worst.add([[r.diff for r in reports]], i)
-        bad += [r.label() for r in reports if not r.diff <= 1e-12]
-        for r in reports:
-            if r.table == "Table 5":
-                table5_min = min(table5_min, r.closed)
-                if not r.closed > 0.0:
-                    bad.append(f"{r.label()} closed={r.closed:.3e} is not positive")
-    return PropertyResult("corner-tables", not bad, checked, worst.value, 1e-12, "<",
-                          bad[:20] + worst.details, {"Table 5 min": table5_min})
+            continue
+        coop.append((*p_cc, d_cc))
+        has_coop.append(i)
+    theta = params.theta
+    kinds = [_table_cells(plain, slice(None), n, ("1", "2"), theta),
+             _table_cells(zd, slice(None), n, ("1", "2", "3", "4"), theta),
+             _table_cells(coop, has_coop, n, ("4", "5"), theta)]
+    labels = [label for kind in kinds for label in kind[0]]
+    diff = np.hstack([kind[1] for kind in kinds])
+    closed5 = np.hstack([kind[2] for kind in kinds]).tolist()
+    labels5 = [label for label in labels if label.startswith("Table 5 ")]
+    worst = _Worst("corner-tables", 1e-12, "<")
+    worst.add(diff)
+    bad: list[str] = []
+    for i in range(n):
+        bad += [labels[j] for j in np.flatnonzero(~(diff[i] <= 1e-12))]
+        bad += [f"{label} closed={v:.3e} is not positive"
+                for label, v in zip(labels5, closed5[i]) if not v > 0.0]
+    samples = sum(len(d) * len(kind[0]) for d, kind in zip((plain, zd, coop), kinds))
+    return PropertyResult("corner-tables", not bad, samples, worst.value, 1e-12, "<",
+                          bad[:20] + worst.details,
+                          {"Table 5 min": min([math.inf, *(v for row in closed5 for v in row)])})
 
 
 def _central_difference(p, q, d, params, j, h):

@@ -255,8 +255,12 @@ def is_pczd(p, delta, params: PayoffParams, tol: float = 1e-10) -> PcZDReport:
 
 def verify_linear_relation(p, zd: ZDParams, delta, params: PayoffParams, q) -> float:
     """Residual of the enforced payoff line at one opponent strategy."""
-    pair = payoff_determinant(p, q, delta, params)
-    return abs(pair.s_x - zd.kappa - zd.chi * (pair.s_y - zd.kappa))
+    return _line_residual(*payoff_determinant(p, q, delta, params), zd)
+
+
+def _line_residual(s_x, s_y, zd: ZDParams):
+    """Distance of payoffs from the enforced line; floats or arrays."""
+    return abs(s_x - zd.kappa - zd.chi * (s_y - zd.kappa))
 
 
 def _phi_window(chi, kappa, p0, delta, T, S):

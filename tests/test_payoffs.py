@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from zdgame import (
     validate_payoffs,
 )
 from zdgame._linalg import det4
+from zdgame import payoffs as payoffs_mod
 from zdgame.payoffs import _cofactors, _matrix_rows, _payoff_terms, _weigh
 from conftest import (
     BATCH_SIZES,
@@ -169,6 +173,14 @@ class TestPayoffSeries:
         with pytest.raises(ValueError):
             payoff_series((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 0.9, params_main, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, params_main, tol):
+        message = re.escape(f"tolerance must be finite and positive, got {tol}")
+        with pytest.raises(ValueError, match=message):
+            series_horizon(0.9, params_main, tol)
+        with pytest.raises(ValueError, match=message):
+            payoff_series((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 0.9, params_main, tol=tol)
+
 
 class TestThreeWayAgreement:
     @pytest.mark.parametrize("delta", [0.34, 0.99])
@@ -252,3 +264,40 @@ class TestStackedCofactors:
             stacked = _weigh(_cofactors(_matrix_rows(ps, qs, deltas)), f)
             alone = [state_determinant(ps[:, k], qs[:, k], deltas[k], f) for k in range(m)]
             assert bits(stacked) == bits(alone)
+
+
+def stacked_draws(rng, m):
+    """(5, m) strategies and m discounts, the first pinned at 0.99 (the
+    longest series horizon) and the others in [0.01, 0.99)."""
+    deltas = rng.uniform(0.01, 0.99, m)
+    deltas[0] = 0.99
+    return draw_columns(rng, m), draw_columns(rng, m), deltas
+
+
+class TestStackedRoutes:
+    """The verify suite's stacked inverse and series routes: each column
+    equals payoff_inverse / payoff_series on that column's floats."""
+
+    @pytest.mark.parametrize("m", (*BATCH_SIZES, 100))
+    def test_inverse_columns_equal_float_results(self, params_main, rng, m):
+        ps, qs, deltas = stacked_draws(rng, m)
+        stacked = payoffs_mod._inverse_payoffs(ps, qs, deltas, params_main)
+        alone = [payoff_inverse(ps[:, k], qs[:, k], deltas[k], params_main) for k in range(m)]
+        assert bits(np.array(stacked).T) == bits(alone)
+
+    # no float tail, a short one, and the module's own
+    @pytest.mark.parametrize("tail", [0, 4, payoffs_mod._SERIES_TAIL])
+    @pytest.mark.parametrize("m", (*BATCH_SIZES, 100))
+    def test_series_columns_equal_float_results(self, monkeypatch, params_main, rng, tail, m):
+        monkeypatch.setattr(payoffs_mod, "_SERIES_TAIL", tail)
+        ps, qs, deltas = stacked_draws(rng, m)
+        stacked = payoffs_mod._series_payoffs(ps, qs, deltas, params_main, 1e-10)
+        alone = [payoff_series(ps[:, k], qs[:, k], deltas[k], params_main, tol=1e-10)
+                 for k in range(m)]
+        assert bits(np.array(stacked).T) == bits(alone)
+
+    def test_singular_stacked_solve_is_a_numerical_error(self, params_main):
+        # at delta = 1 a chain that stays at CC makes I - delta*M singular
+        ones = np.ones((5, 2))
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            payoffs_mod._inverse_payoffs(ones, ones, np.full(2, 1.0), params_main)

@@ -9,9 +9,15 @@ from zdgame import (
     gradient_factorized,
     gradient_quotient,
     payoff_determinant,
+    payoff_inverse,
+    payoff_series,
+    recover_zd,
+    series_horizon,
     state_determinant,
+    table_report,
     transition_matrix,
     validate_payoffs,
+    verify_linear_relation,
     verify_tables,
 )
 from zdgame import payoffs as payoffs_mod
@@ -115,13 +121,107 @@ def reference_fd_analytic_match(params, seed, n):
     return PropertyResult("fd-analytic-match", worst < 1e-7, n, worst, 1e-7, "<")
 
 
+def oracle_draws(seed, n):
+    """(p, q, delta) of each draw, the first two at delta = 0.99 and 0.34."""
+    rng = verify._rng_for(seed, 3)
+    for i in range(n):
+        p = rng.random(5)
+        q = rng.random(5)
+        yield p, q, 0.99 if i == 0 else 0.34 if i == 1 else rng.uniform(0.01, 0.99)
+
+
+def oracle_residuals(params, seed, n):
+    rows = []
+    for p, q, d in oracle_draws(seed, n):
+        a = payoff_determinant(p, q, d, params)
+        b = payoff_inverse(p, q, d, params)
+        c = payoff_series(p, q, d, params, tol=1e-10)
+        rows.append([abs(a.s_x - b.s_x), abs(a.s_y - b.s_y), abs(a.s_x - c.s_x),
+                     abs(a.s_y - c.s_y), abs(b.s_x - c.s_x), abs(b.s_y - c.s_y)])
+    return rows
+
+
+def reference_oracle_triangle(params, seed, n):
+    worst = max((r for row in oracle_residuals(params, seed, n) for r in row), default=0.0)
+    return PropertyResult("oracle-triangle", worst < 1e-8, n, worst, 1e-8, "<")
+
+
+def zd_line(params, rng, n):
+    """The zd-line property as run_verification runs it: one enforcer,
+    then its opponents, from one stream."""
+    p, _, d = sample_pczd(rng, params)
+    return verify._zd_linear_relation(p, d, params, rng, n)
+
+
+def zd_line_residuals(params, seed, n):
+    rng = verify._rng_for(seed, 4)
+    p, _, d = sample_pczd(rng, params)
+    zd = recover_zd(p, d, params)
+    return [[verify_linear_relation(p, zd, d, params, rng.random(5))] for _ in range(n)]
+
+
+def reference_zd_linear_relation(params, seed, n):
+    worst = max((row[0] for row in zd_line_residuals(params, seed, n)), default=0.0)
+    return PropertyResult("zd-linear-relation", worst < 1e-9, n, worst, 1e-9, "<")
+
+
+def corner_reports(params, seed, n, sample=sample_pczd):
+    """Each round's table_report cells: tables 1-2 on a random p, 1-4 on a
+    pcZD p, and 4-5 on one with p0 = p1 = 1 unless ``sample`` raises."""
+    rng = verify._rng_for(seed, 6)
+    for _ in range(n):
+        p_any = rng.random(5)
+        d_any = rng.uniform(0.05, 0.98)
+        reports = table_report(p_any, d_any, params, tables=("1", "2"))
+        p_zd, _, d_zd = sample(rng, params)
+        reports += table_report(p_zd, d_zd, params, tables=("1", "2", "3", "4"))
+        try:
+            p_cc, _, d_cc = sample(rng, params, p0=1.0, kappa=1.0)
+            reports += table_report(p_cc, d_cc, params, tables=("4", "5"))
+        except RuntimeError:
+            pass
+        yield reports
+
+
+def corner_residuals(params, seed, n):
+    return [[r.diff for r in reports] for reports in corner_reports(params, seed, n)]
+
+
+def reference_corner_tables(params, seed, n, sample=sample_pczd):
+    worst = 0.0
+    bad = []
+    checked = 0
+    table5_min = math.inf
+    for reports in corner_reports(params, seed, n, sample):
+        checked += len(reports)
+        worst = max(worst, *(r.diff for r in reports))
+        bad += [r.label() for r in reports if not r.diff <= 1e-12]
+        for r in reports:
+            if r.table == "Table 5":
+                table5_min = min(table5_min, r.closed)
+                if not r.closed > 0.0:
+                    bad.append(f"{r.label()} closed={r.closed:.3e} is not positive")
+    return PropertyResult("corner-tables", not bad, checked, worst, 1e-12, "<", bad[:20],
+                          {"Table 5 min": table5_min})
+
+
 # property, its reference, the key of its stream in run_verification
 STACKED = {
     "normalizer-positive": (verify._normalizer_positive, reference_normalizer_positive, 1),
     "regularity-identity": (verify._regularity_identity, reference_regularity_identity, 2),
+    "oracle-triangle": (verify._oracle_triangle, reference_oracle_triangle, 3),
+    "zd-linear-relation": (zd_line, reference_zd_linear_relation, 4),
     "factorization-and-signs": (verify._factorization_and_signs,
                                 reference_factorization_and_signs, 5),
+    "corner-tables": (verify._corner_tables, reference_corner_tables, 6),
     "fd-analytic-match": (verify._fd_analytic_match, reference_fd_analytic_match, 7),
+}
+
+# the draw-by-draw residuals of the unchunked properties, one row per draw
+RESIDUALS = {
+    "oracle-triangle": oracle_residuals,
+    "zd-linear-relation": zd_line_residuals,
+    "corner-tables": corner_residuals,
 }
 
 
@@ -130,6 +230,8 @@ def assert_same_results(stacked, reference):
     reference = reference if isinstance(reference, tuple) else (reference,)
     assert stacked == reference
     assert bits([r.worst for r in stacked]) == bits([r.worst for r in reference])
+    for s, r in zip(stacked, reference):
+        assert bits([s.extra[k] for k in r.extra]) == bits(list(r.extra.values()))
 
 
 # (chunk, samples): one draw, chunk - 1, chunk, chunk + 1 and three whole
@@ -145,6 +247,33 @@ def test_stacked_property_equals_draw_by_draw_loop(monkeypatch, name, chunk, n):
     prop, reference, key = STACKED[name]
     result = prop(PARAMS, verify._rng_for(3, key), n)
     assert_same_results(result, reference(PARAMS, 3, n))
+
+
+@pytest.fixture
+def folded(monkeypatch):
+    """The residuals that each property folds into its worst value."""
+    seen = []
+    add = verify._Worst.add
+
+    def record(self, residuals, first_draw=0):
+        seen.append(np.array(residuals, dtype=float).reshape(np.shape(residuals)[0], -1))
+        return add(self, residuals, first_draw)
+
+    monkeypatch.setattr(verify._Worst, "add", record)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUALS))
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_every_residual_equals_draw_by_draw(folded, name, n):
+    """Bit for bit, not only the worst; n = 1, 2 and 3 take the oracle
+    stream through both pinned discounts and the first drawn one."""
+    prop, _, key = STACKED[name]
+    prop(PARAMS, verify._rng_for(3, key), n)
+    rows = RESIDUALS[name](PARAMS, 3, n)
+    # a corner-tables round without a p0 = p1 = 1 enforcer pads with 0.0
+    width = max(map(len, rows))
+    assert bits(np.concatenate(folded)) == bits([row + [0.0] * (width - len(row)) for row in rows])
 
 
 def test_fd_analytic_match_passes_on_documented_command():
@@ -251,6 +380,72 @@ def test_non_finite_residual_names_its_draw(monkeypatch):
     assert not result.passed
     assert result.details == ["non-finite residual at draw 5"]
     assert math.isnan(result.worst)
+
+
+def oracle_horizon_order(n):
+    """The draws of the oracle stream, longest series horizon first."""
+    horizons = [series_horizon(d, PARAMS, 1e-10) for _, _, d in oracle_draws(3, n)]
+    return sorted(range(n), key=lambda i: -horizons[i])
+
+
+# the draw with the second-longest series horizon is summed on floats, the
+# one with the shortest on the arrays
+@pytest.mark.parametrize("rank", [1, -1])
+def test_non_finite_series_residual_names_its_draw(monkeypatch, rank):
+    n = 100
+    order = oracle_horizon_order(n)
+    draw = order[rank]
+    assert order.index(draw) != draw  # the sort moved it
+    series = verify._series_payoffs
+
+    def one_nan_draw(p, q, d, params, tol):
+        q = q.copy()
+        q[1, draw] = math.nan
+        return series(p, q, d, params, tol)
+
+    monkeypatch.setattr(verify, "_series_payoffs", one_nan_draw)
+    result = verify._oracle_triangle(PARAMS, verify._rng_for(3, 3), n)
+    assert not result.passed
+    assert result.details == [f"non-finite residual at draw {draw}"]
+    assert math.isnan(result.worst)
+
+
+def test_corner_tables_align_a_round_without_cooperative_enforcer(monkeypatch):
+    """The p0 = p1 = 1 draw of round 1 raises, so that round lacks tables
+    4-5; Table 5 negated and one Table 4 cell shifted put every round's
+    mismatches and non-positive cells in the details."""
+    negated = {k: (lambda c, f=f: -f(c)) for k, f in tables_mod.TABLE5.items()}
+    monkeypatch.setattr(tables_mod, "TABLE5", negated)
+    spec = tables_mod._SPECS["5"]
+    monkeypatch.setitem(tables_mod._SPECS, "5",
+                        spec._replace(direct=lambda *args: -spec.direct(*args)))
+    shifted = dict(tables_mod.TABLE4)
+    corner = (0, 1, 1, 0)
+    shifted[corner] = lambda c, f=shifted[corner]: f(c) + 1e-6
+    monkeypatch.setattr(tables_mod, "TABLE4", shifted)
+
+    def flaky():
+        calls = []
+
+        def sample(rng, params, **fixed):
+            if fixed:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise RuntimeError("no feasible pcZD draw")
+            return sample_pczd(rng, params, **fixed)
+
+        return sample
+
+    monkeypatch.setattr(verify, "sample_pczd", flaky())
+    result = verify._corner_tables(PARAMS, verify._rng_for(3, 6), 3)
+    reference = reference_corner_tables(PARAMS, 3, 3, flaky())
+    assert_same_results(result, reference)
+    assert result.samples == 232 + 208 + 232
+    t4 = "Table 4 (0,1,1,0) d0"
+    t5 = [f"Table 5 ({a},{b},{c}) d0" for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    rounds = [t4, t4, *t5, t4, t4, t4, *t5]
+    assert [d.split(" closed=")[0] for d in result.details] == rounds[:20]
+    assert result.extra["Table 5 min"] < 0.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
