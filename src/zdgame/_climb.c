@@ -13,11 +13,10 @@
 
 enum { CONVERGED = 0, STEP_CAP = 1, VANISHED = 2 };
 
-/* The opponent p0..p4, delta, T, S, Y's payoff weights by matrix row
- * g0..g3, nu, dq, step_tol and the normalizer floor: sixteen doubles,
- * passed from Python as one array. */
+/* The opponent p0..p4, delta, T, S, nu, dq, step_tol and the normalizer
+ * floor: twelve doubles, passed from Python as one array. */
 typedef struct {
-    double p[5], delta, T, S, g[4], nu, dq, step_tol, norm_floor;
+    double p[5], delta, T, S, nu, dq, step_tol, norm_floor;
 } Game;
 
 /* Row ell of the payoff determinant couples q_ell with this entry of p. */
@@ -117,12 +116,14 @@ static int analytic_moves(const Game *G, const double *q, double *move, double *
     double r[4][3], d_ones, n_y, m[4][4];
     if (payoff_terms(G, q, r, &d_ones, &n_y, vanished))
         return VANISHED;
+    /* Y's payoff weights by matrix row (CC, DC, CD, DD) */
+    const double g[4] = {1.0, G->S, G->T, 0.0};
     double denom = d_ones * d_ones;
     /* q0: every row minus the last, which then alone holds q0 */
     for (int i = 0; i < 3; i++) {
         for (int k = 0; k < 3; k++)
             m[i][k] = r[i][k] - r[3][k];
-        m[i][3] = G->g[i] - G->g[3];
+        m[i][3] = g[i] - g[3];
     }
     m[3][0] = G->p[0];
     m[3][1] = 0.0;
@@ -142,7 +143,7 @@ static int analytic_moves(const Game *G, const double *q, double *move, double *
                 } else {
                     for (int k = 0; k < 3; k++)
                         m[i][k] = r[i][k];
-                    m[i][3] = weighted ? G->g[i] : 1.0;
+                    m[i][3] = weighted ? g[i] : 1.0;
                 }
             }
             det[weighted] = det4((const double (*)[4])m);

@@ -30,7 +30,6 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-from .gradients import _weight_by_row
 from .payoffs import NORMALIZER_FLOOR, _vanished_normalizer
 
 SOURCE = Path(__file__).with_name("_climb.c")
@@ -104,9 +103,8 @@ def climber(config, pt, delta, params):
     if run is None:
         return None
     cap = min(config.max_steps, _INT64_MAX)
-    game = (ctypes.c_double * 16)(
-        *pt, delta, params.T, params.S, *_weight_by_row(params, "y"),
-        config.nu, config.dq, config.step_tol, NORMALIZER_FLOOR,
+    game = (ctypes.c_double * 12)(
+        *pt, delta, params.T, params.S, config.nu, config.dq, config.step_tol, NORMALIZER_FLOOR,
     )
     analytic = config.gradient_mode == "analytic"
 

@@ -10,8 +10,9 @@ A sweep runs each path's whole ascent in one call of a compiled loop
 (``_climb.c``, built on first use by ``_native``), which performs the
 operations of :func:`_climb` in the same order, so every path ends
 exactly as it would alone.  Where the loop cannot be built or loaded, or
-where a function it repeats has been rebound since import (by a tracer
-counting calls, say), each path runs on :func:`_climb` itself.
+where any function bound in this module, ``payoffs``, ``gradients`` or
+``_linalg`` has been rebound since import (by a tracer counting calls,
+say), each path runs on :func:`_climb` itself.
 """
 
 from __future__ import annotations
@@ -19,28 +20,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import NamedTuple
 
 import numpy as np
 
-from . import gradients, payoffs
+from . import _linalg, gradients, payoffs
 from .errors import DomainError, MaxStepsError
 from .game import PayoffParams, Strategy, strategy_tuple, validate_delta
 from .gradients import TerminalClassification, _gradient_quotient, classify_terminal
 from .payoffs import _payoffs
 from .zd import is_pczd
 
-__all__ = [
-    "SimConfig",
-    "PathStep",
-    "AdaptingPath",
-    "PathResult",
-    "fd_gradient",
-    "step",
-    "run_path",
-    "sweep",
-    "initial_strategy",
-]
 
 GRADIENT_MODES = ("finite_difference", "analytic")
 
@@ -236,17 +227,11 @@ class PathResult:
 
 
 def _ascent_functions():
-    """The functions that a path's ascent calls, as bound where they are called."""
-    return (_climb, _ascent_update, _fd_move, _sum_squares, _payoffs, _gradient_quotient,
-            payoffs._matrix_rows, payoffs._cofactors, payoffs._payoff_terms, payoffs.det3,
-            gradients._matrix_rows, gradients._cofactors, gradients._payoff_terms,
-            gradients._weight_by_row, gradients._place_by_row, gradients._q0_derivative_det,
-            gradients._row_derivative_det, gradients.det4)
-
-
-# The functions whose operations the compiled loop repeats.  A tuple, which
-# patches of module namespaces and their dicts leave alone.
-_AS_IMPORTED = _ascent_functions()
+    """Every function bound in this module, ``payoffs``, ``gradients`` and
+    ``_linalg``, which between them define and bind all that a path's
+    ascent calls."""
+    return tuple(f for module in (globals(), vars(payoffs), vars(gradients), vars(_linalg))
+                 for f in module.values() if isinstance(f, FunctionType))
 
 
 def _climb_end(q0, config, pt, delta, params):
@@ -292,3 +277,8 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
         )
         for i, (q0, (final, steps, converged)) in enumerate(zip(starts, ends))
     ]
+
+
+# The functions as bound at import, once all of this module's are.  A
+# tuple, which patches of module namespaces and their dicts leave alone.
+_AS_IMPORTED = _ascent_functions()

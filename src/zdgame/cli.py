@@ -60,10 +60,10 @@ class RunSpec:
     delta: float = 0.99
     p: str | None = None
     q0: str | None = None
-    nu: float = 0.1
-    dq: float = 1e-4
-    step_tol: float = 1e-12
-    max_steps: int = 1_000_000
+    nu: float = SimConfig.nu
+    dq: float = SimConfig.dq
+    step_tol: float = SimConfig.step_tol
+    max_steps: int = SimConfig.max_steps
     seed: int | None = None
     n_paths: int = 100
     gradient: str = "fd"

@@ -15,16 +15,6 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "PayoffParams",
-    "Strategy",
-    "StateDistribution",
-    "validate_payoffs",
-    "validate_delta",
-    "transition_matrix",
-    "initial_distribution",
-]
-
 
 @dataclass(frozen=True)
 class PayoffParams:

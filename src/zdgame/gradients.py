@@ -15,7 +15,7 @@ so it requires a ZD opponent strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._linalg import det4
@@ -23,24 +23,6 @@ from .errors import NotRelayError
 from .game import PayoffParams, strategy_tuple, validate_delta
 from .payoffs import _cofactors, _matrix_rows, _payoff_terms, _place_by_row
 
-__all__ = [
-    "Gradient",
-    "FactorDecomposition",
-    "RelayClassification",
-    "TerminalClassification",
-    "common_factor",
-    "gradient_quotient",
-    "gradient_factorized",
-    "minor_dets",
-    "row_reduction_vector",
-    "reduced_dets",
-    "q0_reduction_vector",
-    "reduced_det_q0",
-    "zero_gradient_condition",
-    "ZERO_CONDITIONS",
-    "classify_relay",
-    "classify_terminal",
-]
 
 # Row l of the payoff determinant couples q_l with this p-subscript.
 _ROW_P_INDEX = {1: 1, 2: 3, 3: 2, 4: 4}
@@ -328,12 +310,17 @@ ZERO_CONDITIONS = {
 }
 
 
-def zero_gradient_condition(p, q, ell: int, tol: float = 1e-12) -> bool:
+# How near its value each entry of a zero condition must be.
+_EXACT = 1e-12
+
+
+def zero_gradient_condition(p, q, ell: int) -> bool:
     """True iff (p, q) matches one of the exact corner patterns zeroing
-    the gradient in q_ell against a positively correlated enforcer."""
+    the gradient in q_ell against a positively correlated enforcer, each
+    entry within ``_EXACT`` (1e-12) of its value."""
     if ell not in ZERO_CONDITIONS:
         raise ValueError(f"ell must be in 1..4, got {ell}")
-    return _matches_any(ZERO_CONDITIONS[ell], strategy_tuple(p), strategy_tuple(q), tol)
+    return _matches_any(ZERO_CONDITIONS[ell], strategy_tuple(p), strategy_tuple(q), _EXACT)
 
 
 def _matches_any(patterns, pt, qt, tol) -> bool:
@@ -343,6 +330,11 @@ def _matches_any(patterns, pt, qt, tol) -> bool:
         all(abs(vectors[name][idx] - value) <= tol for name, idx, value in pattern)
         for pattern in patterns
     )
+
+
+# How near a corner value an entry of a stalled or final strategy counts
+# as at it, for the relay and terminal classifiers.
+_NEAR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -364,15 +356,7 @@ class TerminalClassification:
 
     tag: str  # "T1", "T2", or "OTHER"
     both_satisfied: bool
-    witness: dict
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.tag == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.tag)
+    witness: dict = field(hash=False)
 
 
 _RELAY_PATTERNS = {
@@ -385,33 +369,35 @@ _RELAY_PATTERNS = {
 }
 
 
-def classify_relay(p, q_prime, delta, params: PayoffParams,
-                   tol: float = 1e-6) -> RelayClassification:
+def classify_relay(p, q_prime, delta, params: PayoffParams) -> RelayClassification:
     """Match a stalled strategy against the relay catalog R1..R5.
 
     Precondition: every conditional entry below 1 has a vanishing payoff
-    gradient (within ``tol``); otherwise :class:`NotRelayError` is raised.
-    All matching tags are reported.
+    gradient (below ``_NEAR``, 1e-6, in magnitude); otherwise
+    :class:`NotRelayError` is raised.  Entries match a pattern's values
+    within ``_NEAR``.  All matching tags are reported.
     """
     pt, qt = strategy_tuple(p), strategy_tuple(q_prime)
     g = gradient_quotient(pt, qt, delta, params, payoff="y")
     for ell in range(1, 5):
-        if qt[ell] < 1.0 - tol and abs(g[ell]) >= tol:
+        if qt[ell] < 1.0 - _NEAR and abs(g[ell]) >= _NEAR:
             raise NotRelayError(
                 f"entry q{ell}={qt[ell]:.6g} is below 1 but its gradient "
                 f"{g[ell]:.3e} has not vanished"
             )
-    tags = [tag for tag, patterns in _RELAY_PATTERNS.items() if _matches_any(patterns, pt, qt, tol)]
+    tags = [tag for tag, patterns in _RELAY_PATTERNS.items()
+            if _matches_any(patterns, pt, qt, _NEAR)]
     witness = {"p0": pt[0], "p1": pt[1], "q": qt}
     return RelayClassification(tags=tuple(tags), witness=witness, gradients=g)
 
 
-def classify_terminal(p, q_star, tol: float = 1e-6) -> TerminalClassification:
+def classify_terminal(p, q_star) -> TerminalClassification:
     """Classify a path endpoint: full unconditional cooperation (T1), the
     mutual-cooperation lock-in available when the enforcer always starts
-    and rewards cooperation (T2), or neither."""
+    and rewards cooperation (T2), or neither.  An entry within ``_NEAR``
+    (1e-6) of 1 counts as 1."""
     pt, qt = strategy_tuple(p), strategy_tuple(q_star)
-    near_one = lambda v: v >= 1.0 - tol
+    near_one = lambda v: v >= 1.0 - _NEAR
     t1 = near_one(qt[0]) and near_one(qt[1]) and near_one(qt[2])
     p_cc = near_one(pt[0]) and near_one(pt[1])
     t2 = p_cc and near_one(qt[0]) and near_one(qt[1])

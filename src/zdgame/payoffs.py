@@ -28,14 +28,6 @@ from .game import (
     validate_delta,
 )
 
-__all__ = [
-    "PayoffPair",
-    "state_determinant",
-    "payoff_determinant",
-    "payoff_inverse",
-    "payoff_series",
-    "series_horizon",
-]
 
 # Below this magnitude the normalizing determinant is treated as vanished,
 # which only happens outside the valid (strategies in the cube, 0<delta<1)

@@ -18,62 +18,26 @@ strategy (table 5 additionally fixes p0 = p1 = 1).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError
+from .errors import DegenerateError
 from .game import PayoffParams, strategy_tuple, validate_delta
 from .gradients import _minors, _q0_reduction, _reduced_det_q0, _reduced_from_r, _row_reduction
 from .payoffs import _cofactors, _matrix_rows, _weigh
 from .zd import NotZD, recover_zd
 
-__all__ = [
-    "CellReport",
-    "TABLE1",
-    "TABLE2",
-    "TABLE3",
-    "TABLE4",
-    "TABLE5",
-    "corner_table",
-    "table_report",
-    "verify_tables",
-    "applicable_tables",
-]
+# Largest closed-form/direct difference that verify_tables accepts.
+_TOL = 1e-12
 
 
-class _Ctx(NamedTuple):
-    p0: float
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-    hp0: float
-    hp1: float
-    hp2: float
-    hp3: float
-    hp4: float
-    dp1: float
-    dp2: float
-    dp3: float
-    dp4: float
-    ddp1: float
-    ddp2: float
-    ddp3: float
-    ddp4: float
-    d: float
-    d2: float
-    d3: float
-    hd: float
-    hd2: float
-    th: float
-    tm2: float
-
-
-def _ctx(p, delta: float, theta: float) -> _Ctx:
+def _ctx(p, delta: float, theta: float) -> SimpleNamespace:
+    """The named quantities that the cell expressions read (see the legend)."""
     p0, p1, p2, p3, p4 = p
     d = delta
-    return _Ctx(
+    return SimpleNamespace(
         p0=p0, p1=p1, p2=p2, p3=p3, p4=p4,
         hp0=1.0 - p0, hp1=1.0 - p1, hp2=1.0 - p2, hp3=1.0 - p3, hp4=1.0 - p4,
         dp1=1.0 - d * p1, dp2=1.0 - d * p2, dp3=1.0 - d * p3, dp4=1.0 - d * p4,
@@ -406,14 +370,14 @@ def applicable_tables(p, delta, params: PayoffParams) -> tuple[str, ...]:
     Tables 3, 4, and 5 substitute the enforcer consistency relation, so
     they apply only to ZD strategies; table 5 further needs p0 = p1 = 1.
     """
+    pt, delta = strategy_tuple(p), validate_delta(delta)
     tables = ["1", "2"]
     try:
-        recovered = recover_zd(p, delta, params)
-    except (DegenerateError, DomainError, np.linalg.LinAlgError):
+        recovered = recover_zd(pt, delta, params)
+    except (DegenerateError, np.linalg.LinAlgError):
         recovered = NotZD(residual=float("inf"))
     if not isinstance(recovered, NotZD):
         tables.extend(["3", "4"])
-        pt = strategy_tuple(p)
         if abs(pt[0] - 1.0) <= 1e-12 and abs(pt[1] - 1.0) <= 1e-12:
             tables.append("5")
     return tuple(tables)
@@ -428,8 +392,7 @@ def table_report(p, delta, params: PayoffParams, tables=None) -> list[CellReport
     return [r for t in tables for r in _report(str(t), pt, delta, params.theta)]
 
 
-def verify_tables(p, delta, params: PayoffParams, tables=None,
-                  tol: float = 1e-12) -> list[CellReport]:
+def verify_tables(p, delta, params: PayoffParams, tables=None) -> list[CellReport]:
     """Return the cells whose closed form and direct value differ by more
-    than ``tol``, or by an amount that is not finite."""
-    return [r for r in table_report(p, delta, params, tables) if not r.diff <= tol]
+    than ``_TOL`` (1e-12), or by an amount that is not finite."""
+    return [r for r in table_report(p, delta, params, tables) if not r.diff <= _TOL]

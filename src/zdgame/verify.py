@@ -44,8 +44,6 @@ from .payoffs import (
 from .tables import _report
 from .zd import PcZDStream, _line_residual, recover_zd, sample_pczd
 
-__all__ = ["PropertyResult", "run_verification"]
-
 _ONES = (1.0, 1.0, 1.0, 1.0)
 _EYE = np.eye(4)[:, :, None]
 
@@ -275,9 +273,8 @@ def _corner_tables(params, rng, n):
         bad += [f"{label} closed={v:.3e} is not positive"
                 for label, v in zip(labels5, closed5[i]) if not v > 0.0]
     samples = sum(len(d) * len(kind[0]) for d, kind in zip((plain, zd, coop), kinds))
-    return PropertyResult("corner-tables", not bad, samples, worst.value, 1e-12, "<",
-                          bad[:20] + worst.details,
-                          {"Table 5 min": min([math.inf, *(v for row in closed5 for v in row)])})
+    return worst.result(samples, failures=bad[:20], extra={
+        "Table 5 min": min([math.inf, *(v for row in closed5 for v in row)])})
 
 
 def _central_difference(p, q, d, params, j, h):

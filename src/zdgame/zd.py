@@ -17,21 +17,6 @@ from .errors import DegenerateError, DomainError, InfeasibleError
 from .game import PayoffParams, Strategy, strategy_tuple, validate_delta
 from .payoffs import payoff_determinant
 
-__all__ = [
-    "ZDParams",
-    "NotZD",
-    "PcZDReport",
-    "make_zd",
-    "recover_zd",
-    "critical_discount",
-    "is_pczd",
-    "verify_linear_relation",
-    "zd_consistency_residual",
-    "feasible_phi_interval",
-    "sample_pczd",
-    "PcZDStream",
-]
-
 
 @dataclass(frozen=True)
 class ZDParams:
@@ -135,13 +120,17 @@ def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Stra
     return Strategy(p0, *entries)
 
 
-def recover_zd(p, delta, params: PayoffParams, tol: float = 1e-10):
+# Largest equation residual at which recover_zd accepts its fit.
+_FIT_TOL = 1e-10
+
+
+def recover_zd(p, delta, params: PayoffParams):
     """Fit the enforcer coefficients to a strategy.
 
     The four defining equations form an overdetermined linear system in
     (alpha, beta, gamma); it is solved by least squares and accepted only
-    when the worst equation residual stays below ``tol``.  Returns
-    :class:`ZDParams`, or :class:`NotZD` when inconsistent.  Raises
+    when the worst equation residual is at most ``_FIT_TOL`` (1e-10).
+    Returns :class:`ZDParams`, or :class:`NotZD` when inconsistent.  Raises
     :class:`DegenerateError` on the equalizer branch (|alpha| <= 1e-12),
     where the slope is undefined.
     """
@@ -168,7 +157,7 @@ def recover_zd(p, delta, params: PayoffParams, tol: float = 1e-10):
     )
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.max(np.abs(a @ coeffs - b)))
-    if residual > tol:
+    if residual > _FIT_TOL:
         return NotZD(residual=residual)
     alpha, beta, gamma = (float(v) for v in coeffs)
     if abs(alpha) <= 1e-12:
@@ -216,7 +205,7 @@ class PcZDReport:
         return self.is_pczd
 
 
-def is_pczd(p, delta, params: PayoffParams, tol: float = 1e-10) -> PcZDReport:
+def is_pczd(p, delta, params: PayoffParams) -> PcZDReport:
     """True iff the strategy is ZD with slope chi >= 1 and delta above critical.
 
     The report also carries the conditional-probability ordering checks
@@ -226,29 +215,21 @@ def is_pczd(p, delta, params: PayoffParams, tol: float = 1e-10) -> PcZDReport:
     delta = validate_delta(delta)
     dc = critical_discount(params)
     delta_ok = delta > dc
-    ordering_ok = pt[1] > pt[2] and pt[3] > pt[4]
     try:
-        recovered = recover_zd(pt, delta, params, tol=tol)
+        recovered = recover_zd(pt, delta, params)
     except DegenerateError:
-        return PcZDReport(
-            is_pczd=False, chi=None, kappa=None, zd_ok=True, equalizer=True,
-            chi_ok=False, delta_ok=delta_ok, ordering_ok=ordering_ok, critical_delta=dc,
-        )
-    if isinstance(recovered, NotZD):
-        return PcZDReport(
-            is_pczd=False, chi=None, kappa=None, zd_ok=False, equalizer=False,
-            chi_ok=False, delta_ok=delta_ok, ordering_ok=ordering_ok, critical_delta=dc,
-        )
-    chi_ok = recovered.chi >= 1.0 - 1e-12
+        recovered = None  # the equalizer branch
+    zd = recovered if isinstance(recovered, ZDParams) else None
+    chi_ok = zd is not None and zd.chi >= 1.0 - 1e-12
     return PcZDReport(
         is_pczd=chi_ok and delta_ok,
-        chi=recovered.chi,
-        kappa=recovered.kappa,
-        zd_ok=True,
-        equalizer=False,
+        chi=None if zd is None else zd.chi,
+        kappa=None if zd is None else zd.kappa,
+        zd_ok=not isinstance(recovered, NotZD),
+        equalizer=recovered is None,
         chi_ok=chi_ok,
         delta_ok=delta_ok,
-        ordering_ok=ordering_ok,
+        ordering_ok=pt[1] > pt[2] and pt[3] > pt[4],
         critical_delta=dc,
     )
 

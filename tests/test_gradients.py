@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,7 +264,6 @@ class TestTerminalClassification:
     def test_t1(self):
         result = classify_terminal((0.0, 0.75, 0.25, 0.5, 0.0), (1, 1, 1, 0.47, 0.12))
         assert result.tag == "T1"
-        assert result == "T1"
 
     def test_t2(self):
         result = classify_terminal((1, 1, 0.5, 0.8, 0.3), (1, 1, 0.3, 0.9, 0.2))
@@ -278,6 +279,14 @@ class TestTerminalClassification:
         result = classify_terminal((1, 1, 0.5, 0.8, 0.3), (1, 1, 1, 1, 1))
         assert result.tag == "T2"
         assert result.both_satisfied
+
+    def test_compares_and_hashes_by_value(self):
+        p, q = (1, 1, 0.5, 0.8, 0.3), (1, 1, 1, 1, 1)
+        first, second = classify_terminal(p, q), classify_terminal(p, q)
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        flipped = replace(first, both_satisfied=not first.both_satisfied)
+        assert flipped != first and len({first, flipped}) == 2
 
     def test_tolerance_respected(self):
         result = classify_terminal((0, 0.75, 0.25, 0.5, 0), (1 - 1e-7, 1, 1, 0.5, 0.5))

@@ -20,7 +20,7 @@ from zdgame import (
     sweep,
     validate_payoffs,
 )
-from zdgame import _native, payoffs
+from zdgame import _linalg, _native, adaptive, gradients, payoffs
 from zdgame._linalg import det3
 from zdgame.adaptive import _climb
 from zdgame.cli import main
@@ -217,6 +217,36 @@ def test_sweep_takes_the_compiled_loop(compiled, monkeypatch, params_main):
         mp.setattr(_native, "climber", spy)
         sweep(2, 991, SimConfig(), p, delta, params_main)
     assert len(made) == 1 and made[0] is not None
+
+
+# One function of each module that the sweep's rebind check watches.
+# Nothing calls _linalg.det3 by that name: payoffs binds its own det3.
+REBOUND = [(adaptive, "_sum_squares"), (payoffs, "_cofactors"),
+           (gradients, "_row_derivative_det"), (_linalg, "det3")]
+
+
+@pytest.mark.parametrize("module, name", [*REBOUND, (None, None)],
+                         ids=[f"{m.__name__}.{name}" for m, name in REBOUND] + ["none"])
+def test_a_rebound_function_sends_sweeps_to_climb(compiled, monkeypatch, params_main,
+                                                  module, name):
+    p, delta, _ = PCZD_A
+    config = SimConfig(gradient_mode="analytic")
+    compiled_results = sweep(3, 991, config, p, delta, params_main)
+    made, climber = [], _native.climber
+
+    def spy(*args):
+        made.append(climber(*args))
+        return made[-1]
+
+    monkeypatch.setattr(_native, "climber", spy)
+    if module is not None:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: original(*args))
+    assert sweep(3, 991, config, p, delta, params_main) == compiled_results
+    if module is None:
+        assert len(made) == 1 and made[0] is not None
+    else:
+        assert made == []
 
 
 def test_sweep_calls_a_rebound_function(compiled, monkeypatch, params_main):

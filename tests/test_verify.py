@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zdgame import (
+    DomainError,
     InfeasibleError,
     gradient_factorized,
     gradient_quotient,
@@ -483,6 +484,16 @@ def test_applicable_tables_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(tables_mod, "recover_zd", broken)
     with pytest.raises(ZeroDivisionError):
         tables_mod.applicable_tables((0.0, 0.75, 0.25, 0.5, 0.0), 0.99, PARAMS)
+
+
+@pytest.mark.parametrize("p, delta", [
+    ((0.0, 0.75, 0.25, 0.5, 0.0), 1.5),
+    ((0.0, 0.75, 0.25, 0.5, 0.0), math.nan),
+    ((0.0, 0.75, 0.25, 0.5), 0.99),
+])
+def test_applicable_tables_rejects_bad_input(p, delta):
+    with pytest.raises(DomainError):
+        tables_mod.applicable_tables(p, delta, PARAMS)
 
 
 def test_applicable_tables_counts_a_failed_fit_as_not_zd(monkeypatch):

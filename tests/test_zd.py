@@ -168,6 +168,19 @@ class TestIsPcZD:
     def test_random_strategy_not_pczd(self, params_main, rng):
         assert not is_pczd(rng.random(5), 0.9, params_main)
 
+    def test_report_on_each_recovery_outcome(self, params_main, rng):
+        # an equalizer (alpha = 0, beta = -0.2, gamma = 0.1, so the enforcer
+        # equations' right sides are 0.9, 0.8, 0.2, 0.1) at delta = 0.9, p0 = 0.5
+        delta, base = 0.9, 0.05
+        equalizer = (0.5, *((b - base) / delta for b in (0.9, 0.8, 0.2, 0.1)))
+        fields = lambda r: (r.is_pczd, r.chi is None, r.zd_ok, r.equalizer, r.chi_ok)
+        assert fields(is_pczd(equalizer, delta, params_main)) == (False, True, True, True, False)
+        assert fields(is_pczd(rng.random(5), delta, params_main)) == \
+            (False, True, False, False, False)
+        report = is_pczd((1, 1, 1, 1, 1), delta, params_main)  # ZD with chi < 1
+        assert fields(report) == (False, False, True, False, False)
+        assert report.kappa is not None and report.delta_ok and not report.ordering_ok
+
 
 class TestLinearRelation:
     def test_residual_small_over_many_opponents(self, params_main, rng):
