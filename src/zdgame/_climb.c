@@ -1,12 +1,14 @@
-/* One adapting path's whole ascent loop, for zdgame's sweeps.
+/* zdgame's compiled loops: one adapting path's whole ascent, for sweeps,
+ * and the discounted payoff series of many strategy pairs, for verify.
  *
- * The loop is adaptive._climb without the recording: the same payoff
- * kernel (payoffs._matrix_rows -> _cofactors -> _payoff_terms), the same
- * scaled moves (adaptive._fd_move, or the scalar gradients._gradient_quotient),
- * the same clamp and the same Euclidean stopping rule, each written with
- * its Python operation order.  Built with -ffp-contract=off, so that no
- * a*b + c becomes a fused multiply-add, every double equals its Python
- * result bit for bit.  The loader is zdgame/_native.py.
+ * The ascent loop is adaptive._climb without the recording: the same
+ * payoff kernel (payoffs._matrix_rows -> _cofactors -> _payoff_terms), the
+ * same scaled moves (adaptive._fd_move, or the scalar
+ * gradients._gradient_quotient), the same clamp and the same Euclidean
+ * stopping rule; the series loop is payoffs._series_rounds.  Each is
+ * written with its Python operation order.  Built with -ffp-contract=off,
+ * so that no a*b + c becomes a fused multiply-add, every double equals its
+ * Python result bit for bit.  The loader is zdgame/_native.py.
  */
 #include <math.h>
 #include <stdint.h>
@@ -187,5 +189,35 @@ int zd_climb(const Game *G, int64_t max_steps, int analytic,
             return VANISHED;
         if (n >= max_steps)
             return STEP_CAP;
+    }
+}
+
+/* payoffs._series_rounds for n strategy pairs, stored pair-minor: pair k
+ * sums rounds[k] terms from the first-round distribution v[i*n + k]
+ * (i = 0..3) through the transition matrix rows[(4*i + j)*n + k] at
+ * discount delta[k], with the outcome payoffs sx and sy, into sum_x[k]
+ * and sum_y[k]. */
+void zd_series(int64_t n, const int64_t *rounds, const double *v, const double *rows,
+               const double *delta, const double *sx, const double *sy,
+               double *sum_x, double *sum_y)
+{
+    for (int64_t k = 0; k < n; k++) {
+        double r[16];
+        for (int e = 0; e < 16; e++)
+            r[e] = rows[e * n + k];
+        double v0 = v[k], v1 = v[n + k], v2 = v[2 * n + k], v3 = v[3 * n + k];
+        double weight = 1.0, acc_x = 0.0, acc_y = 0.0;
+        for (int64_t t = 0; t < rounds[k]; t++) {
+            acc_x += weight * (v0 * sx[0] + v1 * sx[1] + v2 * sx[2] + v3 * sx[3]);
+            acc_y += weight * (v0 * sy[0] + v1 * sy[1] + v2 * sy[2] + v3 * sy[3]);
+            weight *= delta[k];
+            double n0 = v0 * r[0] + v1 * r[4] + v2 * r[8] + v3 * r[12];
+            double n1 = v0 * r[1] + v1 * r[5] + v2 * r[9] + v3 * r[13];
+            double n2 = v0 * r[2] + v1 * r[6] + v2 * r[10] + v3 * r[14];
+            double n3 = v0 * r[3] + v1 * r[7] + v2 * r[11] + v3 * r[15];
+            v0 = n0, v1 = n1, v2 = n2, v3 = n3;
+        }
+        sum_x[k] = acc_x;
+        sum_y[k] = acc_y;
     }
 }

@@ -1,10 +1,12 @@
-"""The compiled ascent loop of sweeps: ``_climb.c``, built on first use.
+"""zdgame's compiled loops: ``_climb.c``, built on first use.
 
 :func:`climber` gives a function that runs one path's whole ascent in a
 single C call through ctypes.  It ends the path exactly as
 ``adaptive._climb`` does: the same final q bit for bit, the same step
 count and converged flag, and the same :class:`NumericalError` on a
-vanished normalizer.
+vanished normalizer.  :func:`series` sums the discounted payoff series
+of many strategy pairs in one C call, each pair's sums bit for bit those
+of ``payoffs._series_rounds``.
 
 The library is compiled once, by the C compiler Python was built with
 (``sysconfig``'s ``CC``), with the flags below.  ``-ffp-contract=off``
@@ -12,10 +14,12 @@ keeps the compiler from fusing ``a*b + c`` into one rounding, which would
 change the bytes.  The file is named by the sha256 of the source, the
 compiler, the flags and the platform, and cached in the package's
 ``__pycache__``.  A build goes to a temporary name and is renamed into
-place, so concurrent builds are safe.  Any failure (no compiler, a cache
-that cannot be written or that anyone may write, a failed load) makes
-:func:`climber` return None, and the sweep runs its Python loop instead.
-Only a sweep imports this module.
+place, so concurrent builds are safe, and once it loads, the cache's
+other ``_climb-*.so`` files, builds of older sources, are removed.  Any
+failure (no compiler, a cache that cannot be written or that anyone may
+write, a failed load) makes :func:`climber` and :func:`series` return
+None, and the caller runs its Python loop instead.  Only a sweep and the
+oracle-triangle payoff series import this module.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import stat
 import sysconfig
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from .payoffs import NORMALIZER_FLOOR, _vanished_normalizer
 
@@ -65,10 +71,22 @@ def _build(cc: list[str], path: Path) -> bool:
     return True
 
 
+def _prune(keep: Path):
+    """Remove the cache's builds other than ``keep``; a process that has one
+    loaded keeps its mapping.  In-flight ``.tmp`` builds are left alone."""
+    for old in keep.parent.glob("_climb-*.so"):
+        if old != keep:
+            try:
+                old.unlink()
+            except OSError:
+                pass  # removed already, or not ours to remove
+
+
 @functools.cache
 def _kernel():
-    """``zd_climb`` of the cached library, built first if no cache holds it;
-    None if it cannot be built or loaded."""
+    """The cached library, built first if no cache holds it, with the
+    argument types of its two loops set; None if it cannot be built or
+    loaded."""
     try:
         source = SOURCE.read_bytes()
     except OSError:
@@ -80,16 +98,22 @@ def _kernel():
         CACHE_DIR.mkdir(exist_ok=True)
         if CACHE_DIR.stat().st_mode & stat.S_IWOTH:
             return None  # anyone could put a library of that name there
-        if not path.exists() and not _build(cc, path):
+        built = not path.exists()
+        if built and not _build(cc, path):
             return None
-        run = ctypes.CDLL(str(path)).zd_climb
+        lib = ctypes.CDLL(str(path))
+        climb, series = lib.zd_climb, lib.zd_series
     except (OSError, AttributeError):
         return None  # an unwritable cache or a failed load
+    if built:
+        _prune(path)
     double_p = ctypes.POINTER(ctypes.c_double)
-    run.argtypes = [double_p, ctypes.c_int64, ctypes.c_int, double_p,
-                    ctypes.POINTER(ctypes.c_int64), double_p]
-    run.restype = ctypes.c_int
-    return run
+    climb.argtypes = [double_p, ctypes.c_int64, ctypes.c_int, double_p,
+                      ctypes.POINTER(ctypes.c_int64), double_p]
+    climb.restype = ctypes.c_int
+    series.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 8]  # array data addresses
+    series.restype = None
+    return lib
 
 
 def climber(config, pt, delta, params):
@@ -99,9 +123,10 @@ def climber(config, pt, delta, params):
     The cap is clamped to the int64 range, which no path can reach: ctypes
     would silently wrap a larger one.
     """
-    run = _kernel()
-    if run is None:
+    lib = _kernel()
+    if lib is None:
         return None
+    run = lib.zd_climb
     cap = min(config.max_steps, _INT64_MAX)
     game = (ctypes.c_double * 12)(
         *pt, delta, params.T, params.S, config.nu, config.dq, config.step_tol, NORMALIZER_FLOOR,
@@ -117,3 +142,28 @@ def climber(config, pt, delta, params):
         return tuple(q), steps.value, status == _CONVERGED
 
     return climb
+
+
+def series(rounds, v, rows, delta, sx, sy):
+    """The sums ``(acc_x, acc_y)`` of ``payoffs._series_rounds`` for ``n``
+    strategy pairs, as two ``(n,)`` arrays, in one C call; None if the
+    kernel is unavailable.
+
+    Pair ``k`` sums ``rounds[k]`` terms from the first-round distribution
+    ``v[:, k]`` (``v`` of shape ``(4, n)``) through the transition matrix
+    ``rows[:, :, k]`` (``rows`` of shape ``(4, 4, n)``) at discount
+    ``delta[k]``, with the outcome payoffs ``sx`` and ``sy``.
+    """
+    lib = _kernel()
+    if lib is None:
+        return None
+    n = len(delta)
+    shapes = [np.shape(a) for a in (rounds, v, rows, sx, sy)]
+    if shapes != [(n,), (4, n), (4, 4, n), (4,), (4,)]:
+        raise ValueError(f"series inputs for {n} pairs have shapes {shapes}")
+    sum_x, sum_y = np.empty(n), np.empty(n)
+    arrays = [np.ascontiguousarray(rounds, dtype=np.int64),
+              *(np.ascontiguousarray(a, dtype=np.float64) for a in (v, rows, delta, sx, sy)),
+              sum_x, sum_y]
+    lib.zd_series(n, *(a.ctypes.data for a in arrays))
+    return sum_x, sum_y

@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
 )
 from .game import Strategy, validate_delta, validate_payoffs
-from .tables import table_report
+from .tables import _TOL, table_report
 from .verify import run_verification
 from .zd import (
     NotZD,
@@ -76,7 +76,7 @@ class RunSpec:
     p0: float | None = None
     pczd: bool = False
     sample_scale: float = 1.0
-    tol: float = 1e-12
+    tol: float = _TOL
 
     def sim_config(self) -> SimConfig:
         return SimConfig(

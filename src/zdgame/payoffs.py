@@ -8,7 +8,9 @@ gradients and the ascent loop, and holds the only vanishing-normalizer
 check in Python (the compiled sweep loop, ``_climb.c``, repeats it in
 C); with the matrix rows and cofactors it also runs on numpy arrays, one
 element per strategy pair, for the verify suite.  A direct linear solve
-and a truncated geometric series provide independent cross-checks.
+and a truncated geometric series provide independent cross-checks; the
+verify suite sums the series of all its pairs in one call of the
+compiled ``zd_series`` (``_climb.c``), with a Python loop as fallback.
 """
 
 from __future__ import annotations
@@ -189,26 +191,26 @@ def series_horizon(delta: float, params: PayoffParams, tol: float) -> int:
     return h
 
 
-def _series_rounds(rounds, v, rows, weight, delta, acc_x, acc_y, sx, sy):
-    """Add ``rounds`` terms of the discounted payoff series to ``acc_x`` and
-    ``acc_y``, from state distribution ``v`` at discount weight ``weight``;
-    returns the state after them as ``(v, weight, acc_x, acc_y)``.
-
-    Floats or equal-length arrays (one element per strategy pair, updated
-    in place); each element equals its float result.
-    """
-    r0, r1, r2, r3 = rows
+def _series_rounds(rounds, v, rows, delta, sx, sy):
+    """Sums ``(acc_x, acc_y)`` of the first ``rounds`` terms of the
+    discounted payoff series from the first-round distribution ``v``, on
+    floats.  The compiled ``zd_series`` of ``_climb.c`` repeats this loop."""
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
+    x0, x1, x2, x3 = sx
+    y0, y1, y2, y3 = sy
+    v0, v1, v2, v3 = v
+    weight, acc_x, acc_y = 1.0, 0.0, 0.0
     for _ in range(rounds):
-        acc_x += weight * (v[0] * sx[0] + v[1] * sx[1] + v[2] * sx[2] + v[3] * sx[3])
-        acc_y += weight * (v[0] * sy[0] + v[1] * sy[1] + v[2] * sy[2] + v[3] * sy[3])
+        acc_x += weight * (v0 * x0 + v1 * x1 + v2 * x2 + v3 * x3)
+        acc_y += weight * (v0 * y0 + v1 * y1 + v2 * y2 + v3 * y3)
         weight *= delta
-        v = (
-            v[0] * r0[0] + v[1] * r1[0] + v[2] * r2[0] + v[3] * r3[0],
-            v[0] * r0[1] + v[1] * r1[1] + v[2] * r2[1] + v[3] * r3[1],
-            v[0] * r0[2] + v[1] * r1[2] + v[2] * r2[2] + v[3] * r3[2],
-            v[0] * r0[3] + v[1] * r1[3] + v[2] * r2[3] + v[3] * r3[3],
+        v0, v1, v2, v3 = (
+            v0 * r00 + v1 * r10 + v2 * r20 + v3 * r30,
+            v0 * r01 + v1 * r11 + v2 * r21 + v3 * r31,
+            v0 * r02 + v1 * r12 + v2 * r22 + v3 * r32,
+            v0 * r03 + v1 * r13 + v2 * r23 + v3 * r33,
         )
-    return v, weight, acc_x, acc_y
+    return acc_x, acc_y
 
 
 def payoff_series(p, q, delta, params: PayoffParams, tol: float = 1e-10) -> PayoffPair:
@@ -220,60 +222,38 @@ def payoff_series(p, q, delta, params: PayoffParams, tol: float = 1e-10) -> Payo
     pt, qt = strategy_tuple(p), strategy_tuple(q)
     delta = validate_delta(delta)
     horizon = series_horizon(delta, params, tol)
-    _, _, acc_x, acc_y = _series_rounds(
-        horizon + 1, _initial_terms(pt[0], qt[0]), _transition_rows(pt, qt), 1.0, delta,
-        0.0, 0.0, params.payoff_vector_x(), params.payoff_vector_y(),
-    )
+    acc_x, acc_y = _series_rounds(horizon + 1, _initial_terms(pt[0], qt[0]),
+                                  _transition_rows(pt, qt), delta,
+                                  params.payoff_vector_x(), params.payoff_vector_y())
     scale = 1.0 - delta
     return PayoffPair(scale * acc_x, scale * acc_y)
-
-
-# At or below this many unfinished pairs, the stacked series sums each one
-# on floats: a round costs ~47 numpy calls on the arrays.  1 000 random
-# pairs (delta uniform in [0.01, 0.99)) took ~90 ms with no float tail and
-# ~40-45 ms with a tail of 16 to 48 pairs (best of 7, 2-vCPU x86 VM,
-# Python 3.11, numpy 2.4).
-_SERIES_TAIL = 32
 
 
 def _series_payoffs(p, q, delta, params: PayoffParams, tol: float):
     """(s_X, s_Y) of :func:`payoff_series` for ``(5, n)`` strategy arrays
     and ``n`` discounts, each element bit for bit.
 
-    The pairs are summed longest horizon first, so the unfinished ones are
-    always a prefix: a pass of rounds runs until the shortest unfinished
-    horizon ends, then that prefix shrinks.  Each pair thus adds its terms
-    in :func:`payoff_series`'s order.
+    All pairs are summed in one call of the compiled ``zd_series``.
+    Without the kernel, or with :func:`_series_rounds` rebound since import
+    (by a tracer or a test patch), each pair runs on it instead, on floats.
     """
-    horizon = np.array([series_horizon(d, params, tol) for d in delta.tolist()], dtype=np.int64)
-    order = np.argsort(-horizon, kind="stable")
-    horizon = horizon[order].tolist()
-    p, q, d = p[:, order], q[:, order], delta[order]
-    n = len(d)
-    v = _initial_terms(p[0], q[0])
-    rows = _transition_rows(p, q)
-    weight, acc_x, acc_y = np.ones(n), np.zeros(n), np.zeros(n)
+    rounds = [series_horizon(d, params, tol) + 1 for d in delta.tolist()]
+    v = np.array(_initial_terms(p[0], q[0]))  # (4, n)
+    rows = np.array(_transition_rows(p, q))  # (4, 4, n)
     sx, sy = params.payoff_vector_x(), params.payoff_vector_y()
-    sum_x, sum_y = np.empty(n), np.empty(n)
-    done = 0  # rounds summed so far by every unfinished pair
-    while n > _SERIES_TAIL:
-        # pairs [live, n) have the shortest horizon left
-        live = horizon.index(horizon[n - 1])
-        v, weight, acc_x, acc_y = _series_rounds(horizon[n - 1] + 1 - done, v, rows, weight,
-                                                 d[:n], acc_x, acc_y, sx, sy)
-        done = horizon[n - 1] + 1
-        sum_x[live:n], sum_y[live:n] = acc_x[live:], acc_y[live:]
-        v = tuple(x[:live] for x in v)
-        rows = tuple(tuple(x[:live] for x in r) for r in rows)
-        weight, acc_x, acc_y = weight[:live], acc_x[:live], acc_y[:live]
-        n = live
-    for i in range(n):
-        _, _, sum_x[i], sum_y[i] = _series_rounds(
-            horizon[i] + 1 - done, tuple(float(x[i]) for x in v),
-            tuple(tuple(float(x[i]) for x in r) for r in rows), float(weight[i]),
-            float(d[i]), float(acc_x[i]), float(acc_y[i]), sx, sy,
-        )
-    s_x, s_y = np.empty_like(sum_x), np.empty_like(sum_y)
-    s_x[order] = (1.0 - d) * sum_x
-    s_y[order] = (1.0 - d) * sum_y
-    return s_x, s_y
+    sums = None
+    if (_series_rounds,) == _ROUNDS_AS_IMPORTED:
+        from . import _native  # imported on first use, so that importing zdgame loads no library
+
+        sums = _native.series(rounds, v, rows, delta, sx, sy)
+    if sums is None:
+        pairs = zip(rounds, v.T.tolist(), rows.transpose(2, 0, 1).tolist(), delta.tolist())
+        sums = np.array([_series_rounds(h, v_k, rows_k, d_k, sx, sy)
+                         for h, v_k, rows_k, d_k in pairs]).reshape(-1, 2).T
+    sum_x, sum_y = sums
+    return (1.0 - delta) * sum_x, (1.0 - delta) * sum_y
+
+
+# The series loop as bound at import.  A tuple, which patches of module
+# namespaces and their dicts leave alone.
+_ROUNDS_AS_IMPORTED = (_series_rounds,)

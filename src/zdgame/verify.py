@@ -11,13 +11,14 @@ and table kernels take arrays element by element, each element equals
 its float result, and so the report is the one a draw-by-draw loop
 gives.  The properties on pure random draws take them in chunks of at
 most ``_CHUNK``; the oracle triangle takes all of its draws at once and
-sums their payoff series longest horizon first (``payoffs._series_payoffs``),
-and the corner tables check each cell as one column over all the
-strategies of a kind.  Factorization-and-signs takes its random pcZD
-enforcers from :class:`~zdgame.zd.PcZDStream`, which evaluates every
-possible rejection-sampling try of a block of the stream at once and
-gives the columns and rejection count of the draw-by-draw ``sample_pczd``
-retry loop; the corner tables draw theirs one at a time, as their stream
+sums their payoff series in one call of the compiled loop
+(``payoffs._series_payoffs``), and the corner tables check each cell as
+one column over all the strategies of a kind.  Factorization-and-signs
+takes its random pcZD enforcers from :class:`~zdgame.zd.PcZDStream`,
+which screens every possible rejection-sampling try of a block of the
+stream at once, evaluates only those that draw phi, and gives the
+columns and rejection count of the draw-by-draw ``sample_pczd`` retry
+loop; the corner tables draw theirs one at a time, as their stream
 interleaves three kinds of draw.
 """
 
@@ -41,19 +42,18 @@ from .payoffs import (
     _series_payoffs,
     _weigh,
 )
-from .tables import _report
+from .tables import _TOL, _report
 from .zd import PcZDStream, _line_residual, recover_zd, sample_pczd
 
 _ONES = (1.0, 1.0, 1.0, 1.0)
-_EYE = np.eye(4)[:, :, None]
 
-# Draws per pass.  Peak RSS of the README verify run grows with it
-# (VmHWM 39.4 MB draw by draw; 39.7, 39.9, 40.7, 42.3 and 45.3 MB at 128,
-# 256, 512, 1024 and 2048 draws, most of it in factorization-and-signs),
-# while the four chunked properties, the stacked pcZD sampler's 34 115
-# tries included, take ~0.32 s at 256 draws and ~0.20 s at 2048 (best of
-# three, 2-vCPU x86 VM, Python 3.11, numpy 2.4).
-_CHUNK = 256
+# Draws per pass.  At 256, 512, 1 024 and 2 048 draws the four chunked
+# properties took ~114, 88, 75 and 61 ms (best of 7), and the README verify
+# run peaked at 38.6, 38.6, 38.6 and 38.5-38.7 MB VmHWM: factorization-and-
+# signs frees a chunk's arrays before the stream's next pass, so the two do
+# not stack.  1 024 keeps one chunk's gradient arrays near 0.35 MB (2-vCPU
+# x86 VM, Python 3.11, numpy 2.4).
+_CHUNK = 1024
 
 _COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge}
 
@@ -151,7 +151,9 @@ def _normalizer_positive(params, rng, n):
 def _regularity_identity(params, rng, n):
     worst = _Worst("regularity-identity", 1e-10, "<")
     for first, p, q, d in _draws(rng, n, 0.01, 0.99):
-        lhs = det4(_EYE - d * np.array(_transition_rows(p, q)))
+        # I - d*M entry by entry, so that no (4, 4, chunk) stack is held
+        lhs = det4([[float(i == j) - d * m for j, m in enumerate(row)]
+                    for i, row in enumerate(_transition_rows(p, q))])
         d_ones = _weigh(_cofactors(_matrix_rows(p, q, d)), _ONES)
         worst.add(np.abs(lhs - (1.0 - d) * d_ones) / np.abs(d_ones), first)
     return worst.result(n)
@@ -211,6 +213,7 @@ def _factorization_and_signs(params, rng, n):
             if not zero_gradient_condition(p[:, i], q[:, i], k + 1):
                 unexplained.append(f"zero gradient in q{k + 1} at draw {first + i} "
                                    "matches no corner pattern")
+        del cols, p, q, d, gq, gf, denom, rel  # not held through the next take's pass
     notes = []
     if not params.theta > 0.0:
         notes.append(f"claim needs 0 < T + S; here T + S = {params.theta:g}")
@@ -265,11 +268,11 @@ def _corner_tables(params, rng, n):
     diff = np.hstack([kind[1] for kind in kinds])
     closed5 = np.hstack([kind[2] for kind in kinds]).tolist()
     labels5 = [label for label in labels if label.startswith("Table 5 ")]
-    worst = _Worst("corner-tables", 1e-12, "<")
+    worst = _Worst("corner-tables", _TOL, "<")
     worst.add(diff)
     bad: list[str] = []
     for i in range(n):
-        bad += [labels[j] for j in np.flatnonzero(~(diff[i] <= 1e-12))]
+        bad += [labels[j] for j in np.flatnonzero(~(diff[i] < _TOL))]
         bad += [f"{label} closed={v:.3e} is not positive"
                 for label, v in zip(labels5, closed5[i]) if not v > 0.0]
     samples = sum(len(d) * len(kind[0]) for d, kind in zip((plain, zd, coop), kinds))

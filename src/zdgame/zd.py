@@ -244,6 +244,19 @@ def _line_residual(s_x, s_y, zd: ZDParams):
     return abs(s_x - zd.kappa - zd.chi * (s_y - zd.kappa))
 
 
+def _narrow(lo, hi, const, slope, delta):
+    """The window ``(lo, hi)`` cut by the entry ``(const + slope * phi) / delta``."""
+    flat = abs(slope) < 1e-300
+    slope = _where(flat, 1.0, slope)
+    bound_a = -const / slope
+    bound_b = (delta - const) / slope
+    left = _where(bound_b < bound_a, bound_b, bound_a)
+    right = _where(bound_b > bound_a, bound_b, bound_a)
+    inside = (0.0 <= const / delta) & (const / delta <= 1.0)
+    return (_where(flat, lo, _where(left > lo, left, lo)),
+            _where(flat, _where(inside, hi, -math.inf), _where(right < hi, right, hi)))
+
+
 def _phi_window(chi, kappa, p0, delta, T, S):
     """Bounds ``(lo, hi)`` of the scales phi > 0 that keep p1..p4 in the
     cube, floats or element by element; the window is empty where not
@@ -252,28 +265,14 @@ def _phi_window(chi, kappa, p0, delta, T, S):
     Each entry is affine in phi, ``p_j = (const_j + slope_j * phi) / delta``,
     so the cube constraints intersect to a single interval.  An entry with
     a vanishing slope leaves the window as it is, or empties it when its
-    constant lies outside the cube.
+    constant lies outside the cube.  The entries cut the window one at a
+    time, so that a stacked block holds few of its arrays at once.
     """
     base = (1.0 - delta) * p0
-    const = (1.0 - base, 1.0 - base, -base, -base)
-    slope = (
-        -(chi - 1.0) * (1.0 - kappa),
-        -(chi * T - S - (chi - 1.0) * kappa),
-        T - chi * S + (chi - 1.0) * kappa,
-        (chi - 1.0) * kappa,
-    )
-    lo, hi = 0.0, math.inf
-    for c, s in zip(const, slope):
-        flat = abs(s) < 1e-300
-        s = _where(flat, 1.0, s)
-        bound_a = -c / s
-        bound_b = (delta - c) / s
-        left = _where(bound_b < bound_a, bound_b, bound_a)
-        right = _where(bound_b > bound_a, bound_b, bound_a)
-        inside = (0.0 <= c / delta) & (c / delta <= 1.0)
-        lo = _where(flat, lo, _where(left > lo, left, lo))
-        hi = _where(flat, _where(inside, hi, -math.inf), _where(right < hi, right, hi))
-    return lo, hi
+    lo, hi = _narrow(0.0, math.inf, 1.0 - base, -(chi - 1.0) * (1.0 - kappa), delta)
+    lo, hi = _narrow(lo, hi, 1.0 - base, -(chi * T - S - (chi - 1.0) * kappa), delta)
+    lo, hi = _narrow(lo, hi, -base, T - chi * S + (chi - 1.0) * kappa, delta)
+    return _narrow(lo, hi, -base, (chi - 1.0) * kappa, delta)
 
 
 def feasible_phi_interval(chi, kappa, p0, delta, params: PayoffParams):
@@ -349,13 +348,33 @@ def _uniform(lo, hi, u):
     return lo + (hi - lo) * u
 
 
-# Offsets of the uniform stream that one pass of PcZDStream evaluates.  A
-# pass has a fixed cost of ~40 numpy calls, so larger blocks are faster, but
-# the peak RSS of the README verify run grows with them: its 34 115 tries
-# took ~0.2, 0.1 and 0.05 s at 256, 1024 and 2048 offsets, at a VmHWM of
-# 41.1, 41.1, 41.4 and 42.5 MB at 512, 1024, 2048 and 4096 (40.8 MB with
-# the draw-by-draw loop; 2-vCPU x86 VM, Python 3.11, numpy 2.4).
-_BLOCK = 1024
+# Uniforms that one pass of PcZDStream appends to the stream.  A pass has a
+# fixed cost of ~60 numpy calls, so larger blocks are faster until their
+# arrays outgrow the heap the other properties leave.  At 1 024, 2 048,
+# 4 096 and 8 192, factorization-and-signs took ~83, 52, 42 and 46 ms (best
+# of 7), and the README verify run peaked at 38.5-38.6, 38.7-38.8,
+# 38.6-38.7 and 39.2-39.3 MB VmHWM (2-vCPU x86 VM, Python 3.11, numpy 2.4).
+_BLOCK = 4096
+
+
+def _chain(nxt, m):
+    """The offsets below ``m`` of the chain from offset 0, in order, where
+    ``nxt[i] > i`` is the offset after ``i``; found by pointer doubling.
+
+    After ``k`` doublings ``chain`` holds the chain's first ``2**k``
+    offsets and ``hop`` maps an offset to the one ``2**k`` further on, so
+    ``hop[chain]`` are the next ``2**k``.  Offset ``m`` stands for every
+    offset past the last, and maps to itself.
+    """
+    hop = np.append(np.minimum(nxt, m), m)
+    chain = np.arange(min(m, 1))
+    while len(chain):
+        later = hop[chain]
+        chain = np.concatenate([chain, later[later < m]])
+        if later[-1] == m:
+            break
+        hop = hop[hop]
+    return chain
 
 
 class PcZDStream:
@@ -366,13 +385,16 @@ class PcZDStream:
     With delta, p0 and kappa drawn, a try takes ``rng.random()`` values in a
     fixed pattern (``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``):
     delta, chi, kappa and p0, then phi unless the phi window is empty.  So
-    every offset of the stream is one possible try, and a pass evaluates
-    the tries at all offsets of a block at once.  A try at offset i goes
+    every offset of the stream is one possible try.  A try at offset i goes
     on at i + 4 when its window is empty, at i + 5 when it fails after
-    drawing phi, and at i + 5 + extra when it is accepted.  :meth:`take`
-    then walks that chain from the current offset.  The columns and the
-    rejection count equal the draw-by-draw loop's bit for bit; ``rng`` is
-    read up to a block ahead of it.
+    drawing phi, and at i + 5 + extra when it is accepted.  A pass finds
+    the phi window at every offset of a block at once, and phi and the
+    entries only where the window is open; then it follows the chain of
+    tries from the current offset by pointer doubling, and keeps the
+    columns of the tries on it that are accepted, with a running count of
+    them.  :meth:`take` slices both.  The columns and the rejection count
+    equal the draw-by-draw loop's bit for bit; ``rng`` is read up to a
+    block ahead of it.
     """
 
     def __init__(self, rng, params: PayoffParams, extra: int):
@@ -381,10 +403,10 @@ class PcZDStream:
         self._params = params
         self._span = 5 + extra  # uniforms an accepted try takes
         self._u = np.empty(0)
-        self._next: list[int] = []  # offset of the try after the one at i
-        self._accepted: list[bool] = []
+        self._resume = 0  # offset in _u of the first try past the chain
+        self._kept = np.zeros(1, dtype=np.int64)  # accepted tries before each place in the chain
         self._cols = np.empty((6 + extra, 0))
-        self._pos = 0
+        self._at = 0  # the current try's place in the chain
         self.rejections = 0
 
     def take(self, k: int) -> np.ndarray:
@@ -392,45 +414,48 @@ class PcZDStream:
         p0..p4, then the ``extra`` uniforms, then delta."""
         parts = [self._cols[:, :0]]
         while k:
-            if self._pos >= len(self._next):
+            kept, at = self._kept, self._at
+            if at == len(kept) - 1:
                 self._evaluate()
-            nxt, accepted, pos = self._next, self._accepted, self._pos
-            picked = []
-            while len(picked) < k and pos < len(nxt):
-                if accepted[pos]:
-                    picked.append(pos)
-                else:
-                    self.rejections += 1
-                pos = nxt[pos]
-            self._pos = pos
-            parts.append(self._cols[:, picked])
-            k -= len(picked)
+                continue
+            # just past the k-th accepted try from here, or the chain's end
+            end = min(int(np.searchsorted(kept, kept[at] + k)), len(kept) - 1)
+            first, last = int(kept[at]), int(kept[end])
+            self.rejections += end - at - (last - first)
+            parts.append(self._cols[:, first:last])
+            self._at = end
+            k -= last - first
         return np.concatenate(parts, axis=1)
 
     def _evaluate(self):
-        """Append a block to the stream left from the current offset, and
-        evaluate the try at every offset whose uniforms it holds."""
-        u = np.concatenate([self._u[self._pos:], self._rng.random(_BLOCK)])
+        """Append a block to the stream left from the resume offset, and
+        follow the chain of tries from there while the stream holds their
+        uniforms."""
+        u = np.concatenate([self._u[self._resume:], self._rng.random(_BLOCK)])
         m = max(0, len(u) - self._span + 1)
-        d, chi, kappa, p0, v = (u[j:j + m] for j in range(5))
         T, S = self._params.T, self._params.S
-        d = _uniform(self._d_lo, _DELTA_MAX, d)
-        chi = _uniform(_CHI_MIN, _CHI_MAX, chi)
-        kappa = _uniform(0.0, 1.0, kappa)
-        p0 = _uniform(0.0, 1.0, p0)
+        d = _uniform(self._d_lo, _DELTA_MAX, u[:m])
+        chi = _uniform(_CHI_MIN, _CHI_MAX, u[1:m + 1])
+        kappa = _uniform(0.0, 1.0, u[2:m + 2])
+        p0 = _uniform(0.0, 1.0, u[3:m + 3])
         lo, hi = _phi_window(chi, kappa, p0, d, T, S)
-        with np.errstate(invalid="ignore"):  # inf - inf where the window is empty
-            span = hi - lo
-            phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, v)
-        entries = _entries(phi, chi, kappa, p0, d, T, S)
-        inside = np.logical_and.reduce([(0.0 <= e) & (e <= 1.0) for e in entries])
-        open_ = lo < hi
-        accepted = open_ & (phi > 0.0) & inside
-        offsets = np.arange(m)
-        self._next = np.where(accepted, offsets + self._span,
-                              np.where(open_, offsets + 5, offsets + 4)).tolist()
-        self._accepted = accepted.tolist()
-        extra = [u[j:j + m] for j in range(5, self._span)]
-        self._cols = np.array([p0, *entries, *extra, d])
+        drew = np.flatnonzero(lo < hi)  # the tries that draw phi
+        lo, hi = lo[drew], hi[drew]
+        span = hi - lo
+        phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, u[drew + 4])
+        entries = _entries(phi, chi[drew], kappa[drew], p0[drew], d[drew], T, S)
+        ok = (phi > 0.0) & np.logical_and.reduce([(0.0 <= e) & (e <= 1.0) for e in entries])
+        nxt = np.arange(4, m + 4)  # the offset of the try after each
+        nxt[drew] += 1
+        nxt[drew[ok]] += self._span - 5
+        accepted = np.zeros(m, dtype=bool)
+        accepted[drew[ok]] = True
+        chain = _chain(nxt, m)
+        hits = chain[accepted[chain]]
+        at = np.searchsorted(drew, hits)
+        self._cols = np.array([p0[hits], *[e[at] for e in entries],
+                               *[u[hits + j] for j in range(5, self._span)], d[hits]])
+        self._kept = np.concatenate([[0], np.cumsum(accepted[chain])])
+        self._resume = int(nxt[chain[-1]]) if len(chain) else 0
         self._u = u
-        self._pos = 0
+        self._at = 0

@@ -60,20 +60,24 @@ def rng():
     return np.random.default_rng(20240)
 
 
-# How sweeps run their paths: the compiled ascent loop, or adaptive._climb,
-# which stands in for it where no C compiler is found.
+# How sweeps run their paths and the oracle triangle sums its payoff
+# series: the compiled loops of _climb.c, or adaptive._climb and
+# payoffs._series_rounds, which stand in for them where no C compiler is
+# found.
 KERNELS = ("compiled", "python")
 
 
 @contextlib.contextmanager
 def kernel_forced(mode):
-    """Sweeps inside take the compiled loop ("compiled"; the test is skipped
-    if it cannot be built) or run each path on adaptive._climb ("python")."""
+    """Inside, sweeps and the stacked payoff series take the compiled loops
+    ("compiled"; the test is skipped if they cannot be built) or their
+    Python loops ("python")."""
     if mode == "compiled" and _native._kernel() is None:
-        pytest.skip("the compiled ascent loop could not be built")
+        pytest.skip("the compiled loops could not be built")
     with pytest.MonkeyPatch.context() as mp:
         if mode == "python":
             mp.setattr(_native, "climber", lambda *args: None)
+            mp.setattr(_native, "series", lambda *args: None)
         yield mode
 
 

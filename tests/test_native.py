@@ -1,14 +1,16 @@
-"""The compiled ascent loop against its reference ``adaptive._climb``, and
-its build: the cache, the silent fallback, concurrent builds, and the
-promise that only a sweep loads it."""
+"""The compiled loops against their references, ``adaptive._climb`` and
+``payoffs._series_rounds``, and their build: the cache, the silent
+fallback, concurrent builds, the removal of older builds, and the promise
+that importing zdgame loads none."""
 
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zdgame import (
@@ -16,15 +18,18 @@ from zdgame import (
     SimConfig,
     critical_discount,
     initial_strategy,
+    payoff_series,
     run_path,
+    series_horizon,
     sweep,
     validate_payoffs,
 )
-from zdgame import _linalg, _native, adaptive, gradients, payoffs
+from zdgame import _linalg, _native, adaptive, gradients, payoffs, verify
 from zdgame._linalg import det3
 from zdgame.adaptive import _climb
 from zdgame.cli import main
 from conftest import (
+    BATCH_SIZES,
     KERNELS,
     PCZD_A,
     bits,
@@ -266,6 +271,63 @@ def test_sweep_calls_a_rebound_function(compiled, monkeypatch, params_main):
     assert len(calls) == 4 * (11 * result.steps + 11)
 
 
+# --- the payoff series -----------------------------------------------------
+
+# discounts at and next to the ends of verify's range, where the series
+# horizon is shortest and longest
+series_deltas = st.sampled_from([0.01, math.nextafter(0.01, 1.0), 0.99,
+                                 math.nextafter(0.99, 0.0)]) | st.floats(0.01, 0.99)
+
+
+@st.composite
+def series_pairs(draw):
+    """(p, q, delta): (5, m) strategy columns with exact entries, m discounts."""
+    m = draw(st.sampled_from(BATCH_SIZES))
+    columns = st.lists(strategy_with_exact_entries, min_size=m, max_size=m)
+    p, q = np.array(draw(columns)).T, np.array(draw(columns)).T
+    return p, q, np.array(draw(st.lists(series_deltas, min_size=m, max_size=m)))
+
+
+def test_a_loose_tolerance_at_a_small_discount_gives_horizon_1(params_main):
+    assert series_horizon(0.01, params_main, 1e-2) == 1
+
+
+@settings(max_examples=200, deadline=None)
+# one pair of horizon 1 with a -0.0 and a 1.0 entry
+@example(pairs=(np.array([[-0.0, 1.0, 0.5, 0.0, 1.0]]).T, np.array([[1.0, 0.0, -0.0, 1.0, 0.25]]).T,
+                np.array([0.01])), tol=1e-2)
+@given(pairs=series_pairs(), tol=st.sampled_from([1e-10, 1e-2]))
+def test_series_kernel_sums_as_payoff_series(compiled, params_main, pairs, tol):
+    p, q, delta = pairs
+    columns = payoffs._series_payoffs(p, q, delta, params_main, tol)
+    alone = [payoff_series(p[:, k], q[:, k], delta[k], params_main, tol=tol)
+             for k in range(len(delta))]
+    assert bits(np.array(columns).T) == bits(alone)
+
+
+def test_series_rejects_inputs_of_the_wrong_shape(compiled):
+    # the C loop reads raw pointers, so a short array must not reach it
+    with pytest.raises(ValueError, match=r"for 2 pairs have shapes .*\(4, 1\)"):
+        _native.series([3, 3], np.zeros((4, 1)), np.zeros((4, 4, 2)), np.full(2, 0.5),
+                       (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("rebound", [False, True])
+def test_a_rebound_series_loop_sends_the_oracle_to_python(compiled, monkeypatch, params_main,
+                                                          rebound):
+    n = 30
+    want = verify._oracle_triangle(params_main, verify._rng_for(3, 3), n)
+    c_calls, python_calls = [], []
+    series, rounds = _native.series, payoffs._series_rounds
+    monkeypatch.setattr(_native, "series", lambda *args: c_calls.append(1) or series(*args))
+    if rebound:
+        monkeypatch.setattr(payoffs, "_series_rounds",
+                            lambda *args: python_calls.append(1) or rounds(*args))
+    got = verify._oracle_triangle(params_main, verify._rng_for(3, 3), n)
+    assert got == want and bits(got.worst) == bits(want.worst)
+    assert (len(c_calls), len(python_calls)) == ((0, n) if rebound else (1, 0))
+
+
 RACE = """
 import sys
 from pathlib import Path
@@ -284,6 +346,19 @@ def test_concurrent_builds_into_a_fresh_cache_both_succeed(compiled, tmp_path):
     assert [f.suffix for f in cache.iterdir()] == [".so"]
 
 
+def test_a_build_removes_older_builds(compiled, fresh_kernel, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    older = cache / "_climb-000000000000000000000000.so"
+    older.write_bytes(b"a build of an older source")
+    in_flight = cache / "_climb-111111111111111111111111.so.x1y2z3.tmp"
+    in_flight.write_bytes(b"")
+    fresh_kernel.setattr(_native, "CACHE_DIR", cache)
+    built = Path(_native._kernel()._name)
+    assert built.parent == cache
+    assert {f.name for f in cache.iterdir()} == {built.name, in_flight.name}
+
+
 LOADS = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -300,10 +375,13 @@ def loaded():
 assert not loaded(), "import"
 zdgame.cli.main(["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "0.002",
                  "--out", sys.argv[2]])
-assert not loaded(), "verify"
+print(loaded())
 """
 
 
 def test_import_and_verify_load_no_kernel(tmp_path):
-    subprocess.run([sys.executable, "-c", LOADS, SRC, str(tmp_path / "verify.txt")],
-                   check=True, capture_output=True)
+    """Importing the CLI loads no library.  Verify loads it, for the oracle
+    triangle's payoff series, exactly where it can be built."""
+    run = subprocess.run([sys.executable, "-c", LOADS, SRC, str(tmp_path / "verify.txt")],
+                         check=True, capture_output=True, text=True)
+    assert run.stdout.splitlines()[-1] == str(_native._kernel() is not None)

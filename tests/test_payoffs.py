@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -21,8 +22,10 @@ from zdgame import payoffs as payoffs_mod
 from zdgame.payoffs import _cofactors, _matrix_rows, _payoff_terms, _weigh
 from conftest import (
     BATCH_SIZES,
+    KERNELS,
     bits,
     draw_columns,
+    kernel_forced,
     strategy_columns,
     strategy_with_exact_entries,
 )
@@ -285,13 +288,22 @@ class TestStackedRoutes:
         alone = [payoff_inverse(ps[:, k], qs[:, k], deltas[k], params_main) for k in range(m)]
         assert bits(np.array(stacked).T) == bits(alone)
 
-    # no float tail, a short one, and the module's own
-    @pytest.mark.parametrize("tail", [0, 4, payoffs_mod._SERIES_TAIL])
+    # each forced route, then the route the module picks itself with 0 or 4
+    # short-horizon pairs (delta 0.01) appended to the long ones
+    @pytest.mark.parametrize("route, short", [
+        *(pytest.param(route, 0, id=route) for route in KERNELS),
+        *(pytest.param(None, short, id=str(short)) for short in (0, 4)),
+    ])
     @pytest.mark.parametrize("m", (*BATCH_SIZES, 100))
-    def test_series_columns_equal_float_results(self, monkeypatch, params_main, rng, tail, m):
-        monkeypatch.setattr(payoffs_mod, "_SERIES_TAIL", tail)
+    def test_series_columns_equal_float_results(self, params_main, rng, route, short, m):
         ps, qs, deltas = stacked_draws(rng, m)
-        stacked = payoffs_mod._series_payoffs(ps, qs, deltas, params_main, 1e-10)
+        if short:
+            ps = np.hstack([ps, draw_columns(rng, short)])
+            qs = np.hstack([qs, draw_columns(rng, short)])
+            deltas = np.concatenate([deltas, np.full(short, 0.01)])
+            m += short
+        with kernel_forced(route) if route else contextlib.nullcontext():
+            stacked = payoffs_mod._series_payoffs(ps, qs, deltas, params_main, 1e-10)
         alone = [payoff_series(ps[:, k], qs[:, k], deltas[k], params_main, tol=1e-10)
                  for k in range(m)]
         assert bits(np.array(stacked).T) == bits(alone)

@@ -196,14 +196,14 @@ def reference_corner_tables(params, seed, n, sample=sample_pczd):
     for reports in corner_reports(params, seed, n, sample):
         checked += len(reports)
         worst = max(worst, *(r.diff for r in reports))
-        bad += [r.label() for r in reports if not r.diff <= 1e-12]
+        bad += [r.label() for r in reports if not r.diff < tables_mod._TOL]
         for r in reports:
             if r.table == "Table 5":
                 table5_min = min(table5_min, r.closed)
                 if not r.closed > 0.0:
                     bad.append(f"{r.label()} closed={r.closed:.3e} is not positive")
-    return PropertyResult("corner-tables", not bad, checked, worst, 1e-12, "<", bad[:20],
-                          {"Table 5 min": table5_min})
+    return PropertyResult("corner-tables", not bad, checked, worst, tables_mod._TOL, "<",
+                          bad[:20], {"Table 5 min": table5_min})
 
 
 # property, its reference, the key of its stream in run_verification
@@ -236,9 +236,10 @@ def assert_same_results(stacked, reference):
 
 
 # (chunk, samples): one draw, chunk - 1, chunk, chunk + 1 and three whole
-# chunks on a small chunk, then the boundary on the module's own chunk size
-CHUNK_COUNTS = [(4, 1), (4, 3), (4, 4), (4, 5), (4, 12),
-                (verify._CHUNK, verify._CHUNK), (verify._CHUNK, verify._CHUNK + 1)]
+# chunks on a small chunk, the boundary on a mid-size one, then one past
+# the module's own chunk size
+CHUNK_COUNTS = [(4, 1), (4, 3), (4, 4), (4, 5), (4, 12), (256, 256), (256, 257),
+                (verify._CHUNK, verify._CHUNK + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(STACKED))
@@ -338,6 +339,23 @@ def test_table5_cell_that_is_not_positive_fails_corner_tables(monkeypatch):
     assert result.details[0].startswith("Table 5 (0,0,0) d0 closed=-")
     assert result.details[0].endswith(" is not positive")
     assert result.extra["Table 5 min"] < 0.0
+
+
+def test_a_cell_at_exactly_the_tolerance_fails_corner_tables_by_name(monkeypatch):
+    # Table 3's first cell, checked on the pcZD strategy of each round,
+    # mismatches by exactly the tolerance
+    report = verify._report
+
+    def at_tolerance(which, pt, delta, theta):
+        cells = report(which, pt, delta, theta)
+        if which == "3":
+            cells[0] = cells[0]._replace(diff=np.full(np.shape(cells[0].diff), tables_mod._TOL))
+        return cells
+
+    monkeypatch.setattr(verify, "_report", at_tolerance)
+    result = verify._corner_tables(PARAMS, verify._rng_for(3, 6), 2)
+    assert not result.passed and result.worst == tables_mod._TOL
+    assert result.details == ["Table 3 (0,0,0) d1"] * 2
 
 
 # --- residuals that are not finite ---------------------------------------------

@@ -245,8 +245,9 @@ class TestStackedSampler:
         assert bits(got) == bits(want)
 
     # a block shorter than an accepted try, one as long as a try with
-    # extra = 5, and two primes, so that walks cross refills at many phases
-    @pytest.mark.parametrize("block", [3, 10, 13, 37])
+    # extra = 5, and two primes, so that walks cross refills at many phases;
+    # and the module's own block, 4 096, which one walk of 120 draws fills
+    @pytest.mark.parametrize("block", [3, 10, 13, 37, 4096])
     @pytest.mark.parametrize("extra", [0, 5])
     def test_walks_across_block_refills(self, monkeypatch, params_main, block, extra):
         monkeypatch.setattr(zd_mod, "_BLOCK", block)
