@@ -13,20 +13,23 @@ The library is compiled once, by the C compiler Python was built with
 keeps the compiler from fusing ``a*b + c`` into one rounding, which would
 change the bytes.  The file is named by the sha256 of the source, the
 compiler, the flags and the platform, and cached in the package's
-``__pycache__``.  A build goes to a temporary name and is renamed into
-place, so concurrent builds are safe, and once it loads, the cache's
-other ``_climb-*.so`` files, builds of older sources, are removed.  Any
-failure (no compiler, a cache that cannot be written or that anyone may
-write, a failed load) makes :func:`climber` and :func:`series` return
-None, and the caller runs its Python loop instead.  Only a sweep and the
-oracle-triangle payoff series import this module.
+``__pycache__``.  The digest comes from the interpreter's lean sha256
+module (``_sha2``, or ``_sha256`` before Python 3.12), as ``random``
+takes its sha512, because ``hashlib`` loads OpenSSL; ``hashlib``'s
+sha256, the same digest, is the fallback.  A build goes to a temporary
+name and is renamed into place, so concurrent builds are safe, and once
+it loads, the cache's other ``_climb-*.so`` files, builds of older
+sources, are removed.  Any failure (no compiler, a cache that cannot be
+written or that anyone may write, a failed load) makes :func:`climber`
+and :func:`series` return None, and the caller runs its Python loop
+instead.  Only a sweep and the oracle-triangle payoff series import this
+module.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import shlex
 import stat
@@ -35,6 +38,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+try:  # hashlib would load OpenSSL for this one digest
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .payoffs import NORMALIZER_FLOOR, _vanished_normalizer
 
@@ -49,6 +60,12 @@ _BUILD_TIMEOUT_S = 120
 
 def _compiler() -> list[str]:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _library(source: bytes, cc: list[str]) -> Path:
+    """The cache path of the library built from ``source`` by ``cc``."""
+    recipe = "\0".join(["", *cc, *FLAGS, *LIBS, sysconfig.get_platform()]).encode()
+    return CACHE_DIR / f"_climb-{sha256(source + recipe).hexdigest()[:24]}.so"
 
 
 def _build(cc: list[str], path: Path) -> bool:
@@ -92,8 +109,7 @@ def _kernel():
     except OSError:
         return None
     cc = _compiler()
-    recipe = "\0".join(["", *cc, *FLAGS, *LIBS, sysconfig.get_platform()]).encode()
-    path = CACHE_DIR / f"_climb-{hashlib.sha256(source + recipe).hexdigest()[:24]}.so"
+    path = _library(source, cc)
     try:
         CACHE_DIR.mkdir(exist_ok=True)
         if CACHE_DIR.stat().st_mode & stat.S_IWOTH:

@@ -18,12 +18,11 @@ say), each path runs on :func:`_climb` itself.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from types import FunctionType
 from typing import NamedTuple
-
-import numpy as np
 
 from . import _linalg, gradients, payoffs
 from .errors import DomainError, MaxStepsError
@@ -203,14 +202,71 @@ def _climb(qt, config, pt, delta, params) -> AdaptingPath:
     return path
 
 
+def _stream_argument(name, value):
+    """``value`` as a Python int, unless it is a bool, not an integer, or
+    negative."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return n
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 def initial_strategy(seed: int, index: int) -> Strategy:
     """Uniform draw from the strategy cube on the (seed, index) stream.
 
-    Streams are independent per index, so a path's start does not depend
-    on how many paths the sweep runs.
+    The five entries are, bit for bit, those of
+    ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(index,))).random(5)``,
+    computed here in plain integers so that a sweep never loads
+    ``numpy.random``.  Streams are independent per index, so a path's start
+    does not depend on how many paths the sweep runs.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    return Strategy(*(float(v) for v in rng.random(5)))
+    seed, index = _stream_argument("seed", seed), _stream_argument("index", index)
+    # SeedSequence's entropy: the seed's little-endian 32-bit words, padded
+    # to the pool's 4 words because a spawn key follows, then the index's.
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    words += [index >> s & _M32 for s in range(0, max(index.bit_length(), 1), 32)]
+    # mix_entropy: hash the first 4 words into the pool, then mix every pool
+    # word into every other and each further word into every pool word.
+    h = 0x43B0D7E5
+    for i in range(4):
+        w = words[i] ^ h
+        h = h * 0x931E8875 & _M32
+        w = w * h & _M32
+        words[i] = w ^ w >> 16
+    for src in range(len(words)):
+        for dst in range(4):
+            if src != dst:
+                w = words[src] ^ h
+                h = h * 0x931E8875 & _M32
+                w = w * h & _M32
+                w = (0xCA01F9DD * words[dst] - 0x4973F715 * (w ^ w >> 16)) & _M32
+                words[dst] = w ^ w >> 16
+    # generate_state(4, uint64): the pool cycled to 8 hashed words, read as
+    # 4 little-endian 64-bit words
+    h, out = 0x8B51F9DD, []
+    for w in words[:4] * 2:
+        w ^= h
+        h = h * 0x58F38DED & _M32
+        w = w * h & _M32
+        out.append(w ^ w >> 16)
+    u = [out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6)]
+    # PCG64 seeding: from state 0, step, add the initial state, step again
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+    state = ((inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc) & _M128
+    draws = []
+    for _ in range(5):  # each draw steps, then takes the XSL-RR output
+        state = (state * _PCG_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        draws.append(((x >> rot | x << (64 - rot)) & _M64) >> 11)
+    return Strategy(*(x * 2.0**-53 for x in draws))
 
 
 @dataclass(frozen=True)

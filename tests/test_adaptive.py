@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zdgame import (
     DomainError,
@@ -17,7 +20,7 @@ from zdgame import (
     validate_payoffs,
 )
 from zdgame.adaptive import PathResult
-from conftest import PCZD_A, PCZD_C
+from conftest import PCZD_A, PCZD_C, bits
 
 FIG3_Q0 = (0.863, 0.071, 0.593, 0.968, 0.420)
 
@@ -339,6 +342,50 @@ def test_initial_strategy_streams_are_stable():
     assert a == b
     assert a != c
     assert all(0.0 <= v <= 1.0 for v in a)
+
+
+def numpy_start(seed, index):
+    """The start's reference: numpy's SeedSequence spawn and PCG64 draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    return rng.random(5)
+
+
+EDGE_WORDS = (0, 2**32 - 1, 2**32, 2**64, 10**30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**130), st.integers(0, 2**40))
+@example(2024, 0)
+@example(7, 99)
+def test_initial_strategy_is_numpys_stream(seed, index):
+    assert bits(initial_strategy(seed, index).as_tuple()) == bits(numpy_start(seed, index))
+
+
+@pytest.mark.parametrize("seed", EDGE_WORDS)
+@pytest.mark.parametrize("index", EDGE_WORDS)
+def test_initial_strategy_is_numpys_stream_at_word_edges(seed, index):
+    assert bits(initial_strategy(seed, index).as_tuple()) == bits(numpy_start(seed, index))
+
+
+def test_initial_strategy_takes_numpy_integers():
+    assert initial_strategy(np.int64(2024), np.uint32(3)) == initial_strategy(2024, 3)
+
+
+@pytest.mark.parametrize("seed, index, name", [
+    (-1, 0, "seed"), (0, -1, "index"), (1.5, 0, "seed"), (0, 2.0, "index"),
+    (True, 0, "seed"), (0, False, "index"), ("7", 0, "seed"), (None, 0, "seed"),
+    (np.int64(-2), 0, "seed"),
+])
+def test_initial_strategy_rejects_bad_stream_arguments(seed, index, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a non-negative integer"):
+        initial_strategy(seed, index)
+
+
+@pytest.mark.parametrize("seed", [-3, 2.5, True])
+def test_sweep_rejects_bad_seed(params_main, seed):
+    p, delta, _ = PCZD_A
+    with pytest.raises(DomainError, match="^seed must be a non-negative integer"):
+        sweep(2, seed, SimConfig(), p, delta, params_main)
 
 
 def test_strategy_type_round_trips_through_step(params_main):

@@ -3,6 +3,7 @@
 fallback, concurrent builds, the removal of older builds, and the promise
 that importing zdgame loads none."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -385,3 +386,50 @@ def test_import_and_verify_load_no_kernel(tmp_path):
     run = subprocess.run([sys.executable, "-c", LOADS, SRC, str(tmp_path / "verify.txt")],
                          check=True, capture_output=True, text=True)
     assert run.stdout.splitlines()[-1] == str(_native._kernel() is not None)
+
+
+NO_LEAN_SHA256 = """
+import sys
+sys.path.insert(0, sys.argv[1])
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # unimportable
+import hashlib
+from zdgame import _native
+assert _native.sha256 is hashlib.sha256
+print(_native._library(_native.SOURCE.read_bytes(), _native._compiler()))
+"""
+
+
+def test_cache_name_without_the_lean_sha256():
+    """hashlib's sha256, the fallback, names the library as the lean module
+    does, so no cache built under either goes cold."""
+    run = subprocess.run([sys.executable, "-c", NO_LEAN_SHA256, SRC],
+                         check=True, capture_output=True, text=True)
+    assert run.stdout.strip() == str(_native._library(_native.SOURCE.read_bytes(),
+                                                      _native._compiler()))
+
+
+# sha256 of `zdgame run --T 1.5 --S -0.5 --delta 0.99 --p 0.0,0.75,0.25,0.5,0.0
+# --seed 7`, as written when the start was drawn through numpy.random
+RUN_SEED7_SHA256 = "85ca5912a26db1bfcc8cb91582472a237defa61c07055cc7b3fb385af33d2097"
+
+SKIPS_HEAVY_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import zdgame.cli
+
+game = ["--T", "1.5", "--S", "-0.5", "--delta", "0.99", "--p", "0.0,0.75,0.25,0.5,0.0"]
+zdgame.cli.main(["sweep", *game, "--seed", "2024", "--n-paths", "3", "--out", sys.argv[2]])
+zdgame.cli.main(["run", *game, "--seed", "7", "--out", sys.argv[3]])
+print(sorted({"numpy.random", "hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_sweep_and_seeded_run_load_neither_numpy_random_nor_openssl(tmp_path):
+    """The starts come from adaptive's own generator and the library's
+    name from the lean sha256, with the bytes unchanged."""
+    trajectory = tmp_path / "run.csv"
+    run = subprocess.run([sys.executable, "-c", SKIPS_HEAVY_IMPORTS, SRC,
+                          str(tmp_path / "sweep.csv"), str(trajectory)],
+                         check=True, capture_output=True, text=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert hashlib.sha256(trajectory.read_bytes()).hexdigest() == RUN_SEED7_SHA256
