@@ -9,24 +9,19 @@ two endpoint patterns was reached.
 A sweep runs each path's whole ascent in one call of a compiled loop
 (``_climb.c``, built on first use by ``_native``), which performs the
 operations of :func:`_climb` in the same order, so every path ends
-exactly as it would alone.  Where the loop cannot be built or loaded, or
-where any function bound in this module, ``payoffs``, ``gradients`` or
-``_linalg`` has been rebound since import (by a tracer counting calls,
-say), each path runs on :func:`_climb` itself.
+exactly as it would alone.  Where the loop cannot be built or loaded,
+each path runs on :func:`_climb` itself.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
-from types import FunctionType
 from typing import NamedTuple
 
-from . import _linalg, gradients, payoffs
 from .errors import DomainError, MaxStepsError
-from .game import PayoffParams, Strategy, strategy_tuple, validate_delta
+from .game import PayoffParams, Strategy, _stream_argument, strategy_tuple, validate_delta
 from .gradients import TerminalClassification, _gradient_quotient, classify_terminal
 from .payoffs import _payoffs
 from .zd import is_pczd
@@ -202,18 +197,6 @@ def _climb(qt, config, pt, delta, params) -> AdaptingPath:
     return path
 
 
-def _stream_argument(name, value):
-    """``value`` as a Python int, unless it is a bool, not an integer, or
-    negative."""
-    try:
-        n = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or n < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-    return n
-
-
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -282,14 +265,6 @@ class PathResult:
     converged: bool
 
 
-def _ascent_functions():
-    """Every function bound in this module, ``payoffs``, ``gradients`` and
-    ``_linalg``, which between them define and bind all that a path's
-    ascent calls."""
-    return tuple(f for module in (globals(), vars(payoffs), vars(gradients), vars(_linalg))
-                 for f in module.values() if isinstance(f, FunctionType))
-
-
 def _climb_end(q0, config, pt, delta, params):
     path = _climb(q0, config, pt, delta, params)
     return path.final_q, path.terminated_at, path.converged
@@ -305,6 +280,7 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
     recorded with ``converged=False`` rather than aborting the sweep.
     Results are ordered by path index.
     """
+    n_paths = _stream_argument("n_paths", n_paths)
     if n_paths < 1:
         raise DomainError(f"n_paths must be at least 1, got {n_paths}")
     pt = _finite("p", strategy_tuple(p))
@@ -312,11 +288,9 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
     if not params.strict:
         raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
     starts = [initial_strategy(seed, i).as_tuple() for i in range(n_paths)]
-    climb = None
-    if _ascent_functions() == _AS_IMPORTED:
-        from . import _native  # imported by the first sweep, so no other command loads it
+    from . import _native  # imported by the first sweep, so no other command loads it
 
-        climb = _native.climber(config, pt, delta, params)
+    climb = _native.climber(config, pt, delta, params)
     if climb is None:
         ends = [_climb_end(q0, config, pt, delta, params) for q0 in starts]
     else:
@@ -333,8 +307,3 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
         )
         for i, (q0, (final, steps, converged)) in enumerate(zip(starts, ends))
     ]
-
-
-# The functions as bound at import, once all of this module's are.  A
-# tuple, which patches of module namespaces and their dicts leave alone.
-_AS_IMPORTED = _ascent_functions()

@@ -9,6 +9,7 @@ letter is X's action.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,18 @@ def validate_delta(delta: float) -> float:
     if not (0.0 < delta < 1.0):
         raise DomainError(f"discount factor must lie in (0, 1), got {delta}")
     return delta
+
+
+def _stream_argument(name, value):
+    """``value`` as a Python int, unless it is a bool, not an integer, or
+    negative."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)

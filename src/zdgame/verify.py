@@ -32,7 +32,7 @@ import numpy as np
 
 from ._linalg import det4
 from .errors import DomainError
-from .game import PayoffParams, _transition_rows, strategy_tuple, validate_delta
+from .game import PayoffParams, _stream_argument, _transition_rows, strategy_tuple, validate_delta
 from .gradients import _gradient_factorized, _gradient_quotient, zero_gradient_condition
 from .payoffs import (
     _cofactors,
@@ -312,6 +312,7 @@ def _fd_analytic_match(params, rng, n):
 
 def run_verification(params: PayoffParams, seed: int = 0, scale: float = 1.0) -> list[PropertyResult]:
     """Run every property at ``scale`` times its default sample count."""
+    seed = _stream_argument("seed", seed)
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"sample scale must be finite and positive, got {scale}")
 

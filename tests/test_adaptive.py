@@ -388,6 +388,24 @@ def test_sweep_rejects_bad_seed(params_main, seed):
         sweep(2, seed, SimConfig(), p, delta, params_main)
 
 
+@pytest.mark.parametrize("n_paths, message", [
+    (True, "a non-negative integer, got True"), (False, "a non-negative integer"),
+    (1.5, "a non-negative integer"), (3.0, "a non-negative integer"),
+    ("3", "a non-negative integer, got '3'"), (None, "a non-negative integer"),
+    (-2, "a non-negative integer"), (0, "at least 1, got 0"), (np.int64(0), "at least 1"),
+])
+def test_sweep_rejects_bad_path_count(params_main, n_paths, message):
+    p, delta, _ = PCZD_A
+    with pytest.raises(DomainError, match=f"^n_paths must be {message}"):
+        sweep(n_paths, 1, SimConfig(), p, delta, params_main)
+
+
+def test_sweep_takes_a_numpy_path_count(params_main):
+    p, delta, _ = PCZD_A
+    assert sweep(np.int64(3), 1, SimConfig(), p, delta, params_main) == \
+        sweep(3, 1, SimConfig(), p, delta, params_main)
+
+
 def test_strategy_type_round_trips_through_step(params_main):
     p, delta, _ = PCZD_A
     out = step(Strategy(*FIG3_Q0), SimConfig(), p, delta, params_main)

@@ -358,6 +358,18 @@ def test_a_cell_at_exactly_the_tolerance_fails_corner_tables_by_name(monkeypatch
     assert result.details == ["Table 3 (0,0,0) d1"] * 2
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None, np.int64(-1)])
+def test_run_verification_rejects_bad_seed(seed):
+    with pytest.raises(DomainError, match="^seed must be a non-negative integer"):
+        verify.run_verification(PARAMS, seed=seed, scale=0.002)
+
+
+def test_run_verification_takes_a_numpy_seed():
+    lines = [[r.line() for r in verify.run_verification(PARAMS, seed=seed, scale=0.002)]
+             for seed in (np.int64(3), 3)]
+    assert lines[0] == lines[1]
+
+
 # --- residuals that are not finite ---------------------------------------------
 
 def nan_det3(*rows):
