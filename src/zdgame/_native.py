@@ -21,10 +21,9 @@ name and is renamed into place, so concurrent builds are safe, and once
 it loads, the cache's other ``_climb-*.so`` files, builds of older
 sources, are removed.  Any failure (no compiler, a cache that cannot be
 written or that anyone may write, a failed load) makes :func:`climber`
-and :func:`series` return None.  That is the one rule that picks a loop:
-a sweep and the oracle-triangle payoff series, the only importers of
-this module, run their Python loops exactly when these return None,
-which a test forces by patching them, and the compiled loops otherwise.
+and :func:`series` return None, and the caller runs its Python loop
+instead.  Only a sweep and the oracle-triangle payoff series import this
+module.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ two endpoint patterns was reached.
 A sweep runs each path's whole ascent in one call of a compiled loop
 (``_climb.c``, built on first use by ``_native``), which performs the
 operations of :func:`_climb` in the same order, so every path ends
-exactly as it would alone.  Where the loop cannot be built or loaded,
-each path runs on :func:`_climb` itself.
+exactly as it would alone.  Where the loop cannot be built or loaded, or
+where any function bound in this module, ``payoffs``, ``gradients`` or
+``_linalg`` has been rebound since import (by a tracer counting calls,
+say), each path runs on :func:`_climb` itself.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import NamedTuple
 
+from . import _linalg, gradients, payoffs
 from .errors import DomainError, MaxStepsError
 from .game import PayoffParams, Strategy, _stream_argument, strategy_tuple, validate_delta
 from .gradients import TerminalClassification, _gradient_quotient, classify_terminal
@@ -265,6 +269,14 @@ class PathResult:
     converged: bool
 
 
+def _ascent_functions():
+    """Every function bound in this module, ``payoffs``, ``gradients`` and
+    ``_linalg``, which between them define and bind all that a path's
+    ascent calls."""
+    return tuple(f for module in (globals(), vars(payoffs), vars(gradients), vars(_linalg))
+                 for f in module.values() if isinstance(f, FunctionType))
+
+
 def _climb_end(q0, config, pt, delta, params):
     path = _climb(q0, config, pt, delta, params)
     return path.final_q, path.terminated_at, path.converged
@@ -288,9 +300,11 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
     if not params.strict:
         raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
     starts = [initial_strategy(seed, i).as_tuple() for i in range(n_paths)]
-    from . import _native  # imported by the first sweep, so no other command loads it
+    climb = None
+    if _ascent_functions() == _AS_IMPORTED:
+        from . import _native  # imported by the first sweep, so no other command loads it
 
-    climb = _native.climber(config, pt, delta, params)
+        climb = _native.climber(config, pt, delta, params)
     if climb is None:
         ends = [_climb_end(q0, config, pt, delta, params) for q0 in starts]
     else:
@@ -307,3 +321,8 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
         )
         for i, (q0, (final, steps, converged)) in enumerate(zip(starts, ends))
     ]
+
+
+# The functions as bound at import, once all of this module's are.  A
+# tuple, which patches of module namespaces and their dicts leave alone.
+_AS_IMPORTED = _ascent_functions()

@@ -234,19 +234,26 @@ def _series_payoffs(p, q, delta, params: PayoffParams, tol: float):
     and ``n`` discounts, each element bit for bit.
 
     All pairs are summed in one call of the compiled ``zd_series``.
-    Without the kernel, each pair runs on :func:`_series_rounds` instead,
-    on floats.
+    Without the kernel, or with :func:`_series_rounds` rebound since import
+    (by a tracer or a test patch), each pair runs on it instead, on floats.
     """
     rounds = [series_horizon(d, params, tol) + 1 for d in delta.tolist()]
     v = np.array(_initial_terms(p[0], q[0]))  # (4, n)
     rows = np.array(_transition_rows(p, q))  # (4, 4, n)
     sx, sy = params.payoff_vector_x(), params.payoff_vector_y()
-    from . import _native  # imported on first use, so that importing zdgame loads no library
+    sums = None
+    if (_series_rounds,) == _ROUNDS_AS_IMPORTED:
+        from . import _native  # imported on first use, so that importing zdgame loads no library
 
-    sums = _native.series(rounds, v, rows, delta, sx, sy)
+        sums = _native.series(rounds, v, rows, delta, sx, sy)
     if sums is None:
         pairs = zip(rounds, v.T.tolist(), rows.transpose(2, 0, 1).tolist(), delta.tolist())
         sums = np.array([_series_rounds(h, v_k, rows_k, d_k, sx, sy)
                          for h, v_k, rows_k, d_k in pairs]).reshape(-1, 2).T
     sum_x, sum_y = sums
     return (1.0 - delta) * sum_x, (1.0 - delta) * sum_y
+
+
+# The series loop as bound at import.  A tuple, which patches of module
+# namespaces and their dicts leave alone.
+_ROUNDS_AS_IMPORTED = (_series_rounds,)

@@ -3,10 +3,7 @@
 fallback, concurrent builds, the removal of older builds, and the promise
 that importing zdgame loads none."""
 
-import collections
-import functools
 import hashlib
-import inspect
 import math
 import subprocess
 import sys
@@ -228,10 +225,40 @@ def test_sweep_takes_the_compiled_loop(compiled, monkeypatch, params_main):
     assert len(made) == 1 and made[0] is not None
 
 
-def test_the_python_sweep_calls_a_rebound_function(monkeypatch, params_main):
-    """Where a sweep runs the Python loop, a patched kernel function (here
-    a counting det3) is called as by run_path: one recorded payoff per step
-    and the start, ten probes per update, four minors per payoff."""
+# One function of each module that the sweep's rebind check watches.
+# Nothing calls _linalg.det3 by that name: payoffs binds its own det3.
+REBOUND = [(adaptive, "_sum_squares"), (payoffs, "_cofactors"),
+           (gradients, "_row_derivative_det"), (_linalg, "det3")]
+
+
+@pytest.mark.parametrize("module, name", [*REBOUND, (None, None)],
+                         ids=[f"{m.__name__}.{name}" for m, name in REBOUND] + ["none"])
+def test_a_rebound_function_sends_sweeps_to_climb(compiled, monkeypatch, params_main,
+                                                  module, name):
+    p, delta, _ = PCZD_A
+    config = SimConfig(gradient_mode="analytic")
+    compiled_results = sweep(3, 991, config, p, delta, params_main)
+    made, climber = [], _native.climber
+
+    def spy(*args):
+        made.append(climber(*args))
+        return made[-1]
+
+    monkeypatch.setattr(_native, "climber", spy)
+    if module is not None:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: original(*args))
+    assert sweep(3, 991, config, p, delta, params_main) == compiled_results
+    if module is None:
+        assert len(made) == 1 and made[0] is not None
+    else:
+        assert made == []
+
+
+def test_sweep_calls_a_rebound_function(compiled, monkeypatch, params_main):
+    """A patched kernel function (here a counting det3) is called by a
+    sweep as by run_path: one recorded payoff per step and the start, ten
+    probes per update, four minors per payoff."""
     calls = []
 
     def counted(*rows):
@@ -240,58 +267,9 @@ def test_the_python_sweep_calls_a_rebound_function(monkeypatch, params_main):
 
     p, delta, _ = PCZD_A
     monkeypatch.setattr(payoffs, "det3", counted)
-    with kernel_forced("python"):
-        [result] = sweep(1, 2024, SimConfig(), p, delta, params_main)
+    [result] = sweep(1, 2024, SimConfig(), p, delta, params_main)
     assert result.converged
     assert len(calls) == 4 * (11 * result.steps + 11)
-
-
-def wrap_every_function(monkeypatch, modules):
-    """Wrap, with ``functools.wraps``, every function that ``modules``
-    define, in every zdgame namespace and module-level dict that binds it,
-    as a call tracer does; gives the wrappers' call counts by name."""
-    calls = collections.Counter()
-
-    def wrap(f):
-        name = f"{f.__module__}.{f.__name__}"
-
-        @functools.wraps(f)
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-
-        return counted
-
-    replace = {id(f): wrap(f) for m in modules for f in vars(m).values()
-               if inspect.isfunction(f) and f.__module__ == m.__name__}
-    for name, module in list(sys.modules.items()):
-        if name == "zdgame" or name.startswith("zdgame."):
-            for table in [vars(module), *(v for v in vars(module).values() if type(v) is dict)]:
-                for key, value in list(table.items()):
-                    if id(value) in replace:
-                        monkeypatch.setitem(table, key, replace[id(value)])
-    return calls
-
-
-def test_wrapped_functions_leave_the_compiled_loops_in_place(compiled, monkeypatch,
-                                                              params_main):
-    """A call tracer's wrappers leave a sweep and the oracle's series on
-    the compiled loops, with the same results."""
-    p, delta, _ = PCZD_A
-    config = SimConfig(gradient_mode="analytic")
-    want_sweep = sweep(3, 991, config, p, delta, params_main)
-    want_oracle = verify._oracle_triangle(params_main, verify._rng_for(3, 3), 30)
-    made, climber, summed, series = [], _native.climber, [], _native.series
-    monkeypatch.setattr(_native, "climber", lambda *args: made.append(climber(*args)) or made[-1])
-    monkeypatch.setattr(_native, "series", lambda *args: summed.append(series(*args)) or summed[-1])
-    calls = wrap_every_function(monkeypatch, (adaptive, payoffs, gradients, _linalg))
-    assert adaptive.sweep(3, 991, config, p, delta, params_main) == want_sweep
-    got = verify._oracle_triangle(params_main, verify._rng_for(3, 3), 30)
-    assert got == want_oracle and bits(got.worst) == bits(want_oracle.worst)
-    assert len(made) == 1 and made[0] is not None
-    assert len(summed) == 1 and summed[0] is not None
-    assert calls["zdgame.adaptive.sweep"] == 1 and calls["zdgame.payoffs._series_payoffs"] == 1
-    assert calls["zdgame.adaptive._climb"] == calls["zdgame.payoffs._series_rounds"] == 0
 
 
 # --- the payoff series -----------------------------------------------------
@@ -333,6 +311,22 @@ def test_series_rejects_inputs_of_the_wrong_shape(compiled):
     with pytest.raises(ValueError, match=r"for 2 pairs have shapes .*\(4, 1\)"):
         _native.series([3, 3], np.zeros((4, 1)), np.zeros((4, 4, 2)), np.full(2, 0.5),
                        (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("rebound", [False, True])
+def test_a_rebound_series_loop_sends_the_oracle_to_python(compiled, monkeypatch, params_main,
+                                                          rebound):
+    n = 30
+    want = verify._oracle_triangle(params_main, verify._rng_for(3, 3), n)
+    c_calls, python_calls = [], []
+    series, rounds = _native.series, payoffs._series_rounds
+    monkeypatch.setattr(_native, "series", lambda *args: c_calls.append(1) or series(*args))
+    if rebound:
+        monkeypatch.setattr(payoffs, "_series_rounds",
+                            lambda *args: python_calls.append(1) or rounds(*args))
+    got = verify._oracle_triangle(params_main, verify._rng_for(3, 3), n)
+    assert got == want and bits(got.worst) == bits(want.worst)
+    assert (len(c_calls), len(python_calls)) == ((0, n) if rebound else (1, 0))
 
 
 RACE = """
