@@ -137,6 +137,17 @@ def _finite(name, t):
     return t
 
 
+def _ascent_inputs(p, delta, params):
+    """``p`` as a tuple and ``delta`` as a float, checked as every ascent
+    needs them: finite entries, a discount in (0, 1) and strict payoffs,
+    since the endpoint classification is only guaranteed there."""
+    pt = _finite("p", strategy_tuple(p))
+    delta = validate_delta(delta)
+    if not params.strict:
+        raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
+    return pt, delta
+
+
 def step(q, config: SimConfig, p, delta, params: PayoffParams) -> Strategy:
     """One ascent update: every entry moves by its scaled gradient, then clamps."""
     qt, pt = strategy_tuple(q), strategy_tuple(p)
@@ -154,10 +165,8 @@ def run_path(q0, config: SimConfig, p, delta, params: PayoffParams,
     Entries of ``q0`` outside [0, 1] are clamped by the first step, but a
     NaN or infinite entry of ``q0`` or ``p`` raises :class:`DomainError`.
     """
-    pt, qt = _finite("p", strategy_tuple(p)), _finite("q0", strategy_tuple(q0))
-    delta = validate_delta(delta)
-    if not params.strict:
-        raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
+    pt, delta = _ascent_inputs(p, delta, params)
+    qt = _finite("q0", strategy_tuple(q0))
     if check_pczd and not is_pczd(pt, delta, params):
         warnings.warn(_NOT_PCZD, stacklevel=2)
     path = _climb(qt, config, pt, delta, params)
@@ -295,10 +304,7 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
     n_paths = _stream_argument("n_paths", n_paths)
     if n_paths < 1:
         raise DomainError(f"n_paths must be at least 1, got {n_paths}")
-    pt = _finite("p", strategy_tuple(p))
-    delta = validate_delta(delta)
-    if not params.strict:
-        raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
+    pt, delta = _ascent_inputs(p, delta, params)
     starts = [initial_strategy(seed, i).as_tuple() for i in range(n_paths)]
     climb = None
     if _ascent_functions() == _AS_IMPORTED:

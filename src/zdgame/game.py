@@ -107,10 +107,7 @@ class Strategy:
 
     @classmethod
     def from_iterable(cls, values) -> "Strategy":
-        vals = tuple(float(v) for v in values)
-        if len(vals) != 5:
-            raise DomainError(f"a strategy needs exactly 5 entries, got {len(vals)}")
-        return cls(*vals)
+        return cls(*strategy_tuple(values))
 
     @classmethod
     def parse(cls, text: str) -> "Strategy":

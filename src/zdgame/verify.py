@@ -317,7 +317,12 @@ def run_verification(params: PayoffParams, seed: int = 0, scale: float = 1.0) ->
         raise DomainError(f"sample scale must be finite and positive, got {scale}")
 
     def stream(key, base, least=1):
-        return _rng_for(seed, key), max(least, int(base * scale))
+        # normalizer-positive, the first property, has the largest base, so
+        # a scale whose counts overflow is rejected before any property runs
+        count = base * scale
+        if not math.isfinite(count):
+            raise DomainError(f"sample scale {scale} gives a non-finite sample count")
+        return _rng_for(seed, key), max(least, int(count))
 
     results = [
         _normalizer_positive(params, *stream(1, 100_000)),

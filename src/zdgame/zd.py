@@ -357,26 +357,6 @@ def _uniform(lo, hi, u):
 _BLOCK = 4096
 
 
-def _chain(nxt, m):
-    """The offsets below ``m`` of the chain from offset 0, in order, where
-    ``nxt[i] > i`` is the offset after ``i``; found by pointer doubling.
-
-    After ``k`` doublings ``chain`` holds the chain's first ``2**k``
-    offsets and ``hop`` maps an offset to the one ``2**k`` further on, so
-    ``hop[chain]`` are the next ``2**k``.  Offset ``m`` stands for every
-    offset past the last, and maps to itself.
-    """
-    hop = np.append(np.minimum(nxt, m), m)
-    chain = np.arange(min(m, 1))
-    while len(chain):
-        later = hop[chain]
-        chain = np.concatenate([chain, later[later < m]])
-        if later[-1] == m:
-            break
-        hop = hop[hop]
-    return chain
-
-
 class PcZDStream:
     """The draws of ``sample_pczd(rng, params, tries=1)``, retried until one
     is accepted and each followed by ``rng.random(extra)``, made as stacked
@@ -389,12 +369,12 @@ class PcZDStream:
     on at i + 4 when its window is empty, at i + 5 when it fails after
     drawing phi, and at i + 5 + extra when it is accepted.  A pass finds
     the phi window at every offset of a block at once, and phi and the
-    entries only where the window is open; then it follows the chain of
-    tries from the current offset by pointer doubling, and keeps the
-    columns of the tries on it that are accepted, with a running count of
-    them.  :meth:`take` slices both.  The columns and the rejection count
-    equal the draw-by-draw loop's bit for bit; ``rng`` is read up to a
-    block ahead of it.
+    entries only where the window is open; then it walks the chain of
+    tries from the first offset in one plain loop, and keeps the columns
+    of the accepted tries on it, each with the count of tries rejected
+    before it.  :meth:`take` slices both.  The columns and the rejection
+    count equal the draw-by-draw loop's bit for bit; ``rng`` is read up to
+    a block ahead of it.
     """
 
     def __init__(self, rng, params: PayoffParams, extra: int):
@@ -402,36 +382,27 @@ class PcZDStream:
         self._rng = rng
         self._params = params
         self._span = 5 + extra  # uniforms an accepted try takes
-        self._u = np.empty(0)
-        self._resume = 0  # offset in _u of the first try past the chain
-        self._kept = np.zeros(1, dtype=np.int64)  # accepted tries before each place in the chain
-        self._cols = np.empty((6 + extra, 0))
-        self._at = 0  # the current try's place in the chain
+        self._u = np.empty(0)  # the stream from the first try past the walk
+        self._cols = np.empty((6 + extra, 0))  # accepted tries not yet taken
+        self._skipped = []  # tries rejected before each of them
+        self._rejected = 0  # tries rejected since the last accepted one
         self.rejections = 0
 
     def take(self, k: int) -> np.ndarray:
         """The next ``k`` accepted draws as a ``(6 + extra, k)`` array: rows
         p0..p4, then the ``extra`` uniforms, then delta."""
-        parts = [self._cols[:, :0]]
-        while k:
-            kept, at = self._kept, self._at
-            if at == len(kept) - 1:
-                self._evaluate()
-                continue
-            # just past the k-th accepted try from here, or the chain's end
-            end = min(int(np.searchsorted(kept, kept[at] + k)), len(kept) - 1)
-            first, last = int(kept[at]), int(kept[end])
-            self.rejections += end - at - (last - first)
-            parts.append(self._cols[:, first:last])
-            self._at = end
-            k -= last - first
-        return np.concatenate(parts, axis=1)
+        while self._cols.shape[1] < k:
+            self._evaluate()
+        cols, self._cols = self._cols[:, :k], self._cols[:, k:]
+        self.rejections += sum(self._skipped[:k])
+        del self._skipped[:k]
+        return cols
 
     def _evaluate(self):
-        """Append a block to the stream left from the resume offset, and
-        follow the chain of tries from there while the stream holds their
+        """Append a block to the stream left by the last walk, and walk the
+        chain of tries from its start while the stream holds their
         uniforms."""
-        u = np.concatenate([self._u[self._resume:], self._rng.random(_BLOCK)])
+        u = np.concatenate([self._u, self._rng.random(_BLOCK)])
         m = max(0, len(u) - self._span + 1)
         T, S = self._params.T, self._params.S
         d = _uniform(self._d_lo, _DELTA_MAX, u[:m])
@@ -450,12 +421,20 @@ class PcZDStream:
         nxt[drew[ok]] += self._span - 5
         accepted = np.zeros(m, dtype=bool)
         accepted[drew[ok]] = True
-        chain = _chain(nxt, m)
-        hits = chain[accepted[chain]]
+        nxt, accepted = nxt.tolist(), accepted.tolist()
+        hits, i, rejected = [], 0, self._rejected
+        while i < m:
+            if accepted[i]:
+                hits.append(i)
+                self._skipped.append(rejected)
+                rejected = 0
+            else:
+                rejected += 1
+            i = nxt[i]
+        self._rejected = rejected
+        hits = np.array(hits, dtype=np.intp)
         at = np.searchsorted(drew, hits)
-        self._cols = np.array([p0[hits], *[e[at] for e in entries],
-                               *[u[hits + j] for j in range(5, self._span)], d[hits]])
-        self._kept = np.concatenate([[0], np.cumsum(accepted[chain])])
-        self._resume = int(nxt[chain[-1]]) if len(chain) else 0
-        self._u = u
-        self._at = 0
+        cols = np.array([p0[hits], *[e[at] for e in entries],
+                         *[u[hits + j] for j in range(5, self._span)], d[hits]])
+        self._cols = np.concatenate([self._cols, cols], axis=1)
+        self._u = u[i:]

@@ -287,6 +287,34 @@ class TestSweep:
             sweep(3, 7, SimConfig(max_steps=50), p, PCZD_A[1], params_main)
 
 
+# One bad argument at a time, with the exception each entry point raises.
+BAD_ASCENT_INPUTS = [
+    ("p", (0.0, 0.75, math.nan, 0.5, 0.0), DomainError,
+     "p has a non-finite entry: (0.0, 0.75, nan, 0.5, 0.0)"),
+    ("p", (0.0, 0.75, 0.25, 0.5), DomainError, "a strategy needs exactly 5 entries, got 4"),
+    ("p", "abcde", ValueError, "could not convert string to float: 'a'"),
+    ("delta", 1.0, DomainError, "discount factor must lie in (0, 1), got 1.0"),
+    ("delta", math.nan, DomainError, "discount factor must lie in (0, 1), got nan"),
+    ("params", validate_payoffs(1.4, -1.5), DomainError,
+     "endpoint guarantees need strict payoffs (0 < T + S)"),
+]
+
+
+@pytest.mark.parametrize("entry", ["run_path", "sweep"])
+@pytest.mark.parametrize("name, value, error, message", BAD_ASCENT_INPUTS,
+                         ids=["p-nan", "p-short", "p-text", "delta-1", "delta-nan", "loose"])
+def test_run_path_and_sweep_reject_each_bad_argument_alike(params_main, entry, name, value,
+                                                           error, message):
+    args = {"p": PCZD_A[0], "delta": PCZD_A[1], "params": params_main, name: value}
+    config = SimConfig(max_steps=50)
+    with pytest.raises(error) as info:
+        if entry == "run_path":
+            run_path(FIG3_Q0, config, args["p"], args["delta"], args["params"])
+        else:
+            sweep(2, 7, config, args["p"], args["delta"], args["params"])
+    assert type(info.value) is error and str(info.value) == message
+
+
 # Against PCZD_C, seed 5 paths take 36..1807 steps: a 600-step cap ends
 # some of them and not others.
 EQUIV_SEED = 5

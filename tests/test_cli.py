@@ -222,6 +222,7 @@ class TestInvalidInput:
         (["tables", *GAME, "--tol", "-1"], None),
         (["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "nan"], None),
         (["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "-1"], None),
+        (["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "1e308"], None),
         ([*VANISHING, "--n-paths", "3"], None),
         ([*VANISHING, "--n-paths", "20", "--gradient", "analytic"], None),
         (["run", *FIG3, "--dq", "1e130"], None),

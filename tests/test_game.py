@@ -11,6 +11,7 @@ from zdgame import (
     validate_delta,
     validate_payoffs,
 )
+from zdgame.game import strategy_tuple
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 strategy5 = st.tuples(probs, probs, probs, probs, probs)
@@ -56,6 +57,15 @@ class TestStrategy:
 
     def test_iterating_yields_entries(self):
         assert list(Strategy(1, 1, 1, 1, 1)) == [1.0] * 5
+
+    @pytest.mark.parametrize("values", [(0.1, 0.2, 0.3, 0.4), [0.0] * 6, ()])
+    def test_from_iterable_has_the_length_rule_of_strategy_tuple(self, values):
+        with pytest.raises(DomainError) as got:
+            Strategy.from_iterable(values)
+        with pytest.raises(DomainError) as want:
+            strategy_tuple(values)
+        message = f"a strategy needs exactly 5 entries, got {len(values)}"
+        assert str(got.value) == str(want.value) == message
 
 
 class TestTransitionMatrix:

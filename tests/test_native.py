@@ -3,7 +3,10 @@
 fallback, concurrent builds, the removal of older builds, and the promise
 that importing zdgame loads none."""
 
+import collections
+import functools
 import hashlib
+import inspect
 import math
 import subprocess
 import sys
@@ -313,20 +316,44 @@ def test_series_rejects_inputs_of_the_wrong_shape(compiled):
                        (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("rebound", [False, True])
-def test_a_rebound_series_loop_sends_the_oracle_to_python(compiled, monkeypatch, params_main,
-                                                          rebound):
-    n = 30
-    want = verify._oracle_triangle(params_main, verify._rng_for(3, 3), n)
-    c_calls, python_calls = [], []
-    series, rounds = _native.series, payoffs._series_rounds
-    monkeypatch.setattr(_native, "series", lambda *args: c_calls.append(1) or series(*args))
-    if rebound:
-        monkeypatch.setattr(payoffs, "_series_rounds",
-                            lambda *args: python_calls.append(1) or rounds(*args))
-    got = verify._oracle_triangle(params_main, verify._rng_for(3, 3), n)
+def wrap_every_function(monkeypatch, module):
+    """Wrap, with ``functools.wraps``, every function that ``module``
+    defines, in every zdgame namespace and module-level dict that binds
+    it, as a call tracer does; gives the wrappers' call counts by name."""
+    calls = collections.Counter()
+
+    def wrap(f):
+        @functools.wraps(f)
+        def counted(*args, **kwargs):
+            calls[f.__name__] += 1
+            return f(*args, **kwargs)
+
+        return counted
+
+    replace = {id(f): wrap(f) for f in vars(module).values()
+               if inspect.isfunction(f) and f.__module__ == module.__name__}
+    for name, namespace in list(sys.modules.items()):
+        if name == "zdgame" or name.startswith("zdgame."):
+            tables = [vars(namespace), *(v for v in vars(namespace).values() if type(v) is dict)]
+            for table in tables:
+                for key, value in list(table.items()):
+                    if id(value) in replace:
+                        monkeypatch.setitem(table, key, replace[id(value)])
+    return calls
+
+
+def test_wrapped_payoff_functions_leave_the_oracle_on_the_compiled_series(
+        compiled, monkeypatch, params_main):
+    """A call tracer's wrappers do not send the oracle triangle's series
+    to the Python loop: the compiled series runs whenever it builds."""
+    want = verify._oracle_triangle(params_main, verify._rng_for(3, 3), 30)
+    summed, series = [], _native.series
+    monkeypatch.setattr(_native, "series", lambda *args: summed.append(series(*args)) or summed[-1])
+    calls = wrap_every_function(monkeypatch, payoffs)
+    got = verify._oracle_triangle(params_main, verify._rng_for(3, 3), 30)
     assert got == want and bits(got.worst) == bits(want.worst)
-    assert (len(c_calls), len(python_calls)) == ((0, n) if rebound else (1, 0))
+    assert len(summed) == 1 and summed[0] is not None
+    assert calls["_series_payoffs"] == 1 and calls["_series_rounds"] == 0
 
 
 RACE = """

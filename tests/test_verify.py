@@ -364,6 +364,18 @@ def test_run_verification_rejects_bad_seed(seed):
         verify.run_verification(PARAMS, seed=seed, scale=0.002)
 
 
+# 1e304 overflows only the largest base, normalizer-positive's 100 000
+@pytest.mark.parametrize("scale", [1e308, 1e304])
+def test_run_verification_rejects_a_non_finite_sample_count(monkeypatch, scale):
+    def never(*args):
+        raise AssertionError("a property ran")
+
+    for name in ("_normalizer_positive", "_regularity_identity", "_oracle_triangle"):
+        monkeypatch.setattr(verify, name, never)
+    with pytest.raises(DomainError, match="sample"):
+        verify.run_verification(PARAMS, seed=0, scale=scale)
+
+
 def test_run_verification_takes_a_numpy_seed():
     lines = [[r.line() for r in verify.run_verification(PARAMS, seed=seed, scale=0.002)]
              for seed in (np.int64(3), 3)]

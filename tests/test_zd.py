@@ -230,6 +230,22 @@ def stream_columns(rng, params, sizes, extra):
     return cols, stream.rejections
 
 
+class CountingRng:
+    """A numpy Generator that counts the uniforms drawn through it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def random(self, size):
+        self.drawn += size
+        return self._rng.random(size)
+
+    def uniform(self, lo, hi):
+        self.drawn += 1
+        return self._rng.uniform(lo, hi)
+
+
 SAMPLER_SETTINGS = [(1.5, -0.5), (2.0, -0.1), (1.1, -1.0)]
 
 
@@ -271,3 +287,16 @@ class TestStackedSampler:
         # a fixed delta above the critical value still draws
         p, _, delta = sample_pczd(rng, params, delta=0.999)
         assert delta == 0.999 and is_pczd(p, delta, params)
+
+
+@pytest.mark.parametrize("block", [3, 13, 4096])
+def test_stream_reads_a_block_only_when_a_draw_needs_it(monkeypatch, params_main, block):
+    # after each take the stream has read the fewest whole blocks that hold
+    # every uniform the draw-by-draw loop has used
+    monkeypatch.setattr(zd_mod, "_BLOCK", block)
+    want, got = CountingRng(7), CountingRng(7)
+    stream = zd_mod.PcZDStream(got, params_main, extra=5)
+    for k in [1, 2, 0, 40, 77]:
+        retry_loop(want, params_main, k, 5)
+        stream.take(k)
+        assert got.drawn == -(-want.drawn // block) * block
