@@ -126,14 +126,18 @@ class Strategy:
 
 
 def strategy_tuple(s) -> tuple[float, float, float, float, float]:
-    """Coerce a :class:`Strategy` or any length-5 sequence to a plain tuple.
+    """Coerce a :class:`Strategy` or any length-5 sequence of numbers to a
+    plain tuple; anything else raises :class:`DomainError`.
 
     No range check: numeric kernels evaluate polynomial extrapolations at
     probe points slightly outside the cube.
     """
     if isinstance(s, Strategy):
         return s.as_tuple()
-    vals = tuple(float(v) for v in s)
+    try:
+        vals = tuple(float(v) for v in s)
+    except (TypeError, ValueError):
+        raise DomainError(f"a strategy needs 5 numbers, got {s!r}") from None
     if len(vals) != 5:
         raise DomainError(f"a strategy needs exactly 5 entries, got {len(vals)}")
     return vals

@@ -14,12 +14,12 @@ most ``_CHUNK``; the oracle triangle takes all of its draws at once and
 sums their payoff series in one call of the compiled loop
 (``payoffs._series_payoffs``), and the corner tables check each cell as
 one column over all the strategies of a kind.  Factorization-and-signs
-takes its random pcZD enforcers from :class:`~zdgame.zd.PcZDStream`,
-which screens every possible rejection-sampling try of a block of the
-stream at once, evaluates only those that draw phi, and gives the
-columns and rejection count of the draw-by-draw ``sample_pczd`` retry
-loop; the corner tables draw theirs one at a time, as their stream
-interleaves three kinds of draw.
+takes its random pcZD enforcers from :func:`_enforcer_chunks`, which
+screens every possible rejection-sampling try of a block of the stream
+at once with ``zd``'s window, entry and acceptance steps, evaluates
+only those that draw phi, and gives the columns and rejection count of
+the draw-by-draw ``sample_pczd`` retry loop; the corner tables draw
+theirs one at a time, as their stream interleaves three kinds of draw.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .payoffs import (
     _weigh,
 )
 from .tables import _TOL, _report
-from .zd import PcZDStream, _line_residual, recover_zd, sample_pczd
+from .zd import (_CHI_MAX, _CHI_MIN, _DELTA_MAX, _accepts, _delta_low, _entries, _line_residual,
+                 _phi_window, critical_discount, recover_zd, sample_pczd)
 
 _ONES = (1.0, 1.0, 1.0, 1.0)
 
@@ -54,6 +55,15 @@ _ONES = (1.0, 1.0, 1.0, 1.0)
 # not stack.  1 024 keeps one chunk's gradient arrays near 0.35 MB (2-vCPU
 # x86 VM, Python 3.11, numpy 2.4).
 _CHUNK = 1024
+
+# Uniforms that each pass of _enforcer_chunks appends to its stream.  A
+# pass has a fixed cost of ~60 numpy calls, so larger blocks are faster
+# until their arrays outgrow the heap the other properties leave.  At
+# 1 024, 2 048, 4 096 and 8 192, factorization-and-signs took ~83, 52, 42
+# and 46 ms (best of 7), and the README verify run peaked at 38.5-38.6,
+# 38.7-38.8, 38.6-38.7 and 39.2-39.3 MB VmHWM (2-vCPU x86 VM, Python 3.11,
+# numpy 2.4).
+_BLOCK = 4096
 
 _COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge}
 
@@ -117,17 +127,23 @@ class _Worst:
         if (x < self.value) if self.lowest else (x > self.value):
             self.value = x
 
-    def result(self, samples: int, details=(), failures=(), extra=None) -> PropertyResult:
-        """The property's result; a line of ``failures`` fails it as well."""
+    def result(self, samples: int, details=(), failures=(), figures=None) -> PropertyResult:
+        """The property's result, with ``figures`` as its ``extra``; a line
+        of ``failures`` fails it as well."""
         passed = (not self.details and not failures
                   and _COMPARE[self.comparison](self.value, self.threshold))
         return PropertyResult(self.name, passed, samples, self.value, self.threshold,
                               self.comparison, [*details, *failures, *self.details],
-                              extra or {})
+                              figures or {})
 
 
 def _rng_for(seed, k):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+
+
+def _uniform(lo, hi, u):
+    """``rng.uniform(lo, hi)`` given the ``rng.random()`` value ``u`` it draws."""
+    return lo + (hi - lo) * u
 
 
 def _draws(rng, n, lo, hi):
@@ -138,7 +154,7 @@ def _draws(rng, n, lo, hi):
     ``uniform`` is ``lo + (hi - lo) * random()``."""
     for first in range(0, n, _CHUNK):
         u = rng.random((min(_CHUNK, n - first), 11)).T.copy()
-        yield first, u[:5], u[5:10], lo + (hi - lo) * u[10]
+        yield first, u[:5], u[5:10], _uniform(lo, hi, u[10])
 
 
 def _normalizer_positive(params, rng, n):
@@ -170,7 +186,7 @@ def _oracle_triangle(params, rng, n):
     rest = u[10 * len(pinned):].reshape(-1, 11)
     p = np.concatenate([head[:, :5], rest[:, :5]]).T.copy()
     q = np.concatenate([head[:, 5:], rest[:, 5:10]]).T.copy()
-    d = np.concatenate([pinned, 0.01 + (0.99 - 0.01) * rest[:, 10]])
+    d = np.concatenate([pinned, _uniform(0.01, 0.99, rest[:, 10])])
     a = _payoffs(p, q, d, params)
     b = _inverse_payoffs(p, q, d, params)
     c = _series_payoffs(p, q, d, params, 1e-10)
@@ -189,18 +205,76 @@ def _zd_linear_relation(p, d, params, rng, n):
     return worst.result(n)
 
 
+def _enforcer_chunks(rng, params, n):
+    """The draws of ``sample_pczd(rng, params, tries=1)``, retried until one
+    is accepted and each followed by ``rng.random(5)``, ``n`` of them in
+    chunks of at most ``_CHUNK``: yields ``(first, p, q, delta,
+    rejections)``, p and q as ``(5, k)`` arrays and ``rejections`` the
+    tries rejected so far (after the last chunk, all before the n-th draw).
+
+    A try takes ``rng.random()`` values in a fixed pattern: delta, chi,
+    kappa and p0, then phi unless the phi window is empty.  So every offset
+    of the stream is one possible try, and the next one starts 4, 5 or 10
+    values on: window empty, rejected after phi, or accepted.  Each pass
+    appends ``_BLOCK`` values, screens every offset at once (phi and the
+    entries only where the window is open), then walks the chain of tries
+    in one plain loop up to the n-th accepted one.  Columns and count
+    equal the draw-by-draw loop's bit for bit; ``rng`` is read only when a
+    chunk needs a draw past the stream, after the critical discount check.
+    """
+    d_lo = _delta_low(critical_discount(params))
+    u = np.empty(0)  # the stream from the first try past the walk
+    cols = np.empty((11, 0))  # accepted tries not yet yielded: p0..p4, q, delta
+    rejections = 0
+    for first in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - first)
+        while cols.shape[1] < k:
+            u = np.concatenate([u, rng.random(_BLOCK)])
+            m = max(0, len(u) - 9)  # offsets whose accepted try u holds
+            d = _uniform(d_lo, _DELTA_MAX, u[:m])
+            chi = _uniform(_CHI_MIN, _CHI_MAX, u[1:m + 1])
+            kappa = _uniform(0.0, 1.0, u[2:m + 2])
+            p0 = _uniform(0.0, 1.0, u[3:m + 3])
+            lo, hi = _phi_window(chi, kappa, p0, d, params.T, params.S)
+            drew = np.flatnonzero(lo < hi)  # the tries that draw phi
+            lo, hi = lo[drew], hi[drew]
+            span = hi - lo
+            phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, u[drew + 4])
+            entries = _entries(phi, chi[drew], kappa[drew], p0[drew], d[drew], params.T, params.S)
+            ok = _accepts(phi, entries)
+            nxt = np.arange(4, m + 4)  # the offset of the try after each
+            nxt[drew] += 1
+            nxt[drew[ok]] += 5
+            accepted = np.zeros(m, dtype=bool)
+            accepted[drew[ok]] = True
+            nxt, accepted = nxt.tolist(), accepted.tolist()
+            hits, i, wanted = [], 0, n - first - cols.shape[1]
+            while i < m:
+                if accepted[i]:
+                    hits.append(i)
+                    if len(hits) == wanted:  # the n-th draw: later tries are not counted
+                        break
+                else:
+                    rejections += 1
+                i = nxt[i]
+            hits = np.array(hits, dtype=np.intp)
+            at = np.searchsorted(drew, hits)
+            cols = np.concatenate([cols, [p0[hits], *[e[at] for e in entries],
+                                          *[u[hits + j] for j in range(5, 10)], d[hits]]], axis=1)
+            u = u[i:]
+        yield first, cols[:5, :k], cols[5:10, :k], cols[10, :k], rejections
+        cols = cols[:, k:]
+
+
 def _factorization_and_signs(params, rng, n):
     """The two gradient routes against random pcZD enforcers: they agree,
     and every conditional component is nonnegative, an exact zero only at
     a corner pattern of ``zero_gradient_condition``."""
-    draws = PcZDStream(rng, params, extra=5)
     match = _Worst("factorization-match", 1e-9, "<")
     nonneg = _Worst("gradient-nonnegative", -1e-12, ">=")
-    zeros = 0
+    zeros = rejections = 0
     unexplained = []
-    for first in range(0, n, _CHUNK):
-        cols = draws.take(min(_CHUNK, n - first))
-        p, q, d = cols[:5], cols[5:10], cols[10]
+    for first, p, q, d, rejections in _enforcer_chunks(rng, params, n):
         gq = np.array(_gradient_quotient(p, q, d, params, "x"))
         gf = np.array(_gradient_factorized(p, q, d, params)[0])
         denom = np.maximum(np.abs(gq), np.abs(gf))
@@ -213,11 +287,11 @@ def _factorization_and_signs(params, rng, n):
             if not zero_gradient_condition(p[:, i], q[:, i], k + 1):
                 unexplained.append(f"zero gradient in q{k + 1} at draw {first + i} "
                                    "matches no corner pattern")
-        del cols, p, q, d, gq, gf, denom, rel  # not held through the next take's pass
+        del p, q, d, gq, gf, denom, rel  # not held through the next block's pass
     notes = []
     if not params.theta > 0.0:
         notes.append(f"claim needs 0 < T + S; here T + S = {params.theta:g}")
-    return (match.result(n, [f"construction rejections: {draws.rejections}"]),
+    return (match.result(n, [f"construction rejections: {rejections}"]),
             nonneg.result(n, notes, unexplained[:20], {"exact zeros": zeros}))
 
 
@@ -276,7 +350,7 @@ def _corner_tables(params, rng, n):
         bad += [f"{label} closed={v:.3e} is not positive"
                 for label, v in zip(labels5, closed5[i]) if not v > 0.0]
     samples = sum(len(d) * len(kind[0]) for d, kind in zip((plain, zd, coop), kinds))
-    return worst.result(samples, failures=bad[:20], extra={
+    return worst.result(samples, failures=bad[:20], figures={
         "Table 5 min": min([math.inf, *(v for row in closed5 for v in row)])})
 
 

@@ -4,11 +4,16 @@ A ZD strategy for player X pins the two discounted payoffs to a line
 ``s_X - kappa = chi * (s_Y - kappa)`` no matter what the opponent plays.
 The positively correlated family (chi >= 1, "pcZD") covers extortionate
 and generous play and only exists above a critical discount factor.
+
+:func:`sample_pczd` draws such enforcers by rejection sampling; the steps
+of a try take floats or arrays alike, so verify screens blocks of tries
+with the same code.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +71,7 @@ def _where(cond, a, b):
     With ``cond = b < a`` it is Python's ``min(a, b)``, and with ``b > a``
     its ``max(a, b)``, the first of equal values (signed zeros included)
     kept.  The formulas below go through it, so one copy of each serves
-    the scalar functions and the stacked sampler.
+    :func:`sample_pczd` and verify's screening of its enforcer stream.
     """
     if isinstance(cond, np.ndarray):
         return np.where(cond, a, b)
@@ -93,6 +98,15 @@ def _entries(phi, chi, kappa, p0, delta, T, S):
         v = _where((-1e-12 <= v) & (v < 0.0), 0.0, v)
         out.append(_where((1.0 < v) & (v <= 1.0 + 1e-12), 1.0, v))
     return out
+
+
+def _accepts(phi, entries):
+    """Whether a try's scale ``phi`` and entries p1..p4 make an enforcer:
+    ``phi > 0`` and every entry in [0, 1]; floats or element by element."""
+    ok = phi > 0.0
+    for e in entries:
+        ok = ok & (0.0 <= e) & (e <= 1.0)
+    return ok
 
 
 def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Strategy:
@@ -310,16 +324,25 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
     fixing ``delta``, ``p0``, or ``kappa`` narrows the draw (``p0=1,
     kappa=1`` gives the family with p0 = p1 = 1).  Raises ``RuntimeError``
     if no feasible draw is found, which signals an infeasible fixed
-    combination rather than bad luck, and :class:`DomainError` before any
-    draw when delta is to be drawn but the critical discount leaves no
-    room for it.
+    combination rather than bad luck.  Fixed arguments are checked before
+    any draw: :class:`DomainError` for a delta not above the critical
+    discount (or no room to draw one above it), a p0 outside [0, 1], a
+    NaN kappa, or ``tries`` not a positive integer.
     """
     dc = critical_discount(params)
-    d_lo = _delta_low(dc) if delta is None else None
+    delta, p0, kappa = (v if v is None else float(v) for v in (delta, p0, kappa))
+    if delta is None:
+        d_lo = _delta_low(dc)
+    elif not (dc < delta < 1.0):
+        raise DomainError(f"delta={delta} not above critical value {dc}")
+    if p0 is not None and not (0.0 <= p0 <= 1.0):
+        raise DomainError(f"p0={p0} outside [0, 1]")
+    if kappa is not None and math.isnan(kappa):
+        raise DomainError("kappa must be a number, got nan")
+    if isinstance(tries, bool) or not isinstance(tries, numbers.Integral) or tries < 1:
+        raise DomainError(f"tries must be a positive integer, got {tries!r}")
     for _ in range(tries):
         d = delta if delta is not None else rng.uniform(d_lo, _DELTA_MAX)
-        if not (dc < d < 1.0):
-            raise DomainError(f"delta={d} not above critical value {dc}")
         chi = rng.uniform(_CHI_MIN, _CHI_MAX)
         k = kappa if kappa is not None else rng.uniform(0.0, 1.0)
         start = p0 if p0 is not None else rng.uniform(0.0, 1.0)
@@ -329,112 +352,10 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
         lo, hi = window
         span = hi - lo
         phi = rng.uniform(lo + 0.01 * span, hi - 0.01 * span)
-        if phi <= 0.0:
-            continue
-        zd = ZDParams(phi=phi, chi=chi, kappa=k)
-        try:
-            strat = make_zd(zd, start, d, params)
-        except InfeasibleError:
-            continue
-        return strat, zd, d
+        entries = _entries(phi, chi, k, start, d, params.T, params.S)
+        if _accepts(phi, entries):
+            return Strategy(start, *entries), ZDParams(phi=phi, chi=chi, kappa=k), d
     raise RuntimeError(
         f"no feasible pcZD draw in {tries} tries "
         f"(delta={delta}, p0={p0}, kappa={kappa}, T={params.T}, S={params.S})"
     )
-
-
-def _uniform(lo, hi, u):
-    """``rng.uniform(lo, hi)`` given the ``rng.random()`` value ``u`` it draws."""
-    return lo + (hi - lo) * u
-
-
-# Uniforms that one pass of PcZDStream appends to the stream.  A pass has a
-# fixed cost of ~60 numpy calls, so larger blocks are faster until their
-# arrays outgrow the heap the other properties leave.  At 1 024, 2 048,
-# 4 096 and 8 192, factorization-and-signs took ~83, 52, 42 and 46 ms (best
-# of 7), and the README verify run peaked at 38.5-38.6, 38.7-38.8,
-# 38.6-38.7 and 39.2-39.3 MB VmHWM (2-vCPU x86 VM, Python 3.11, numpy 2.4).
-_BLOCK = 4096
-
-
-class PcZDStream:
-    """The draws of ``sample_pczd(rng, params, tries=1)``, retried until one
-    is accepted and each followed by ``rng.random(extra)``, made as stacked
-    passes over the uniform stream.
-
-    With delta, p0 and kappa drawn, a try takes ``rng.random()`` values in a
-    fixed pattern (``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``):
-    delta, chi, kappa and p0, then phi unless the phi window is empty.  So
-    every offset of the stream is one possible try.  A try at offset i goes
-    on at i + 4 when its window is empty, at i + 5 when it fails after
-    drawing phi, and at i + 5 + extra when it is accepted.  A pass finds
-    the phi window at every offset of a block at once, and phi and the
-    entries only where the window is open; then it walks the chain of
-    tries from the first offset in one plain loop, and keeps the columns
-    of the accepted tries on it, each with the count of tries rejected
-    before it.  :meth:`take` slices both.  The columns and the rejection
-    count equal the draw-by-draw loop's bit for bit; ``rng`` is read up to
-    a block ahead of it.
-    """
-
-    def __init__(self, rng, params: PayoffParams, extra: int):
-        self._d_lo = _delta_low(critical_discount(params))
-        self._rng = rng
-        self._params = params
-        self._span = 5 + extra  # uniforms an accepted try takes
-        self._u = np.empty(0)  # the stream from the first try past the walk
-        self._cols = np.empty((6 + extra, 0))  # accepted tries not yet taken
-        self._skipped = []  # tries rejected before each of them
-        self._rejected = 0  # tries rejected since the last accepted one
-        self.rejections = 0
-
-    def take(self, k: int) -> np.ndarray:
-        """The next ``k`` accepted draws as a ``(6 + extra, k)`` array: rows
-        p0..p4, then the ``extra`` uniforms, then delta."""
-        while self._cols.shape[1] < k:
-            self._evaluate()
-        cols, self._cols = self._cols[:, :k], self._cols[:, k:]
-        self.rejections += sum(self._skipped[:k])
-        del self._skipped[:k]
-        return cols
-
-    def _evaluate(self):
-        """Append a block to the stream left by the last walk, and walk the
-        chain of tries from its start while the stream holds their
-        uniforms."""
-        u = np.concatenate([self._u, self._rng.random(_BLOCK)])
-        m = max(0, len(u) - self._span + 1)
-        T, S = self._params.T, self._params.S
-        d = _uniform(self._d_lo, _DELTA_MAX, u[:m])
-        chi = _uniform(_CHI_MIN, _CHI_MAX, u[1:m + 1])
-        kappa = _uniform(0.0, 1.0, u[2:m + 2])
-        p0 = _uniform(0.0, 1.0, u[3:m + 3])
-        lo, hi = _phi_window(chi, kappa, p0, d, T, S)
-        drew = np.flatnonzero(lo < hi)  # the tries that draw phi
-        lo, hi = lo[drew], hi[drew]
-        span = hi - lo
-        phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, u[drew + 4])
-        entries = _entries(phi, chi[drew], kappa[drew], p0[drew], d[drew], T, S)
-        ok = (phi > 0.0) & np.logical_and.reduce([(0.0 <= e) & (e <= 1.0) for e in entries])
-        nxt = np.arange(4, m + 4)  # the offset of the try after each
-        nxt[drew] += 1
-        nxt[drew[ok]] += self._span - 5
-        accepted = np.zeros(m, dtype=bool)
-        accepted[drew[ok]] = True
-        nxt, accepted = nxt.tolist(), accepted.tolist()
-        hits, i, rejected = [], 0, self._rejected
-        while i < m:
-            if accepted[i]:
-                hits.append(i)
-                self._skipped.append(rejected)
-                rejected = 0
-            else:
-                rejected += 1
-            i = nxt[i]
-        self._rejected = rejected
-        hits = np.array(hits, dtype=np.intp)
-        at = np.searchsorted(drew, hits)
-        cols = np.array([p0[hits], *[e[at] for e in entries],
-                         *[u[hits + j] for j in range(5, self._span)], d[hits]])
-        self._cols = np.concatenate([self._cols, cols], axis=1)
-        self._u = u[i:]

@@ -292,7 +292,7 @@ BAD_ASCENT_INPUTS = [
     ("p", (0.0, 0.75, math.nan, 0.5, 0.0), DomainError,
      "p has a non-finite entry: (0.0, 0.75, nan, 0.5, 0.0)"),
     ("p", (0.0, 0.75, 0.25, 0.5), DomainError, "a strategy needs exactly 5 entries, got 4"),
-    ("p", "abcde", ValueError, "could not convert string to float: 'a'"),
+    ("p", "abcde", DomainError, "a strategy needs 5 numbers, got 'abcde'"),
     ("delta", 1.0, DomainError, "discount factor must lie in (0, 1), got 1.0"),
     ("delta", math.nan, DomainError, "discount factor must lie in (0, 1), got nan"),
     ("params", validate_payoffs(1.4, -1.5), DomainError,

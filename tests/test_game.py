@@ -68,6 +68,15 @@ class TestStrategy:
         assert str(got.value) == str(want.value) == message
 
 
+@pytest.mark.parametrize("values, shown", [
+    (["a"] * 5, "['a', 'a', 'a', 'a', 'a']"), (None, "None"), (5, "5"), ("abcde", "'abcde'"),
+])
+def test_strategy_tuple_rejects_what_is_not_numbers(values, shown):
+    with pytest.raises(DomainError) as info:
+        strategy_tuple(values)
+    assert str(info.value) == f"a strategy needs 5 numbers, got {shown}"
+
+
 class TestTransitionMatrix:
     def test_all_cooperate_absorbs_cc(self):
         m = transition_matrix((1, 1, 1, 1, 1), (1, 1, 1, 1, 1))

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from zdgame import (
     verify_linear_relation,
     zd_consistency_residual,
 )
+from zdgame import verify
 from zdgame import zd as zd_mod
 from conftest import PCZD_A, PCZD_B, PCZD_C, ROSTER, bits
 
@@ -206,28 +210,92 @@ class TestLinearRelation:
         assert better.s_x > base.s_x
 
 
-def retry_loop(rng, params, n, extra):
-    """Reference for PcZDStream: ``sample_pczd(tries=1)`` retried draw by
-    draw, each accepted draw followed by ``rng.random(extra)``."""
-    cols = np.empty((6 + extra, n))
+class TestSamplePcZD:
+    # sha256 of the float bytes of 200 draws (p0..p4, phi, chi, kappa,
+    # delta) and the stream's next uniform, seeds 0-2 on each setting
+    @pytest.mark.parametrize("fixed, digest", [
+        ({}, "602de2310d583a163c3b165aba657f445ad50ed424dfdf05f0cbf566252875a1"),
+        ({"p0": 1.0, "kappa": 1.0},
+         "edc8ed39e101ddc60d261a436618d79b32fd1c34f1a164fc77abe2c8e792cf43"),
+        ({"delta": 0.9}, "e05649a29f605ff8c2773887d97be947415e091295fb98dfdf019c8c6ba99e05"),
+        ({"delta": 0.999, "p0": 0.3},
+         "49a8c4ddd46be3273bfe3803df05cd773542e4cfa8e49cc052d7cc8e360958ad"),
+    ])
+    def test_draws_are_pinned(self, fixed, digest):
+        h = hashlib.sha256()
+        for T, S in [(1.5, -0.5), (2.0, -0.1)]:
+            params = validate_payoffs(T, S)
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                for _ in range(200):
+                    p, zd, d = sample_pczd(rng, params, **fixed)
+                    h.update(bits([*p, zd.phi, zd.chi, zd.kappa, d]))
+                h.update(bits(rng.random()))
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("fixed, message", [
+        ({"kappa": math.nan}, "kappa must be a number, got nan"),
+        ({"p0": math.nan}, "p0=nan outside [0, 1]"),
+        ({"p0": 1.5}, "p0=1.5 outside [0, 1]"),
+        ({"delta": math.nan}, "delta=nan not above critical value 0.3333333333333333"),
+        ({"delta": 0.2}, "delta=0.2 not above critical value 0.3333333333333333"),
+        ({"tries": 0}, "tries must be a positive integer, got 0"),
+        ({"tries": -1}, "tries must be a positive integer, got -1"),
+        ({"tries": 2.5}, "tries must be a positive integer, got 2.5"),
+        ({"tries": True}, "tries must be a positive integer, got True"),
+    ])
+    def test_rejects_bad_fixed_arguments_before_any_draw(self, params_main, fixed, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError) as info:
+            sample_pczd(rng, params_main, **fixed)
+        assert str(info.value) == message
+        assert rng.bit_generator.state == state
+
+    def test_accepts_the_closed_cube_on_floats_and_arrays(self):
+        # phi, then p1..p4
+        tries = [(0.1, 0.0, 1.0, 0.5, 0.0), (1e-300, 1.0, 1.0, 1.0, 1.0),
+                 (0.0, 0.5, 0.5, 0.5, 0.5), (-0.1, 0.5, 0.5, 0.5, 0.5),
+                 (0.1, 0.5, np.nextafter(1.0, 2.0), 0.5, 0.5), (0.1, 0.5, 0.5, -5e-324, 0.5),
+                 (0.1, 0.5, 0.5, 0.5, math.nan), (math.nan, 0.5, 0.5, 0.5, 0.5)]
+        got = [zd_mod._accepts(phi, entries) for phi, *entries in tries]
+        assert got == [True, True, False, False, False, False, False, False]
+        phi, *entries = np.array(tries).T
+        assert zd_mod._accepts(phi, entries).tolist() == got
+
+    @pytest.mark.parametrize("kappa", [-1.0, 2.0, math.inf])
+    def test_a_kappa_outside_the_unit_interval_finds_no_draw(self, params_main, kappa):
+        with pytest.raises(RuntimeError, match="no feasible pcZD draw in 50 tries"):
+            sample_pczd(np.random.default_rng(0), params_main, kappa=kappa, tries=50)
+
+
+def retry_loop(rng, params, n):
+    """Reference for verify._enforcer_chunks: ``sample_pczd(tries=1)``
+    retried draw by draw, each accepted draw followed by ``rng.random(5)``.
+    Returns the ``(11, n)`` columns (p0..p4, q, delta) and the count of
+    rejected tries."""
+    cols = np.empty((11, n))
     rejections = 0
     for k in range(n):
         while True:
             try:
                 p, _, d = sample_pczd(rng, params, tries=1)
                 break
-            except (RuntimeError, InfeasibleError):
+            except RuntimeError:
                 rejections += 1
         cols[:5, k] = p.as_tuple()
-        cols[5:5 + extra, k] = rng.random(extra)
-        cols[5 + extra, k] = d
+        cols[5:10, k] = rng.random(5)
+        cols[10, k] = d
     return cols, rejections
 
 
-def stream_columns(rng, params, sizes, extra):
-    stream = zd_mod.PcZDStream(rng, params, extra=extra)
-    cols = np.concatenate([stream.take(k) for k in sizes], axis=1)
-    return cols, stream.rejections
+def chunk_columns(rng, params, n):
+    """The columns of every chunk of ``_enforcer_chunks`` side by side, and
+    the rejection count of the last."""
+    chunks = list(verify._enforcer_chunks(rng, params, n))
+    assert [first for first, *_ in chunks] == list(range(0, n, verify._CHUNK))
+    cols = np.concatenate([np.vstack([p, q, d]) for _, p, q, d, _ in chunks], axis=1)
+    return cols, chunks[-1][4]
 
 
 class CountingRng:
@@ -247,6 +315,11 @@ class CountingRng:
 
 
 SAMPLER_SETTINGS = [(1.5, -0.5), (2.0, -0.1), (1.1, -1.0)]
+# a block shorter than an accepted try, one as long as it, two primes and
+# the module's own; chunks of one draw, two sizes that leave remainders of
+# 120 draws, and the module's own, which one chunk of 120 fits
+BLOCKS = [3, 10, 13, 37, 4096]
+CHUNKS = [1, 40, 77, 1024]
 
 
 class TestStackedSampler:
@@ -255,23 +328,31 @@ class TestStackedSampler:
     @pytest.mark.parametrize("seed", [0, 1, 2, 77])
     def test_equals_draw_by_draw_retry_loop(self, T, S, seed):
         params = validate_payoffs(T, S, strict=True)
-        want, want_rejections = retry_loop(np.random.default_rng(seed), params, 600, 5)
-        got, rejections = stream_columns(np.random.default_rng(seed), params, [1, 255, 256, 88], 5)
+        want, want_rejections = retry_loop(np.random.default_rng(seed), params, 600)
+        got, rejections = chunk_columns(np.random.default_rng(seed), params, 600)
         assert rejections == want_rejections
         assert bits(got) == bits(want)
 
-    # a block shorter than an accepted try, one as long as a try with
-    # extra = 5, and two primes, so that walks cross refills at many phases;
-    # and the module's own block, 4 096, which one walk of 120 draws fills
-    @pytest.mark.parametrize("block", [3, 10, 13, 37, 4096])
-    @pytest.mark.parametrize("extra", [0, 5])
-    def test_walks_across_block_refills(self, monkeypatch, params_main, block, extra):
-        monkeypatch.setattr(zd_mod, "_BLOCK", block)
-        want, want_rejections = retry_loop(np.random.default_rng(7), params_main, 120, extra)
-        got, rejections = stream_columns(np.random.default_rng(7), params_main, [1, 2, 0, 40, 77],
-                                         extra)
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_walks_across_block_refills(self, monkeypatch, params_main, block, chunk):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        want, want_rejections = retry_loop(np.random.default_rng(7), params_main, 120)
+        got, rejections = chunk_columns(np.random.default_rng(7), params_main, 120)
         assert rejections == want_rejections > 0
         assert bits(got) == bits(want)
+
+    def test_tries_after_the_last_draw_are_not_counted(self, params_main):
+        # the 120th draw ends mid-block, and the block holds the next try,
+        # which is rejected
+        want = CountingRng(7)
+        _, want_rejections = retry_loop(want, params_main, 120)
+        used = want.drawn
+        _, more = retry_loop(want, params_main, 1)
+        assert more > 0 and used + 5 <= -(-used // verify._BLOCK) * verify._BLOCK
+        _, rejections = chunk_columns(np.random.default_rng(7), params_main, 120)
+        assert rejections == want_rejections
 
     def test_no_room_above_critical_discount(self):
         # delta_c = 150/151: delta_c + 0.01 is not below the drawn range's
@@ -282,7 +363,7 @@ class TestStackedSampler:
         with pytest.raises(DomainError, match="critical discount 0.9933"):
             sample_pczd(rng, params)
         with pytest.raises(DomainError, match="critical discount 0.9933"):
-            zd_mod.PcZDStream(rng, params, extra=5)
+            next(verify._enforcer_chunks(rng, params, 5))
         assert rng.bit_generator.state == state
         # a fixed delta above the critical value still draws
         p, _, delta = sample_pczd(rng, params, delta=0.999)
@@ -290,13 +371,13 @@ class TestStackedSampler:
 
 
 @pytest.mark.parametrize("block", [3, 13, 4096])
-def test_stream_reads_a_block_only_when_a_draw_needs_it(monkeypatch, params_main, block):
-    # after each take the stream has read the fewest whole blocks that hold
-    # every uniform the draw-by-draw loop has used
-    monkeypatch.setattr(zd_mod, "_BLOCK", block)
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_stream_reads_a_block_only_when_a_draw_needs_it(monkeypatch, params_main, block, chunk):
+    # after each chunk the generator has read the fewest whole blocks that
+    # hold every uniform the draw-by-draw loop has used
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
     want, got = CountingRng(7), CountingRng(7)
-    stream = zd_mod.PcZDStream(got, params_main, extra=5)
-    for k in [1, 2, 0, 40, 77]:
-        retry_loop(want, params_main, k, 5)
-        stream.take(k)
+    for _, p, *_ in verify._enforcer_chunks(got, params_main, 120):
+        retry_loop(want, params_main, p.shape[1])
         assert got.drawn == -(-want.drawn // block) * block
