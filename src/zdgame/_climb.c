@@ -1,14 +1,16 @@
-/* zdgame's compiled loops: one adapting path's whole ascent, for sweeps,
- * and the discounted payoff series of many strategy pairs, for verify.
+/* zdgame's compiled loops: one adapting path's whole ascent, for sweeps;
+ * and, for verify, the discounted payoff series of many strategy pairs
+ * and the rejection-sampling tries of a block of random pcZD enforcers.
  *
  * The ascent loop is adaptive._climb without the recording: the same
  * payoff kernel (payoffs._matrix_rows -> _cofactors -> _payoff_terms), the
  * same scaled moves (adaptive._fd_move, or the scalar
  * gradients._gradient_quotient), the same clamp and the same Euclidean
- * stopping rule; the series loop is payoffs._series_rounds.  Each is
- * written with its Python operation order.  Built with -ffp-contract=off,
- * so that no a*b + c becomes a fused multiply-add, every double equals its
- * Python result bit for bit.  The loader is zdgame/_native.py.
+ * stopping rule; the series loop is payoffs._series_rounds, and the
+ * enforcer loop verify._walk.  Each is written with its Python operation
+ * order.  Built with -ffp-contract=off, so that no a*b + c becomes a fused
+ * multiply-add, every double equals its Python result bit for bit.  The
+ * loader is zdgame/_native.py.
  */
 #include <math.h>
 #include <stdint.h>
@@ -220,4 +222,106 @@ void zd_series(int64_t n, const int64_t *rounds, const double *v, const double *
         sum_x[k] = acc_x;
         sum_y[k] = acc_y;
     }
+}
+
+/* rng.uniform(lo, hi) given the rng.random() value u it draws, as
+ * verify._uniform. */
+static double uniform(double lo, double hi, double u)
+{
+    return lo + (hi - lo) * u;
+}
+
+/* One cut of the phi window by the entry (c + slope * phi) / delta, as
+ * zd._narrow: a flat slope leaves the window, or empties it when c / delta
+ * lies outside [0, 1]; min and max keep the first of equal values. */
+static void narrow(double *lo, double *hi, double c, double slope, double delta)
+{
+    if (fabs(slope) < 1e-300) {
+        if (!(0.0 <= c / delta && c / delta <= 1.0))
+            *hi = -INFINITY;
+        return;
+    }
+    double a = -c / slope, b = (delta - c) / slope;
+    double left = (b < a) ? b : a;  /* min(a, b) */
+    double right = (b > a) ? b : a; /* max(a, b) */
+    if (left > *lo)
+        *lo = left;
+    if (right < *hi)
+        *hi = right;
+}
+
+/* zd._entries: p1..p4 at scale phi, with float noise within 1e-12 outside
+ * the cube absorbed; returns zd._accepts, phi > 0 and each in [0, 1]. */
+static int entries(double phi, double chi, double kappa, double p0, double delta,
+                   double T, double S, double e[4])
+{
+    double base = (1.0 - delta) * p0;
+    const double t[4] = {
+        1.0 - phi * (chi - 1.0) * (1.0 - kappa),
+        1.0 - phi * (chi * T - S - (chi - 1.0) * kappa),
+        phi * (T - chi * S + (chi - 1.0) * kappa),
+        phi * (chi - 1.0) * kappa,
+    };
+    int ok = phi > 0.0;
+    for (int j = 0; j < 4; j++) {
+        double v = (t[j] - base) / delta;
+        if (-1e-12 <= v && v < 0.0)
+            v = 0.0;
+        else if (1.0 < v && v <= 1.0 + 1e-12)
+            v = 1.0;
+        e[j] = v;
+        ok = ok && 0.0 <= v && v <= 1.0;
+    }
+    return ok;
+}
+
+/* verify._walk: the tries of zd.sample_pczd(rng, params, tries=1) over the
+ * len rng.random() values u, from offset 0 until the n-th accepted try or
+ * the first offset at which an accepted try's ten values no longer fit.
+ * A try draws delta and chi uniform in the ranges draw[0..1] and
+ * draw[2..3], kappa and p0 in (0, 1); an empty phi window rejects it after
+ * these four values, a drawn phi outside the cube after five.
+ * Accepted try h fills column h of cols, stored row-major as (11, n): p0,
+ * p1..p4, the five values after the try (its q) and delta.  Returns the
+ * columns filled, with the tries rejected in walked[0] and the offset
+ * after the last try in walked[1]; draw[4], draw[5] are T and S. */
+int64_t zd_pczd(int64_t len, const double *u, const double *draw, int64_t n,
+                double *cols, int64_t *walked)
+{
+    const double T = draw[4], S = draw[5];
+    int64_t i = 0, h = 0, rejected = 0;
+    while (i < len - 9 && h < n) {
+        double d = uniform(draw[0], draw[1], u[i]);
+        double chi = uniform(draw[2], draw[3], u[i + 1]);
+        double kappa = uniform(0.0, 1.0, u[i + 2]);
+        double p0 = uniform(0.0, 1.0, u[i + 3]);
+        double base = (1.0 - d) * p0, lo = 0.0, hi = INFINITY;
+        narrow(&lo, &hi, 1.0 - base, -(chi - 1.0) * (1.0 - kappa), d);
+        narrow(&lo, &hi, 1.0 - base, -(chi * T - S - (chi - 1.0) * kappa), d);
+        narrow(&lo, &hi, -base, T - chi * S + (chi - 1.0) * kappa, d);
+        narrow(&lo, &hi, -base, (chi - 1.0) * kappa, d);
+        if (!(lo < hi)) {
+            rejected++;
+            i += 4;
+            continue;
+        }
+        double span = hi - lo, e[4];
+        double phi = uniform(lo + 0.01 * span, hi - 0.01 * span, u[i + 4]);
+        if (!entries(phi, chi, kappa, p0, d, T, S, e)) {
+            rejected++;
+            i += 5;
+            continue;
+        }
+        cols[h] = p0;
+        for (int j = 0; j < 4; j++)
+            cols[(1 + j) * n + h] = e[j];
+        for (int j = 0; j < 5; j++)
+            cols[(5 + j) * n + h] = u[i + 5 + j];
+        cols[10 * n + h] = d;
+        h++;
+        i += 10;
+    }
+    walked[0] = rejected;
+    walked[1] = i;
+    return h;
 }

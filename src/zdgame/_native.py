@@ -6,7 +6,8 @@ single C call through ctypes.  It ends the path exactly as
 count and converged flag, and the same :class:`NumericalError` on a
 vanished normalizer.  :func:`series` sums the discounted payoff series
 of many strategy pairs in one C call, each pair's sums bit for bit those
-of ``payoffs._series_rounds``.
+of ``payoffs._series_rounds``.  :func:`pczd` is ``verify._walk``, the
+tries of a block of verify's pcZD enforcer stream, in one C call.
 
 The library is compiled once, by the C compiler Python was built with
 (``sysconfig``'s ``CC``), with the flags below.  ``-ffp-contract=off``
@@ -20,10 +21,10 @@ sha256, the same digest, is the fallback.  A build goes to a temporary
 name and is renamed into place, so concurrent builds are safe, and once
 it loads, the cache's other ``_climb-*.so`` files, builds of older
 sources, are removed.  Any failure (no compiler, a cache that cannot be
-written or that anyone may write, a failed load) makes :func:`climber`
-and :func:`series` return None, and the caller runs its Python loop
-instead.  Only a sweep and the oracle-triangle payoff series import this
-module.
+written or that anyone may write, a failed load) makes :func:`climber`,
+:func:`series` and :func:`pczd` return None, and the caller runs its
+Python loop instead.  Only a sweep, the oracle-triangle payoff series
+and verify's pcZD enforcer stream import this module.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ except ImportError:
         from hashlib import sha256
 
 from .payoffs import NORMALIZER_FLOOR, _vanished_normalizer
+from .zd import _CHI_MAX, _CHI_MIN, _DELTA_MAX
 
 SOURCE = Path(__file__).with_name("_climb.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -102,7 +104,7 @@ def _prune(keep: Path):
 @functools.cache
 def _kernel():
     """The cached library, built first if no cache holds it, with the
-    argument types of its two loops set; None if it cannot be built or
+    argument types of its three loops set; None if it cannot be built or
     loaded."""
     try:
         source = SOURCE.read_bytes()
@@ -118,7 +120,7 @@ def _kernel():
         if built and not _build(cc, path):
             return None
         lib = ctypes.CDLL(str(path))
-        climb, series = lib.zd_climb, lib.zd_series
+        climb, series, pczd = lib.zd_climb, lib.zd_series, lib.zd_pczd
     except (OSError, AttributeError):
         return None  # an unwritable cache or a failed load
     if built:
@@ -129,6 +131,8 @@ def _kernel():
     climb.restype = ctypes.c_int
     series.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 8]  # array data addresses
     series.restype = None
+    pczd.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 2, ctypes.c_int64, *[ctypes.c_void_p] * 2]
+    pczd.restype = ctypes.c_int64
     return lib
 
 
@@ -183,3 +187,18 @@ def series(rounds, v, rows, delta, sx, sy):
               sum_x, sum_y]
     lib.zd_series(n, *(a.ctypes.data for a in arrays))
     return sum_x, sum_y
+
+
+def pczd(u, n, d_lo, params):
+    """``verify._walk(u, n, d_lo, params)`` in one C call; None if the
+    kernel is unavailable.  An accepted try takes ten values of ``u``, so
+    at most ``len(u) // 10 + 1`` columns are allocated, whatever ``n``."""
+    lib = _kernel()
+    if lib is None:
+        return None
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    n = min(n, len(u) // 10 + 1)
+    cols, walked = np.empty((11, n)), np.empty(2, dtype=np.int64)  # walked: rejected, stop
+    draw = (ctypes.c_double * 6)(d_lo, _DELTA_MAX, _CHI_MIN, _CHI_MAX, params.T, params.S)
+    k = lib.zd_pczd(len(u), u.ctypes.data, draw, n, cols.ctypes.data, walked.ctypes.data)
+    return cols[:, :k], *walked.tolist()

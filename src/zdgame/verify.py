@@ -15,11 +15,11 @@ sums their payoff series in one call of the compiled loop
 (``payoffs._series_payoffs``), and the corner tables check each cell as
 one column over all the strategies of a kind.  Factorization-and-signs
 takes its random pcZD enforcers from :func:`_enforcer_chunks`, which
-screens every possible rejection-sampling try of a block of the stream
-at once with ``zd``'s window, entry and acceptance steps, evaluates
-only those that draw phi, and gives the columns and rejection count of
-the draw-by-draw ``sample_pczd`` retry loop; the corner tables draw
-theirs one at a time, as their stream interleaves three kinds of draw.
+walks the rejection-sampling tries of each block of the stream in one
+call of the compiled loop (``_native.pczd``, or :func:`_walk` where it
+cannot be built) and gives the columns and rejection count of the
+draw-by-draw ``sample_pczd`` retry loop; the corner tables draw theirs
+one at a time, as their stream interleaves three kinds of draw.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ _ONES = (1.0, 1.0, 1.0, 1.0)
 # x86 VM, Python 3.11, numpy 2.4).
 _CHUNK = 1024
 
-# Uniforms that each pass of _enforcer_chunks appends to its stream.  A
-# pass has a fixed cost of ~60 numpy calls, so larger blocks are faster
-# until their arrays outgrow the heap the other properties leave.  At
-# 1 024, 2 048, 4 096 and 8 192, factorization-and-signs took ~83, 52, 42
-# and 46 ms (best of 7), and the README verify run peaked at 38.5-38.6,
-# 38.7-38.8, 38.6-38.7 and 39.2-39.3 MB VmHWM (2-vCPU x86 VM, Python 3.11,
-# numpy 2.4).
+# Uniforms that _enforcer_chunks appends to its stream before each walk,
+# which has a fixed cost of an rng call, a concatenation and a C call.  At
+# 256, 1 024, 4 096 and 8 192, the compiled stream of 10 000 draws took
+# ~11.8, 4.5, 2.6 and 2.3 ms (best of 9), and the README verify run peaked
+# at 39.3, 39.3, 39.3 and 39.4 MB VmHWM (2-vCPU x86 VM, Python 3.11).
 _BLOCK = 4096
 
 _COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge}
@@ -205,6 +203,34 @@ def _zd_linear_relation(p, d, params, rng, n):
     return worst.result(n)
 
 
+def _walk(u, n, d_lo, params):
+    """The tries of ``sample_pczd(rng, params, tries=1)`` on the uniforms
+    ``u`` from offset 0, until the ``n``-th accepted one or an offset where
+    an accepted try's ten values no longer fit: the accepted ``(11, k)``
+    columns (p0..p4, the five values after the try as q, delta), the tries
+    rejected, and the offset after the last try.  ``zd_pczd`` in
+    ``_climb.c`` is this loop compiled."""
+    T, S = params.T, params.S
+    u = u.tolist()
+    cols, rejected, i = [], 0, 0
+    while i < len(u) - 9 and len(cols) < n:
+        d = _uniform(d_lo, _DELTA_MAX, u[i])
+        chi = _uniform(_CHI_MIN, _CHI_MAX, u[i + 1])
+        kappa = _uniform(0.0, 1.0, u[i + 2])
+        p0 = _uniform(0.0, 1.0, u[i + 3])
+        lo, hi = _phi_window(chi, kappa, p0, d, T, S)
+        if lo < hi:
+            span = hi - lo
+            phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, u[i + 4])
+            entries = _entries(phi, chi, kappa, p0, d, T, S)
+            if _accepts(phi, entries):
+                cols.append([p0, *entries, *u[i + 5:i + 10], d])
+                i += 10
+                continue
+        rejected, i = rejected + 1, i + (5 if lo < hi else 4)
+    return np.array(cols).reshape(-1, 11).T, rejected, i
+
+
 def _enforcer_chunks(rng, params, n):
     """The draws of ``sample_pczd(rng, params, tries=1)``, retried until one
     is accepted and each followed by ``rng.random(5)``, ``n`` of them in
@@ -213,15 +239,15 @@ def _enforcer_chunks(rng, params, n):
     tries rejected so far (after the last chunk, all before the n-th draw).
 
     A try takes ``rng.random()`` values in a fixed pattern: delta, chi,
-    kappa and p0, then phi unless the phi window is empty.  So every offset
-    of the stream is one possible try, and the next one starts 4, 5 or 10
-    values on: window empty, rejected after phi, or accepted.  Each pass
-    appends ``_BLOCK`` values, screens every offset at once (phi and the
-    entries only where the window is open), then walks the chain of tries
-    in one plain loop up to the n-th accepted one.  Columns and count
-    equal the draw-by-draw loop's bit for bit; ``rng`` is read only when a
-    chunk needs a draw past the stream, after the critical discount check.
+    kappa and p0, then phi unless the phi window is empty.  So the stream
+    can be read ahead in blocks of ``_BLOCK`` values, each walked try by
+    try up to the n-th accepted one; the values past the last whole try
+    walked start the next block.  Columns and count equal the draw-by-draw
+    loop's bit for bit; ``rng`` is read only when a chunk needs a draw
+    past the stream, after the critical discount check.
     """
+    from . import _native  # imported on first use, so that importing zdgame loads no library
+
     d_lo = _delta_low(critical_discount(params))
     u = np.empty(0)  # the stream from the first try past the walk
     cols = np.empty((11, 0))  # accepted tries not yet yielded: p0..p4, q, delta
@@ -230,38 +256,12 @@ def _enforcer_chunks(rng, params, n):
         k = min(_CHUNK, n - first)
         while cols.shape[1] < k:
             u = np.concatenate([u, rng.random(_BLOCK)])
-            m = max(0, len(u) - 9)  # offsets whose accepted try u holds
-            d = _uniform(d_lo, _DELTA_MAX, u[:m])
-            chi = _uniform(_CHI_MIN, _CHI_MAX, u[1:m + 1])
-            kappa = _uniform(0.0, 1.0, u[2:m + 2])
-            p0 = _uniform(0.0, 1.0, u[3:m + 3])
-            lo, hi = _phi_window(chi, kappa, p0, d, params.T, params.S)
-            drew = np.flatnonzero(lo < hi)  # the tries that draw phi
-            lo, hi = lo[drew], hi[drew]
-            span = hi - lo
-            phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, u[drew + 4])
-            entries = _entries(phi, chi[drew], kappa[drew], p0[drew], d[drew], params.T, params.S)
-            ok = _accepts(phi, entries)
-            nxt = np.arange(4, m + 4)  # the offset of the try after each
-            nxt[drew] += 1
-            nxt[drew[ok]] += 5
-            accepted = np.zeros(m, dtype=bool)
-            accepted[drew[ok]] = True
-            nxt, accepted = nxt.tolist(), accepted.tolist()
-            hits, i, wanted = [], 0, n - first - cols.shape[1]
-            while i < m:
-                if accepted[i]:
-                    hits.append(i)
-                    if len(hits) == wanted:  # the n-th draw: later tries are not counted
-                        break
-                else:
-                    rejections += 1
-                i = nxt[i]
-            hits = np.array(hits, dtype=np.intp)
-            at = np.searchsorted(drew, hits)
-            cols = np.concatenate([cols, [p0[hits], *[e[at] for e in entries],
-                                          *[u[hits + j] for j in range(5, 10)], d[hits]]], axis=1)
-            u = u[i:]
+            wanted = n - first - cols.shape[1]
+            walked = _native.pczd(u, wanted, d_lo, params)
+            accepted, rejected, stop = walked or _walk(u, wanted, d_lo, params)
+            cols = np.concatenate([cols, accepted], axis=1)
+            rejections += rejected
+            u = u[stop:]
         yield first, cols[:5, :k], cols[5:10, :k], cols[10, :k], rejections
         cols = cols[:, k:]
 
@@ -287,7 +287,7 @@ def _factorization_and_signs(params, rng, n):
             if not zero_gradient_condition(p[:, i], q[:, i], k + 1):
                 unexplained.append(f"zero gradient in q{k + 1} at draw {first + i} "
                                    "matches no corner pattern")
-        del p, q, d, gq, gf, denom, rel  # not held through the next block's pass
+        del p, q, d, gq, gf, denom, rel  # not held through the next chunk's arrays
     notes = []
     if not params.theta > 0.0:
         notes.append(f"claim needs 0 < T + S; here T + S = {params.theta:g}")

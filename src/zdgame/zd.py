@@ -5,9 +5,8 @@ A ZD strategy for player X pins the two discounted payoffs to a line
 The positively correlated family (chi >= 1, "pcZD") covers extortionate
 and generous play and only exists above a critical discount factor.
 
-:func:`sample_pczd` draws such enforcers by rejection sampling; the steps
-of a try take floats or arrays alike, so verify screens blocks of tries
-with the same code.
+:func:`sample_pczd` draws such enforcers by rejection sampling; verify's
+enforcer stream walks the same steps of a try over a block of uniforms.
 """
 
 from __future__ import annotations
@@ -64,20 +63,6 @@ class NotZD:
         return False
 
 
-def _where(cond, a, b):
-    """``a`` where ``cond`` holds, else ``b``: one choice for a float
-    condition, element by element for an array one.
-
-    With ``cond = b < a`` it is Python's ``min(a, b)``, and with ``b > a``
-    its ``max(a, b)``, the first of equal values (signed zeros included)
-    kept.  The formulas below go through it, so one copy of each serves
-    :func:`sample_pczd` and verify's screening of its enforcer stream.
-    """
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
-
-
 def _zd_targets(phi, chi, kappa, T, S):
     """Right-hand sides of the four conditional-probability equations."""
     return (
@@ -89,24 +74,25 @@ def _zd_targets(phi, chi, kappa, T, S):
 
 
 def _entries(phi, chi, kappa, p0, delta, T, S):
-    """The enforcer's p1..p4, floats or element by element.  Pure float
-    noise at the cube boundary (within 1e-12 outside) is absorbed."""
+    """The enforcer's p1..p4.  Pure float noise at the cube boundary
+    (within 1e-12 outside) is absorbed."""
     base = (1.0 - delta) * p0
     out = []
     for t in _zd_targets(phi, chi, kappa, T, S):
         v = (t - base) / delta
-        v = _where((-1e-12 <= v) & (v < 0.0), 0.0, v)
-        out.append(_where((1.0 < v) & (v <= 1.0 + 1e-12), 1.0, v))
+        out.append(0.0 if -1e-12 <= v < 0.0 else 1.0 if 1.0 < v <= 1.0 + 1e-12 else v)
     return out
 
 
-def _accepts(phi, entries):
+def _in_cube(v) -> bool:
+    """Whether one probability lies in [0, 1]; NaN does not."""
+    return 0.0 <= v <= 1.0
+
+
+def _accepts(phi, entries) -> bool:
     """Whether a try's scale ``phi`` and entries p1..p4 make an enforcer:
-    ``phi > 0`` and every entry in [0, 1]; floats or element by element."""
-    ok = phi > 0.0
-    for e in entries:
-        ok = ok & (0.0 <= e) & (e <= 1.0)
-    return ok
+    ``phi > 0`` and every entry in [0, 1]."""
+    return phi > 0.0 and all(map(_in_cube, entries))
 
 
 def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Strategy:
@@ -118,12 +104,11 @@ def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Stra
     """
     delta = validate_delta(delta)
     p0 = float(p0)
-    if not (0.0 <= p0 <= 1.0):
+    if not _in_cube(p0):
         raise DomainError(f"p0={p0} outside [0, 1]")
     entries = _entries(zd.phi, zd.chi, zd.kappa, p0, delta, params.T, params.S)
-    violations = [
-        (name, v) for name, v in zip(("p1", "p2", "p3", "p4"), entries) if not (0.0 <= v <= 1.0)
-    ]
+    violations = [(name, v) for name, v in zip(("p1", "p2", "p3", "p4"), entries)
+                  if not _in_cube(v)]
     if violations:
         detail = ", ".join(f"{n}={v:.6g}" for n, v in violations)
         raise InfeasibleError(
@@ -259,28 +244,23 @@ def _line_residual(s_x, s_y, zd: ZDParams):
 
 
 def _narrow(lo, hi, const, slope, delta):
-    """The window ``(lo, hi)`` cut by the entry ``(const + slope * phi) / delta``."""
-    flat = abs(slope) < 1e-300
-    slope = _where(flat, 1.0, slope)
+    """The window ``(lo, hi)`` cut by the entry ``(const + slope * phi) / delta``;
+    ``min`` and ``max`` keep the first of equal values."""
+    if abs(slope) < 1e-300:
+        return lo, (hi if _in_cube(const / delta) else -math.inf)
     bound_a = -const / slope
     bound_b = (delta - const) / slope
-    left = _where(bound_b < bound_a, bound_b, bound_a)
-    right = _where(bound_b > bound_a, bound_b, bound_a)
-    inside = (0.0 <= const / delta) & (const / delta <= 1.0)
-    return (_where(flat, lo, _where(left > lo, left, lo)),
-            _where(flat, _where(inside, hi, -math.inf), _where(right < hi, right, hi)))
+    return max(lo, min(bound_a, bound_b)), min(hi, max(bound_a, bound_b))
 
 
 def _phi_window(chi, kappa, p0, delta, T, S):
     """Bounds ``(lo, hi)`` of the scales phi > 0 that keep p1..p4 in the
-    cube, floats or element by element; the window is empty where not
-    ``lo < hi``.
+    cube; the window is empty unless ``lo < hi``.
 
     Each entry is affine in phi, ``p_j = (const_j + slope_j * phi) / delta``,
-    so the cube constraints intersect to a single interval.  An entry with
-    a vanishing slope leaves the window as it is, or empties it when its
-    constant lies outside the cube.  The entries cut the window one at a
-    time, so that a stacked block holds few of its arrays at once.
+    so the cube constraints intersect to a single interval, which the
+    entries cut one at a time.  An entry with a vanishing slope leaves the
+    window as it is, or empties it when its constant lies outside the cube.
     """
     base = (1.0 - delta) * p0
     lo, hi = _narrow(0.0, math.inf, 1.0 - base, -(chi - 1.0) * (1.0 - kappa), delta)
@@ -335,7 +315,7 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
         d_lo = _delta_low(dc)
     elif not (dc < delta < 1.0):
         raise DomainError(f"delta={delta} not above critical value {dc}")
-    if p0 is not None and not (0.0 <= p0 <= 1.0):
+    if p0 is not None and not _in_cube(p0):
         raise DomainError(f"p0={p0} outside [0, 1]")
     if kappa is not None and math.isnan(kappa):
         raise DomainError("kappa must be a number, got nan")

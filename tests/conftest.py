@@ -40,6 +40,11 @@ def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+# Payoff settings on which verify's pcZD sampler is checked against its
+# references.
+SAMPLER_SETTINGS = [(1.5, -0.5), (2.0, -0.1), (1.1, -1.0)]
+
+
 @pytest.fixture(scope="session")
 def params_main():
     return validate_payoffs(1.5, -0.5, strict=True)
@@ -60,24 +65,25 @@ def rng():
     return np.random.default_rng(20240)
 
 
-# How sweeps run their paths and the oracle triangle sums its payoff
-# series: the compiled loops of _climb.c, or adaptive._climb and
-# payoffs._series_rounds, which stand in for them where no C compiler is
-# found.
+# How sweeps run their paths, the oracle triangle sums its payoff series
+# and verify's pcZD sampler walks its tries: the compiled loops of
+# _climb.c, or adaptive._climb, payoffs._series_rounds and verify._walk,
+# which stand in for them where no C compiler is found.
 KERNELS = ("compiled", "python")
 
 
 @contextlib.contextmanager
 def kernel_forced(mode):
-    """Inside, sweeps and the stacked payoff series take the compiled loops
-    ("compiled"; the test is skipped if they cannot be built) or their
-    Python loops ("python")."""
+    """Inside, sweeps, the stacked payoff series and the pcZD enforcer
+    stream take the compiled loops ("compiled"; the test is skipped if they
+    cannot be built) or their Python loops ("python")."""
     if mode == "compiled" and _native._kernel() is None:
         pytest.skip("the compiled loops could not be built")
     with pytest.MonkeyPatch.context() as mp:
         if mode == "python":
             mp.setattr(_native, "climber", lambda *args: None)
             mp.setattr(_native, "series", lambda *args: None)
+            mp.setattr(_native, "pczd", lambda *args: None)
         yield mode
 
 

@@ -1,7 +1,7 @@
-"""The compiled loops against their references, ``adaptive._climb`` and
-``payoffs._series_rounds``, and their build: the cache, the silent
-fallback, concurrent builds, the removal of older builds, and the promise
-that importing zdgame loads none."""
+"""The compiled loops against their references, ``adaptive._climb``,
+``payoffs._series_rounds`` and ``verify._walk``, and their build: the
+cache, the silent fallback, concurrent builds, the removal of older
+builds, and the promise that importing zdgame loads none."""
 
 import collections
 import functools
@@ -28,7 +28,7 @@ from zdgame import (
     sweep,
     validate_payoffs,
 )
-from zdgame import _linalg, _native, adaptive, gradients, payoffs, verify
+from zdgame import _linalg, _native, adaptive, gradients, payoffs, verify, zd
 from zdgame._linalg import det3
 from zdgame.adaptive import _climb
 from zdgame.cli import main
@@ -36,6 +36,7 @@ from conftest import (
     BATCH_SIZES,
     KERNELS,
     PCZD_A,
+    SAMPLER_SETTINGS,
     bits,
     exact_or_unit,
     kernel_forced,
@@ -314,6 +315,64 @@ def test_series_rejects_inputs_of_the_wrong_shape(compiled):
     with pytest.raises(ValueError, match=r"for 2 pairs have shapes .*\(4, 1\)"):
         _native.series([3, 3], np.zeros((4, 1)), np.zeros((4, 4, 2)), np.full(2, 0.5),
                        (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+
+
+# --- the pcZD enforcer stream ---------------------------------------------
+
+# uniforms at and next to the ends of [0, 1]: delta at the critical value
+# + 0.01 and next to 0.995, chi at 1 + 1e-6, kappa and p0 at 0 and 1
+EDGE = math.nextafter(1.0, 0.0)
+edge_uniforms = st.sampled_from([0.0, EDGE, 1.0]) | st.floats(0.0, 1.0)
+
+# The delta, chi, kappa and p0 uniforms of tries at T = 1.5, S = -0.5
+# whose phi window empties on the cut (1 to 4) named, with a flat slope or
+# not; each is rejected after its four values.
+EMPTYING_TRIES = {(1, True): (0.0, 0.0, 1.0, 0.0), (2, False): (0.0, 0.0, 0.0, 0.0),
+                  (3, False): (0.0, 0.0, 0.0, 1.0), (4, False): (0.0, 0.75, 0.5, 0.75),
+                  (4, True): (0.0, 0.75, 0.0, 0.5)}
+# those five tries, then two accepted ones next to delta = 0.995 with
+# their q: one with p0 = p1 = 1, one with p0 = 0 and p4 = 0
+EDGE_BLOCK = [*(u for try_ in EMPTYING_TRIES.values() for u in try_),
+              EDGE, EDGE, 1.0, 1.0, 0.5, 0.0, EDGE, 1.0, 0.5, 0.25,
+              EDGE, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, EDGE, 0.75]
+
+
+def delta_low(params):
+    return zd._delta_low(critical_discount(params))
+
+
+def test_the_edge_block_empties_the_window_on_each_cut(monkeypatch, params_main):
+    calls, narrow = [], zd._narrow
+
+    def recorded(lo, hi, const, slope, delta):
+        window = narrow(lo, hi, const, slope, delta)
+        calls.append((lo < hi and not window[0] < window[1], abs(slope) < 1e-300))
+        return window
+
+    monkeypatch.setattr(zd, "_narrow", recorded)
+    cols, rejected, stop = verify._walk(np.array(EDGE_BLOCK), 9, delta_low(params_main),
+                                        params_main)
+    assert {(k % 4 + 1, flat) for k, (emptied, flat) in enumerate(calls) if emptied} == set(
+        EMPTYING_TRIES)
+    assert (cols.shape, rejected, stop) == ((11, 2), 5, len(EDGE_BLOCK))
+    p = cols[:5]
+    assert (p[0, 0], p[1, 0], p[0, 1], p[4, 1]) == (1.0, 1.0, 0.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@example(setting=SAMPLER_SETTINGS[0], u=EDGE_BLOCK, n=9)
+@example(setting=SAMPLER_SETTINGS[0], u=EDGE_BLOCK, n=1)
+@given(setting=st.sampled_from(SAMPLER_SETTINGS), u=st.lists(edge_uniforms, max_size=60),
+       n=st.integers(1, 6))
+def test_pczd_kernel_walks_as_verify_walk(compiled, setting, u, n):
+    """Columns, rejection count and stop offset bit for bit, on blocks of
+    edge and plain uniforms, each as long as it comes."""
+    params = validate_payoffs(*setting, strict=True)
+    u = np.array(u, dtype=float)
+    cols, rejected, stop = _native.pczd(u, n, delta_low(params), params)
+    want_cols, want_rejected, want_stop = verify._walk(u, n, delta_low(params), params)
+    assert cols.shape == want_cols.shape and bits(cols) == bits(want_cols)
+    assert (rejected, stop) == (want_rejected, want_stop)
 
 
 def wrap_every_function(monkeypatch, module):
