@@ -1,13 +1,13 @@
 /* zdgame's compiled loops: one adapting path's whole ascent, for sweeps;
  * and, for verify, the discounted payoff series of many strategy pairs
- * and the rejection-sampling tries of a block of random pcZD enforcers.
+ * and a stream of random pcZD enforcers, drawn by rejection sampling.
  *
  * The ascent loop is adaptive._climb without the recording: the same
  * payoff kernel (payoffs._matrix_rows -> _cofactors -> _payoff_terms), the
  * same scaled moves (adaptive._fd_move, or the scalar
  * gradients._gradient_quotient), the same clamp and the same Euclidean
  * stopping rule; the series loop is payoffs._series_rounds, and the
- * enforcer loop verify._walk.  Each is written with its Python operation
+ * enforcer loop verify._walk, the retry of zd.sample_pczd's try.  Each is written with its Python operation
  * order.  Built with -ffp-contract=off, so that no a*b + c becomes a fused
  * multiply-add, every double equals its Python result bit for bit.  The
  * loader is zdgame/_native.py.
@@ -275,26 +275,26 @@ static int entries(double phi, double chi, double kappa, double p0, double delta
     return ok;
 }
 
-/* verify._walk: the tries of zd.sample_pczd(rng, params, tries=1) over the
- * len rng.random() values u, from offset 0 until the n-th accepted try or
- * the first offset at which an accepted try's ten values no longer fit.
+/* verify._walk: zd.sample_pczd(rng, params, tries=1) retried until it
+ * accepts, each accepted try followed by rng.random(5), n times.  Each
+ * rng.random() value is next(state), numpy's ctypes next_double of
+ * rng.bit_generator, whose lock the caller holds.
  * A try draws delta and chi uniform in the ranges draw[0..1] and
  * draw[2..3], kappa and p0 in (0, 1); an empty phi window rejects it after
  * these four values, a drawn phi outside the cube after five.
- * Accepted try h fills column h of cols, stored row-major as (11, n): p0,
- * p1..p4, the five values after the try (its q) and delta.  Returns the
- * columns filled, with the tries rejected in walked[0] and the offset
- * after the last try in walked[1]; draw[4], draw[5] are T and S. */
-int64_t zd_pczd(int64_t len, const double *u, const double *draw, int64_t n,
-                double *cols, int64_t *walked)
+ * Draw h fills column h of cols, stored row-major as (11, n): p0, p1..p4,
+ * its five q values and delta.  Returns the tries rejected; draw[4],
+ * draw[5] are T and S. */
+int64_t zd_pczd(double (*next)(void *), void *state, const double *draw, int64_t n,
+                double *cols)
 {
     const double T = draw[4], S = draw[5];
-    int64_t i = 0, h = 0, rejected = 0;
-    while (i < len - 9 && h < n) {
-        double d = uniform(draw[0], draw[1], u[i]);
-        double chi = uniform(draw[2], draw[3], u[i + 1]);
-        double kappa = uniform(0.0, 1.0, u[i + 2]);
-        double p0 = uniform(0.0, 1.0, u[i + 3]);
+    int64_t rejected = 0;
+    for (int64_t h = 0; h < n;) {
+        double d = uniform(draw[0], draw[1], next(state));
+        double chi = uniform(draw[2], draw[3], next(state));
+        double kappa = uniform(0.0, 1.0, next(state));
+        double p0 = uniform(0.0, 1.0, next(state));
         double base = (1.0 - d) * p0, lo = 0.0, hi = INFINITY;
         narrow(&lo, &hi, 1.0 - base, -(chi - 1.0) * (1.0 - kappa), d);
         narrow(&lo, &hi, 1.0 - base, -(chi * T - S - (chi - 1.0) * kappa), d);
@@ -302,26 +302,21 @@ int64_t zd_pczd(int64_t len, const double *u, const double *draw, int64_t n,
         narrow(&lo, &hi, -base, (chi - 1.0) * kappa, d);
         if (!(lo < hi)) {
             rejected++;
-            i += 4;
             continue;
         }
         double span = hi - lo, e[4];
-        double phi = uniform(lo + 0.01 * span, hi - 0.01 * span, u[i + 4]);
+        double phi = uniform(lo + 0.01 * span, hi - 0.01 * span, next(state));
         if (!entries(phi, chi, kappa, p0, d, T, S, e)) {
             rejected++;
-            i += 5;
             continue;
         }
         cols[h] = p0;
         for (int j = 0; j < 4; j++)
             cols[(1 + j) * n + h] = e[j];
         for (int j = 0; j < 5; j++)
-            cols[(5 + j) * n + h] = u[i + 5 + j];
+            cols[(5 + j) * n + h] = next(state);
         cols[10 * n + h] = d;
         h++;
-        i += 10;
     }
-    walked[0] = rejected;
-    walked[1] = i;
-    return h;
+    return rejected;
 }

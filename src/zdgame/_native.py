@@ -6,8 +6,8 @@ single C call through ctypes.  It ends the path exactly as
 count and converged flag, and the same :class:`NumericalError` on a
 vanished normalizer.  :func:`series` sums the discounted payoff series
 of many strategy pairs in one C call, each pair's sums bit for bit those
-of ``payoffs._series_rounds``.  :func:`pczd` is ``verify._walk``, the
-tries of a block of verify's pcZD enforcer stream, in one C call.
+of ``payoffs._series_rounds``.  :func:`pczd` is ``verify._walk``, verify's
+pcZD enforcer stream, in one C call that reads the numpy generator itself.
 
 The library is compiled once, by the C compiler Python was built with
 (``sysconfig``'s ``CC``), with the flags below.  ``-ffp-contract=off``
@@ -49,7 +49,7 @@ except ImportError:
         from hashlib import sha256
 
 from .payoffs import NORMALIZER_FLOOR, _vanished_normalizer
-from .zd import _CHI_MAX, _CHI_MIN, _DELTA_MAX
+from .zd import _CHI_MAX, _CHI_MIN, _DELTA_MAX, _delta_low, critical_discount
 
 SOURCE = Path(__file__).with_name("_climb.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -131,7 +131,7 @@ def _kernel():
     climb.restype = ctypes.c_int
     series.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 8]  # array data addresses
     series.restype = None
-    pczd.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 2, ctypes.c_int64, *[ctypes.c_void_p] * 2]
+    pczd.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p]
     pczd.restype = ctypes.c_int64
     return lib
 
@@ -189,16 +189,18 @@ def series(rounds, v, rows, delta, sx, sy):
     return sum_x, sum_y
 
 
-def pczd(u, n, d_lo, params):
-    """``verify._walk(u, n, d_lo, params)`` in one C call; None if the
-    kernel is unavailable.  An accepted try takes ten values of ``u``, so
-    at most ``len(u) // 10 + 1`` columns are allocated, whatever ``n``."""
+def pczd(rng, n, params):
+    """``verify._walk(rng, n, params)`` in one C call; None if the kernel
+    is unavailable.  The kernel reads each ``rng.random()`` value through
+    numpy's ctypes interface to ``rng.bit_generator``, holding its lock as
+    numpy's own draws do, so ``rng`` ends where the Python loop leaves it."""
     lib = _kernel()
     if lib is None:
         return None
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    n = min(n, len(u) // 10 + 1)
-    cols, walked = np.empty((11, n)), np.empty(2, dtype=np.int64)  # walked: rejected, stop
-    draw = (ctypes.c_double * 6)(d_lo, _DELTA_MAX, _CHI_MIN, _CHI_MAX, params.T, params.S)
-    k = lib.zd_pczd(len(u), u.ctypes.data, draw, n, cols.ctypes.data, walked.ctypes.data)
-    return cols[:, :k], *walked.tolist()
+    draw = (ctypes.c_double * 6)(_delta_low(critical_discount(params)), _DELTA_MAX,
+                                 _CHI_MIN, _CHI_MAX, params.T, params.S)
+    cols, bits = np.empty((11, n)), rng.bit_generator
+    with bits.lock:
+        rejected = lib.zd_pczd(bits.ctypes.next_double, bits.ctypes.state_address, draw, n,
+                               cols.ctypes.data)
+    return cols, rejected

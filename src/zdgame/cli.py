@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -140,12 +141,16 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as DomainError, so it exits 1 with one line.
 
     Flags must be spelled out: with abbreviations on, ``--max 5`` would
-    silently stand for ``--max-steps 5``.  The subcommand parsers are of
-    this class too.
+    silently stand for ``--max-steps 5``.  An argument that starts with a
+    minus and a digit is a value, so ``--S -1e-9`` reads -1e-9: argparse's
+    own pattern before Python 3.13 misses exponents and would take it for
+    a flag.  No zdgame flag starts that way.  The subcommand parsers are
+    of this class too.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise DomainError(message)

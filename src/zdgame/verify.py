@@ -15,11 +15,11 @@ sums their payoff series in one call of the compiled loop
 (``payoffs._series_payoffs``), and the corner tables check each cell as
 one column over all the strategies of a kind.  Factorization-and-signs
 takes its random pcZD enforcers from :func:`_enforcer_chunks`, which
-walks the rejection-sampling tries of each block of the stream in one
-call of the compiled loop (``_native.pczd``, or :func:`_walk` where it
-cannot be built) and gives the columns and rejection count of the
-draw-by-draw ``sample_pczd`` retry loop; the corner tables draw theirs
-one at a time, as their stream interleaves three kinds of draw.
+draws each chunk in one call of the compiled loop (``_native.pczd``,
+reading the generator itself, or :func:`_walk`, the draw-by-draw
+``sample_pczd`` retry loop, where it cannot be built); the corner tables
+draw theirs one at a time, as their stream interleaves three kinds of
+draw.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .payoffs import (
     _weigh,
 )
 from .tables import _TOL, _report
-from .zd import (_CHI_MAX, _CHI_MIN, _DELTA_MAX, _accepts, _delta_low, _entries, _line_residual,
-                 _phi_window, critical_discount, recover_zd, sample_pczd)
+from .zd import _line_residual, recover_zd, sample_pczd
 
 _ONES = (1.0, 1.0, 1.0, 1.0)
 
@@ -55,13 +54,6 @@ _ONES = (1.0, 1.0, 1.0, 1.0)
 # not stack.  1 024 keeps one chunk's gradient arrays near 0.35 MB (2-vCPU
 # x86 VM, Python 3.11, numpy 2.4).
 _CHUNK = 1024
-
-# Uniforms that _enforcer_chunks appends to its stream before each walk,
-# which has a fixed cost of an rng call, a concatenation and a C call.  At
-# 256, 1 024, 4 096 and 8 192, the compiled stream of 10 000 draws took
-# ~11.8, 4.5, 2.6 and 2.3 ms (best of 9), and the README verify run peaked
-# at 39.3, 39.3, 39.3 and 39.4 MB VmHWM (2-vCPU x86 VM, Python 3.11).
-_BLOCK = 4096
 
 _COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge}
 
@@ -203,67 +195,39 @@ def _zd_linear_relation(p, d, params, rng, n):
     return worst.result(n)
 
 
-def _walk(u, n, d_lo, params):
-    """The tries of ``sample_pczd(rng, params, tries=1)`` on the uniforms
-    ``u`` from offset 0, until the ``n``-th accepted one or an offset where
-    an accepted try's ten values no longer fit: the accepted ``(11, k)``
-    columns (p0..p4, the five values after the try as q, delta), the tries
-    rejected, and the offset after the last try.  ``zd_pczd`` in
-    ``_climb.c`` is this loop compiled."""
-    T, S = params.T, params.S
-    u = u.tolist()
-    cols, rejected, i = [], 0, 0
-    while i < len(u) - 9 and len(cols) < n:
-        d = _uniform(d_lo, _DELTA_MAX, u[i])
-        chi = _uniform(_CHI_MIN, _CHI_MAX, u[i + 1])
-        kappa = _uniform(0.0, 1.0, u[i + 2])
-        p0 = _uniform(0.0, 1.0, u[i + 3])
-        lo, hi = _phi_window(chi, kappa, p0, d, T, S)
-        if lo < hi:
-            span = hi - lo
-            phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, u[i + 4])
-            entries = _entries(phi, chi, kappa, p0, d, T, S)
-            if _accepts(phi, entries):
-                cols.append([p0, *entries, *u[i + 5:i + 10], d])
-                i += 10
-                continue
-        rejected, i = rejected + 1, i + (5 if lo < hi else 4)
-    return np.array(cols).reshape(-1, 11).T, rejected, i
+def _walk(rng, n, params):
+    """``n`` draws of ``sample_pczd(rng, params, tries=1)``, each retried
+    until one is accepted and followed by ``rng.random(5)``: the ``(11, n)``
+    columns (p0..p4, the five values as q, delta) and the tries rejected.
+    ``zd_pczd`` in ``_climb.c`` is this loop compiled."""
+    cols, rejected = np.empty((11, n)), 0
+    for k in range(n):
+        while True:
+            try:
+                p, _, d = sample_pczd(rng, params, tries=1)
+                break
+            except RuntimeError:
+                rejected += 1
+        cols[:, k] = [*p, *rng.random(5), d]
+    return cols, rejected
 
 
 def _enforcer_chunks(rng, params, n):
-    """The draws of ``sample_pczd(rng, params, tries=1)``, retried until one
-    is accepted and each followed by ``rng.random(5)``, ``n`` of them in
-    chunks of at most ``_CHUNK``: yields ``(first, p, q, delta,
+    """The draws of :func:`_walk`, ``n`` of them in chunks of at most
+    ``_CHUNK``, each chunk in one call of the compiled ``_native.pczd`` (or
+    of ``_walk`` where it cannot be built): yields ``(first, p, q, delta,
     rejections)``, p and q as ``(5, k)`` arrays and ``rejections`` the
-    tries rejected so far (after the last chunk, all before the n-th draw).
-
-    A try takes ``rng.random()`` values in a fixed pattern: delta, chi,
-    kappa and p0, then phi unless the phi window is empty.  So the stream
-    can be read ahead in blocks of ``_BLOCK`` values, each walked try by
-    try up to the n-th accepted one; the values past the last whole try
-    walked start the next block.  Columns and count equal the draw-by-draw
-    loop's bit for bit; ``rng`` is read only when a chunk needs a draw
-    past the stream, after the critical discount check.
+    tries rejected so far.  Both routes read ``rng`` value by value, so
+    after each chunk it stands where the draw-by-draw loop leaves it.
     """
     from . import _native  # imported on first use, so that importing zdgame loads no library
 
-    d_lo = _delta_low(critical_discount(params))
-    u = np.empty(0)  # the stream from the first try past the walk
-    cols = np.empty((11, 0))  # accepted tries not yet yielded: p0..p4, q, delta
     rejections = 0
     for first in range(0, n, _CHUNK):
         k = min(_CHUNK, n - first)
-        while cols.shape[1] < k:
-            u = np.concatenate([u, rng.random(_BLOCK)])
-            wanted = n - first - cols.shape[1]
-            walked = _native.pczd(u, wanted, d_lo, params)
-            accepted, rejected, stop = walked or _walk(u, wanted, d_lo, params)
-            cols = np.concatenate([cols, accepted], axis=1)
-            rejections += rejected
-            u = u[stop:]
-        yield first, cols[:5, :k], cols[5:10, :k], cols[10, :k], rejections
-        cols = cols[:, k:]
+        cols, rejected = _native.pczd(rng, k, params) or _walk(rng, k, params)
+        rejections += rejected
+        yield first, cols[:5], cols[5:10], cols[10], rejections
 
 
 def _factorization_and_signs(params, rng, n):

@@ -6,7 +6,7 @@ The positively correlated family (chi >= 1, "pcZD") covers extortionate
 and generous play and only exists above a critical discount factor.
 
 :func:`sample_pczd` draws such enforcers by rejection sampling; verify's
-enforcer stream walks the same steps of a try over a block of uniforms.
+enforcer stream retries its try draw by draw, or runs it compiled.
 """
 
 from __future__ import annotations

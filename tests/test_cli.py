@@ -476,6 +476,7 @@ class TestFlags:
         (["run", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
         (["frob"], "argument command: invalid choice"),
         (["run", *FIG3, "--T"], "argument --T: expected one argument"),
+        (["zd", "--T", "1.5", "--S", "-inf", *GAME[4:]], "argument --S: expected one argument"),
         (["zd", *GAME, "--phi", "0.1"], "zd takes either --p"),
         (["zd", *GAME, "--pczd"], "zd takes either --p"),
         (["zd", "--T", "1.5", "--S", "-0.5", "--phi", "0.1"], "zd needs either --p"),
@@ -483,6 +484,17 @@ class TestFlags:
     def test_usage_errors_fail_with_one_line(self, capsys, argv, message):
         assert main(argv) == 1
         assert _one_error_line(capsys).startswith(f"error: {message}")
+
+    # argparse's own pattern before Python 3.13 misses exponents, so it took
+    # the first, second and last spellings for flags
+    @pytest.mark.parametrize("spelling, number", [
+        ("-5e-1", "-0.5"), ("-5E-1", "-0.5"), ("-.5", "-0.5"), ("-1E-9", "-0.000000001")])
+    def test_a_negative_number_in_any_notation_is_a_value(self, capsys, spelling, number):
+        outputs = []
+        for value in (spelling, number):
+            assert main(["zd", "--T", "1.99", "--S", value, *GAME[4:]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,12 +4,15 @@ cache, the silent fallback, concurrent builds, the removal of older
 builds, and the promise that importing zdgame loads none."""
 
 import collections
+import ctypes
 import functools
 import hashlib
 import inspect
 import math
 import subprocess
 import sys
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -330,15 +333,39 @@ edge_uniforms = st.sampled_from([0.0, EDGE, 1.0]) | st.floats(0.0, 1.0)
 EMPTYING_TRIES = {(1, True): (0.0, 0.0, 1.0, 0.0), (2, False): (0.0, 0.0, 0.0, 0.0),
                   (3, False): (0.0, 0.0, 0.0, 1.0), (4, False): (0.0, 0.75, 0.5, 0.75),
                   (4, True): (0.0, 0.75, 0.0, 0.5)}
-# those five tries, then two accepted ones next to delta = 0.995 with
+# those five tries, then two accepted draws next to delta = 0.995 with
 # their q: one with p0 = p1 = 1, one with p0 = 0 and p4 = 0
-EDGE_BLOCK = [*(u for try_ in EMPTYING_TRIES.values() for u in try_),
-              EDGE, EDGE, 1.0, 1.0, 0.5, 0.0, EDGE, 1.0, 0.5, 0.25,
-              EDGE, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, EDGE, 0.75]
+EDGE_STREAM = [*(u for try_ in EMPTYING_TRIES.values() for u in try_),
+               EDGE, EDGE, 1.0, 1.0, 0.5, 0.0, EDGE, 1.0, 0.5, 0.25,
+               EDGE, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, EDGE, 0.75]
 
 
-def delta_low(params):
-    return zd._delta_low(critical_discount(params))
+class ListRng:
+    """A generator whose ``rng.random()`` values are ``values``, then those
+    of ``default_rng(0)``, read through ``uniform`` and ``random`` by
+    ``sample_pczd`` and through ``bit_generator``'s lock and ctypes
+    ``next_double`` by the compiled walk.  ``held`` records, per value,
+    whether the lock was held.  (ctypes prints an exception raised in a
+    callback and returns 0.0, so the values never run out.)"""
+
+    def __init__(self, values):
+        self._values, self._rest = iter(values), np.random.default_rng(0)
+        self.held = []
+        lock = threading.Lock()
+        next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda _: self._next())
+        self.bit_generator = types.SimpleNamespace(lock=lock, ctypes=types.SimpleNamespace(
+            next_double=next_double, state_address=None))
+
+    def _next(self):
+        self.held.append(self.bit_generator.lock.locked())
+        u = next(self._values, None)
+        return self._rest.random() if u is None else u
+
+    def random(self, size=None):
+        return self._next() if size is None else np.array([self._next() for _ in range(size)])
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self._next()
 
 
 def test_the_edge_block_empties_the_window_on_each_cut(monkeypatch, params_main):
@@ -350,29 +377,31 @@ def test_the_edge_block_empties_the_window_on_each_cut(monkeypatch, params_main)
         return window
 
     monkeypatch.setattr(zd, "_narrow", recorded)
-    cols, rejected, stop = verify._walk(np.array(EDGE_BLOCK), 9, delta_low(params_main),
-                                        params_main)
+    rng = ListRng(EDGE_STREAM)
+    cols, rejected = verify._walk(rng, 2, params_main)
     assert {(k % 4 + 1, flat) for k, (emptied, flat) in enumerate(calls) if emptied} == set(
         EMPTYING_TRIES)
-    assert (cols.shape, rejected, stop) == ((11, 2), 5, len(EDGE_BLOCK))
+    assert (cols.shape, rejected, len(rng.held)) == ((11, 2), 5, len(EDGE_STREAM))
     p = cols[:5]
     assert (p[0, 0], p[1, 0], p[0, 1], p[4, 1]) == (1.0, 1.0, 0.0, 0.0)
 
 
 @settings(max_examples=300, deadline=None)
-@example(setting=SAMPLER_SETTINGS[0], u=EDGE_BLOCK, n=9)
-@example(setting=SAMPLER_SETTINGS[0], u=EDGE_BLOCK, n=1)
+@example(setting=SAMPLER_SETTINGS[0], u=EDGE_STREAM, n=2)
+@example(setting=SAMPLER_SETTINGS[0], u=EDGE_STREAM, n=3)
 @given(setting=st.sampled_from(SAMPLER_SETTINGS), u=st.lists(edge_uniforms, max_size=60),
        n=st.integers(1, 6))
 def test_pczd_kernel_walks_as_verify_walk(compiled, setting, u, n):
-    """Columns, rejection count and stop offset bit for bit, on blocks of
-    edge and plain uniforms, each as long as it comes."""
+    """Columns, rejection count and values read bit for bit, on streams
+    that start with edge and plain uniforms; the kernel holds the lock
+    for every value it reads."""
     params = validate_payoffs(*setting, strict=True)
-    u = np.array(u, dtype=float)
-    cols, rejected, stop = _native.pczd(u, n, delta_low(params), params)
-    want_cols, want_rejected, want_stop = verify._walk(u, n, delta_low(params), params)
-    assert cols.shape == want_cols.shape and bits(cols) == bits(want_cols)
-    assert (rejected, stop) == (want_rejected, want_stop)
+    got, want = ListRng(u), ListRng(u)
+    cols, rejected = _native.pczd(got, n, params)
+    want_cols, want_rejected = verify._walk(want, n, params)
+    assert bits(cols) == bits(want_cols) and rejected == want_rejected
+    assert len(got.held) == len(want.held) and all(got.held)
+    assert not got.bit_generator.lock.locked()
 
 
 def wrap_every_function(monkeypatch, module):
@@ -417,6 +446,8 @@ def test_wrapped_payoff_functions_leave_the_oracle_on_the_compiled_series(
 
 RACE = """
 import sys
+import threading
+import types
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from zdgame import _native

@@ -313,26 +313,8 @@ def chunk_columns(rng, params, n):
     return cols, chunks[-1][4]
 
 
-class CountingRng:
-    """A numpy Generator that counts the uniforms drawn through it."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.drawn = 0
-
-    def random(self, size):
-        self.drawn += size
-        return self._rng.random(size)
-
-    def uniform(self, lo, hi):
-        self.drawn += 1
-        return self._rng.uniform(lo, hi)
-
-
-# a block shorter than an accepted try, one as long as it, two primes and
-# the module's own; chunks of one draw, two sizes that leave remainders of
-# 120 draws, and the module's own, which one chunk of 120 fits
-BLOCKS = [3, 10, 13, 37, 4096]
+# chunks of one draw, two sizes that leave remainders of 120 draws, and the
+# module's own, which one chunk of 120 fits
 CHUNKS = [1, 40, 77, 1024]
 
 
@@ -349,26 +331,20 @@ class TestStackedSampler:
         assert rejections == want_rejections
         assert bits(got) == bits(want)
 
-    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_walks_across_block_refills(self, monkeypatch, params_main, block, chunk):
-        monkeypatch.setattr(verify, "_BLOCK", block)
+    def test_each_chunk_reads_the_rng_as_the_retry_loop(self, monkeypatch, params_main, chunk):
+        # after each chunk the generator stands where the draw-by-draw loop
+        # leaves it, with the same columns and rejections so far
         monkeypatch.setattr(verify, "_CHUNK", chunk)
-        want, want_rejections = retry_loop(np.random.default_rng(7), params_main, 120)
-        got, rejections = chunk_columns(np.random.default_rng(7), params_main, 120)
-        assert rejections == want_rejections > 0
-        assert bits(got) == bits(want)
-
-    def test_tries_after_the_last_draw_are_not_counted(self, params_main):
-        # the 120th draw ends mid-block, and the block holds the next try,
-        # which is rejected
-        want = CountingRng(7)
-        _, want_rejections = retry_loop(want, params_main, 120)
-        used = want.drawn
-        _, more = retry_loop(want, params_main, 1)
-        assert more > 0 and used + 5 <= -(-used // verify._BLOCK) * verify._BLOCK
-        _, rejections = chunk_columns(np.random.default_rng(7), params_main, 120)
-        assert rejections == want_rejections
+        got, want = np.random.default_rng(7), np.random.default_rng(7)
+        want_rejections = 0
+        for _, p, q, d, rejections in verify._enforcer_chunks(got, params_main, 120):
+            want_cols, rejected = retry_loop(want, params_main, p.shape[1])
+            want_rejections += rejected
+            assert bits(np.vstack([p, q, d])) == bits(want_cols)
+            assert rejections == want_rejections
+            assert got.bit_generator.state == want.bit_generator.state
+        assert rejections > 0
 
     def test_no_room_above_critical_discount(self):
         # delta_c = 150/151: delta_c + 0.01 is not below the drawn range's
@@ -384,17 +360,3 @@ class TestStackedSampler:
         # a fixed delta above the critical value still draws
         p, _, delta = sample_pczd(rng, params, delta=0.999)
         assert delta == 0.999 and is_pczd(p, delta, params)
-
-
-@pytest.mark.parametrize("block", [3, 13, 4096])
-@pytest.mark.parametrize("chunk", CHUNKS)
-def test_stream_reads_a_block_only_when_a_draw_needs_it(kernel, monkeypatch, params_main,
-                                                        block, chunk):
-    # after each chunk the generator has read the fewest whole blocks that
-    # hold every uniform the draw-by-draw loop has used
-    monkeypatch.setattr(verify, "_BLOCK", block)
-    monkeypatch.setattr(verify, "_CHUNK", chunk)
-    want, got = CountingRng(7), CountingRng(7)
-    for _, p, *_ in verify._enforcer_chunks(got, params_main, 120):
-        retry_loop(want, params_main, p.shape[1])
-        assert got.drawn == -(-want.drawn // block) * block
