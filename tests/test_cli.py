@@ -477,6 +477,7 @@ class TestFlags:
         (["frob"], "argument command: invalid choice"),
         (["run", *FIG3, "--T"], "argument --T: expected one argument"),
         (["zd", "--T", "1.5", "--S", "-inf", *GAME[4:]], "argument --S: expected one argument"),
+        (["zd", "--T", "1.5", "--S", "-nan", *GAME[4:]], "argument --S: expected one argument"),
         (["zd", *GAME, "--phi", "0.1"], "zd takes either --p"),
         (["zd", *GAME, "--pczd"], "zd takes either --p"),
         (["zd", "--T", "1.5", "--S", "-0.5", "--phi", "0.1"], "zd needs either --p"),
@@ -495,6 +496,18 @@ class TestFlags:
             assert main(["zd", "--T", "1.99", "--S", value, *GAME[4:]]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    # each subcommand parser is a _Parser and reads the exponent too
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_every_command_reads_a_negative_exponent_as_a_value(self, capsys, command):
+        argv = VALID[command]
+        at = argv.index("--S") + 1
+        assert argv[at] == "-0.5"
+        outputs = []
+        for value in ("-0.5", "-5e-1"):
+            assert main([*argv[:at], value, *argv[at + 1:]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -404,6 +404,28 @@ def test_pczd_kernel_walks_as_verify_walk(compiled, setting, u, n):
     assert not got.bit_generator.lock.locked()
 
 
+def test_the_compiled_walk_enters_the_generators_lock(compiled, params_main):
+    # numpy's own lock attribute is read-only, so a recording lock stands
+    # in for it around the real bit generator's ctypes interface
+    real = np.random.default_rng(7).bit_generator
+    entered = []
+
+    class RecordingLock:
+        def __enter__(self):
+            entered.append(real.lock.acquire(blocking=False))
+
+        def __exit__(self, *exc):
+            real.lock.release()
+            entered.append("left")
+
+    rng = types.SimpleNamespace(bit_generator=types.SimpleNamespace(
+        lock=RecordingLock(), ctypes=real.ctypes))
+    cols, rejected = _native.pczd(rng, 30, params_main)
+    want_cols, want_rejected = verify._walk(np.random.default_rng(7), 30, params_main)
+    assert entered == [True, "left"]
+    assert bits(cols) == bits(want_cols) and rejected == want_rejected
+
+
 def wrap_every_function(monkeypatch, module):
     """Wrap, with ``functools.wraps``, every function that ``module``
     defines, in every zdgame namespace and module-level dict that binds

@@ -313,6 +313,14 @@ def chunk_columns(rng, params, n):
     return cols, chunks[-1][4]
 
 
+def same_state(a, b):
+    """Whether two ``bit_generator.state`` values are equal; some hold
+    arrays (MT19937's key, Philox's counter, SFC64's words)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 # chunks of one draw, two sizes that leave remainders of 120 draws, and the
 # module's own, which one chunk of 120 fits
 CHUNKS = [1, 40, 77, 1024]
@@ -331,20 +339,62 @@ class TestStackedSampler:
         assert rejections == want_rejections
         assert bits(got) == bits(want)
 
+    @pytest.mark.parametrize("T, S", SAMPLER_SETTINGS)
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_each_chunk_reads_the_rng_as_the_retry_loop(self, monkeypatch, params_main, chunk):
+    def test_each_chunk_reads_the_rng_as_the_retry_loop(self, monkeypatch, T, S, chunk):
         # after each chunk the generator stands where the draw-by-draw loop
         # leaves it, with the same columns and rejections so far
         monkeypatch.setattr(verify, "_CHUNK", chunk)
+        params = validate_payoffs(T, S, strict=True)
         got, want = np.random.default_rng(7), np.random.default_rng(7)
         want_rejections = 0
-        for _, p, q, d, rejections in verify._enforcer_chunks(got, params_main, 120):
-            want_cols, rejected = retry_loop(want, params_main, p.shape[1])
+        for _, p, q, d, rejections in verify._enforcer_chunks(got, params, 120):
+            want_cols, rejected = retry_loop(want, params, p.shape[1])
             want_rejections += rejected
             assert bits(np.vstack([p, q, d])) == bits(want_cols)
             assert rejections == want_rejections
             assert got.bit_generator.state == want.bit_generator.state
         assert rejections > 0
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_tries_after_the_last_draw_are_not_counted(self, monkeypatch, params_main, chunk):
+        # the try after the 120th draw is rejected; the stream neither counts
+        # it nor reads its values, whether the 120th draw ends a chunk or not
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        want = np.random.default_rng(7)
+        _, want_rejections = retry_loop(want, params_main, 120)
+        used = want.bit_generator.state
+        _, more = retry_loop(want, params_main, 1)
+        assert more > 0
+        got = np.random.default_rng(7)
+        _, rejections = chunk_columns(got, params_main, 120)
+        assert rejections == want_rejections
+        assert got.bit_generator.state == used
+
+    # one chunk of one draw, a chunk less one, a whole chunk, a chunk and
+    # one, two chunks less one, two whole chunks and two chunks and one
+    @pytest.mark.parametrize("n", [1, 39, 40, 41, 79, 80, 81])
+    def test_draw_counts_around_a_chunk_boundary(self, monkeypatch, params_main, n):
+        monkeypatch.setattr(verify, "_CHUNK", 40)
+        want, want_rejections = retry_loop(np.random.default_rng(5), params_main, n)
+        got, rejections = chunk_columns(np.random.default_rng(5), params_main, n)
+        assert got.shape == (11, n) and rejections == want_rejections
+        assert bits(got) == bits(want)
+
+    # the compiled walk reads through each one's own ctypes next_double
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox",
+                                               "SFC64"])
+    def test_reads_every_numpy_bit_generator_as_the_retry_loop(self, params_main,
+                                                               bit_generator):
+        def rng():
+            return np.random.Generator(getattr(np.random, bit_generator)(11))
+
+        got, want = rng(), rng()
+        want_cols, want_rejections = retry_loop(want, params_main, 200)
+        cols, rejections = chunk_columns(got, params_main, 200)
+        assert rejections == want_rejections
+        assert bits(cols) == bits(want_cols)
+        assert same_state(got.bit_generator.state, want.bit_generator.state)
 
     def test_no_room_above_critical_discount(self):
         # delta_c = 150/151: delta_c + 0.01 is not below the drawn range's
