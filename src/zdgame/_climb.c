@@ -1,16 +1,16 @@
 /* zdgame's compiled loops: one adapting path's whole ascent, for sweeps;
  * and, for verify, the discounted payoff series of many strategy pairs
- * and a stream of random pcZD enforcers, drawn by rejection sampling.
+ * and runs of random pcZD enforcers, drawn by rejection sampling.
  *
  * The ascent loop is adaptive._climb without the recording: the same
  * payoff kernel (payoffs._matrix_rows -> _cofactors -> _payoff_terms), the
  * same scaled moves (adaptive._fd_move, or the scalar
  * gradients._gradient_quotient), the same clamp and the same Euclidean
  * stopping rule; the series loop is payoffs._series_rounds, and the
- * enforcer loop verify._walk, the retry of zd.sample_pczd's try.  Each is written with its Python operation
- * order.  Built with -ffp-contract=off, so that no a*b + c becomes a fused
- * multiply-add, every double equals its Python result bit for bit.  The
- * loader is zdgame/_native.py.
+ * enforcer loop zd._try_pczd, zd.sample_pczd's tries.  Each is written
+ * with its Python operation order.  Built with -ffp-contract=off, so that
+ * no a*b + c becomes a fused multiply-add, every double equals its Python
+ * result bit for bit.  The loader is zdgame/_native.py.
  */
 #include <math.h>
 #include <stdint.h>
@@ -275,48 +275,53 @@ static int entries(double phi, double chi, double kappa, double p0, double delta
     return ok;
 }
 
-/* verify._walk: zd.sample_pczd(rng, params, tries=1) retried until it
- * accepts, each accepted try followed by rng.random(5), n times.  Each
- * rng.random() value is next(state), numpy's ctypes next_double of
- * rng.bit_generator, whose lock the caller holds.
- * A try draws delta and chi uniform in the ranges draw[0..1] and
- * draw[2..3], kappa and p0 in (0, 1); an empty phi window rejects it after
- * these four values, a drawn phi outside the cube after five.
- * Draw h fills column h of cols, stored row-major as (11, n): p0, p1..p4,
- * its five q values and delta.  Returns the tries rejected; draw[4],
- * draw[5] are T and S. */
-int64_t zd_pczd(double (*next)(void *), void *state, const double *draw, int64_t n,
-                double *cols)
+/* n pcZD draws, each zd._try_pczd(rng, params, tries, ...): tries until
+ * one is accepted or `tries` are rejected.  Each rng.random() value is
+ * next(state), numpy's ctypes next_double of rng.bit_generator, whose
+ * lock the caller holds.  A try draws delta and chi uniform in the ranges
+ * draw[0..1] and draw[2..3], then kappa and p0 in (0, 1) unless draw[7]
+ * and draw[6] fix them (NaN: drawn); an empty phi window rejects it after
+ * these values, a drawn phi outside the cube after one more.  Draw h
+ * fills column h of cols, stored row-major as (rows, n): p0, p1..p4, the
+ * five values read after the accepted try as q where with_q is set, and
+ * delta.  A draw whose tries are all rejected ends the call.  Returns the
+ * draws made, with the tries rejected in *rejected; draw[4], draw[5] are
+ * T and S.  verify._walk, with_q set and no limit that a run can reach,
+ * is this loop draw by draw. */
+int64_t zd_pczd(double (*next)(void *), void *state, const double *draw, int64_t tries,
+                int with_q, int64_t n, double *cols, int64_t *rejected)
 {
-    const double T = draw[4], S = draw[5];
-    int64_t rejected = 0;
-    for (int64_t h = 0; h < n;) {
-        double d = uniform(draw[0], draw[1], next(state));
-        double chi = uniform(draw[2], draw[3], next(state));
-        double kappa = uniform(0.0, 1.0, next(state));
-        double p0 = uniform(0.0, 1.0, next(state));
-        double base = (1.0 - d) * p0, lo = 0.0, hi = INFINITY;
-        narrow(&lo, &hi, 1.0 - base, -(chi - 1.0) * (1.0 - kappa), d);
-        narrow(&lo, &hi, 1.0 - base, -(chi * T - S - (chi - 1.0) * kappa), d);
-        narrow(&lo, &hi, -base, T - chi * S + (chi - 1.0) * kappa, d);
-        narrow(&lo, &hi, -base, (chi - 1.0) * kappa, d);
-        if (!(lo < hi)) {
-            rejected++;
-            continue;
-        }
-        double span = hi - lo, e[4];
-        double phi = uniform(lo + 0.01 * span, hi - 0.01 * span, next(state));
-        if (!entries(phi, chi, kappa, p0, d, T, S, e)) {
-            rejected++;
-            continue;
+    const double T = draw[4], S = draw[5], fixed_p0 = draw[6], fixed_kappa = draw[7];
+    const int64_t last = with_q ? 10 : 5;
+    *rejected = 0;
+    for (int64_t h = 0; h < n; h++) {
+        double d, p0, e[4];
+        for (int64_t t = 0;; t++) {
+            if (t == tries)
+                return h;
+            d = uniform(draw[0], draw[1], next(state));
+            double chi = uniform(draw[2], draw[3], next(state));
+            double kappa = isnan(fixed_kappa) ? uniform(0.0, 1.0, next(state)) : fixed_kappa;
+            p0 = isnan(fixed_p0) ? uniform(0.0, 1.0, next(state)) : fixed_p0;
+            double base = (1.0 - d) * p0, lo = 0.0, hi = INFINITY;
+            narrow(&lo, &hi, 1.0 - base, -(chi - 1.0) * (1.0 - kappa), d);
+            narrow(&lo, &hi, 1.0 - base, -(chi * T - S - (chi - 1.0) * kappa), d);
+            narrow(&lo, &hi, -base, T - chi * S + (chi - 1.0) * kappa, d);
+            narrow(&lo, &hi, -base, (chi - 1.0) * kappa, d);
+            if (lo < hi) {
+                double span = hi - lo;
+                double phi = uniform(lo + 0.01 * span, hi - 0.01 * span, next(state));
+                if (entries(phi, chi, kappa, p0, d, T, S, e))
+                    break;
+            }
+            ++*rejected;
         }
         cols[h] = p0;
         for (int j = 0; j < 4; j++)
             cols[(1 + j) * n + h] = e[j];
-        for (int j = 0; j < 5; j++)
-            cols[(5 + j) * n + h] = next(state);
-        cols[10 * n + h] = d;
-        h++;
+        for (int64_t j = 5; j < last; j++)
+            cols[j * n + h] = next(state);
+        cols[last * n + h] = d;
     }
-    return rejected;
+    return n;
 }

@@ -6,8 +6,10 @@ single C call through ctypes.  It ends the path exactly as
 count and converged flag, and the same :class:`NumericalError` on a
 vanished normalizer.  :func:`series` sums the discounted payoff series
 of many strategy pairs in one C call, each pair's sums bit for bit those
-of ``payoffs._series_rounds``.  :func:`pczd` is ``verify._walk``, verify's
-pcZD enforcer stream, in one C call that reads the numpy generator itself.
+of ``payoffs._series_rounds``.  :func:`pczd` runs ``zd._try_pczd``'s
+tries for a run of pcZD draws in one C call that reads the numpy
+generator itself: a chunk of verify's factorization-and-signs stream
+(``verify._walk``), or one enforcer of its corner-tables stream.
 
 The library is compiled once, by the C compiler Python was built with
 (``sysconfig``'s ``CC``), with the flags below.  ``-ffp-contract=off``
@@ -24,13 +26,14 @@ sources, are removed.  Any failure (no compiler, a cache that cannot be
 written or that anyone may write, a failed load) makes :func:`climber`,
 :func:`series` and :func:`pczd` return None, and the caller runs its
 Python loop instead.  Only a sweep, the oracle-triangle payoff series
-and verify's pcZD enforcer stream import this module.
+and verify's pcZD enforcer streams import this module.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import shlex
 import stat
@@ -131,7 +134,8 @@ def _kernel():
     climb.restype = ctypes.c_int
     series.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 8]  # array data addresses
     series.restype = None
-    pczd.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p]
+    pczd.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_int, ctypes.c_int64,
+                     ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
     pczd.restype = ctypes.c_int64
     return lib
 
@@ -189,18 +193,27 @@ def series(rounds, v, rows, delta, sx, sy):
     return sum_x, sum_y
 
 
-def pczd(rng, n, params):
-    """``verify._walk(rng, n, params)`` in one C call; None if the kernel
-    is unavailable.  The kernel reads each ``rng.random()`` value through
-    numpy's ctypes interface to ``rng.bit_generator``, holding its lock as
-    numpy's own draws do, so ``rng`` ends where the Python loop leaves it."""
+def pczd(rng, n, params, p0=None, kappa=None, tries=_INT64_MAX, q=True):
+    """``n`` draws of ``zd.sample_pczd(rng, params, p0=p0, kappa=kappa)``'s
+    tries in one C call, each accepted try followed, where ``q`` is true,
+    by ``rng.random(5)``: the ``(11, k)`` columns (p0..p4, the five values
+    as q, delta), or ``(6, k)`` without q, and the tries rejected; None if
+    the kernel is unavailable.  A draw whose ``tries`` tries are all
+    rejected ends the call, so ``k < n`` only then; by default no draw
+    runs out.  With the defaults this is ``verify._walk(rng, n, params)``.
+
+    The kernel reads each ``rng.random()`` value through numpy's ctypes
+    interface to ``rng.bit_generator``, holding its lock as numpy's own
+    draws do, so ``rng`` ends where the Python loop leaves it."""
     lib = _kernel()
     if lib is None:
         return None
-    draw = (ctypes.c_double * 6)(_delta_low(critical_discount(params)), _DELTA_MAX,
-                                 _CHI_MIN, _CHI_MAX, params.T, params.S)
-    cols, bits = np.empty((11, n)), rng.bit_generator
+    draw = (ctypes.c_double * 8)(_delta_low(critical_discount(params)), _DELTA_MAX,
+                                 _CHI_MIN, _CHI_MAX, params.T, params.S,
+                                 math.nan if p0 is None else p0,  # NaN: drawn
+                                 math.nan if kappa is None else kappa)
+    cols, bits, rejected = np.empty((11 if q else 6, n)), rng.bit_generator, ctypes.c_int64()
     with bits.lock:
-        rejected = lib.zd_pczd(bits.ctypes.next_double, bits.ctypes.state_address, draw, n,
-                               cols.ctypes.data)
-    return cols, rejected
+        k = lib.zd_pczd(bits.ctypes.next_double, bits.ctypes.state_address, draw, tries, q, n,
+                        cols.ctypes.data, ctypes.byref(rejected))
+    return cols[:, :k], rejected.value

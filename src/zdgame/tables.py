@@ -345,20 +345,32 @@ _SPECS = {
 def _report(which: str, pt, delta, theta: float) -> list[CellReport]:
     """One table's cells, on a coerced ``pt`` and ``delta``: floats, or
     arrays with one element per strategy, whose cells then hold arrays (a
-    constant closed form stays one float)."""
+    constant closed form stays one float).
+
+    Each column's direct values come from one pass over all the corners:
+    their placed q entries are ``(corners, 1)`` arrays, which broadcast
+    against the entries of ``pt``, so that row i holds, element by
+    element, what a pass at corner i alone gives."""
     spec = _SPECS[which]
     c = _ctx(pt, delta, theta)
     table = f"Table {which}"
-    out = []
     cells = _cells(which)
-    for corner in sorted(cells):
+    corners = sorted(cells)
+    at = [tuple(float(v) for v in corner) for corner in corners]
+    ells = range(1, 5) if isinstance(cells[corners[0]], tuple) else (0,)
+    direct = {}
+    for ell in ells:
+        q = [np.array(v).reshape(-1, 1) for v in zip(*(spec.place(k, ell) for k in at))]
+        values = spec.direct(pt, q, delta, theta, ell)
+        signed = values if ell % 2 == 0 else -values
+        # one float per corner on floats, one row per corner on arrays
+        direct[ell] = signed[:, 0].tolist() if np.ndim(delta) == 0 else list(signed)
+    out = []
+    for i, corner in enumerate(corners):
         forms = cells[corner]
-        columns = enumerate(forms, 1) if isinstance(forms, tuple) else [(0, forms)]
-        at = tuple(float(v) for v in corner)
-        for ell, form in columns:
+        for ell, form in (enumerate(forms, 1) if isinstance(forms, tuple) else [(0, forms)]):
             closed = form(c)
-            direct = spec.direct(pt, spec.place(at, ell), delta, theta, ell)
-            signed = direct if ell % 2 == 0 else -direct
+            signed = direct[ell][i]
             out.append(CellReport(table, corner, spec.column.format(ell=ell), closed, signed,
                                   abs(closed - signed)))
     return out

@@ -12,14 +12,15 @@ its float result, and so the report is the one a draw-by-draw loop
 gives.  The properties on pure random draws take them in chunks of at
 most ``_CHUNK``; the oracle triangle takes all of its draws at once and
 sums their payoff series in one call of the compiled loop
-(``payoffs._series_payoffs``), and the corner tables check each cell as
-one column over all the strategies of a kind.  Factorization-and-signs
-takes its random pcZD enforcers from :func:`_enforcer_chunks`, which
-draws each chunk in one call of the compiled loop (``_native.pczd``,
-reading the generator itself, or :func:`_walk`, the draw-by-draw
-``sample_pczd`` retry loop, where it cannot be built); the corner tables
-draw theirs one at a time, as their stream interleaves three kinds of
-draw.
+(``payoffs._series_payoffs``), and the corner tables check each table
+column in one pass over its corners and all the strategies of a kind.
+The pcZD enforcers come from the compiled loop ``_native.pczd``, which
+reads the generator itself, or, where it cannot be built, from
+``zd._try_pczd``, the Python home of ``sample_pczd``'s try.
+Factorization-and-signs draws them in chunks from
+:func:`_enforcer_chunks` (one call each, or :func:`_walk`); the corner
+tables draw theirs one call at a time through :func:`_enforcer`, as
+their stream interleaves a plain strategy between its two enforcers.
 """
 
 from __future__ import annotations
@@ -43,7 +44,16 @@ from .payoffs import (
     _weigh,
 )
 from .tables import _TOL, _report
-from .zd import _line_residual, recover_zd, sample_pczd
+from .zd import (
+    _TRIES,
+    _delta_low,
+    _line_residual,
+    _no_draw,
+    _try_pczd,
+    critical_discount,
+    recover_zd,
+    sample_pczd,
+)
 
 _ONES = (1.0, 1.0, 1.0, 1.0)
 
@@ -196,18 +206,17 @@ def _zd_linear_relation(p, d, params, rng, n):
 
 
 def _walk(rng, n, params):
-    """``n`` draws of ``sample_pczd(rng, params, tries=1)``, each retried
-    until one is accepted and followed by ``rng.random(5)``: the ``(11, n)``
-    columns (p0..p4, the five values as q, delta) and the tries rejected.
-    ``zd_pczd`` in ``_climb.c`` is this loop compiled."""
+    """``n`` pcZD draws, each ``zd._try_pczd``'s one try retried until one
+    is accepted and followed by ``rng.random(5)``: the ``(11, n)`` columns
+    (p0..p4, the five values as q, delta) and the tries rejected.  This is
+    ``sample_pczd(rng, params, tries=1)`` retried, without its error on
+    each rejected try; ``zd_pczd`` in ``_climb.c`` is this loop compiled."""
     cols, rejected = np.empty((11, n)), 0
+    d_lo = _delta_low(critical_discount(params))
     for k in range(n):
-        while True:
-            try:
-                p, _, d = sample_pczd(rng, params, tries=1)
-                break
-            except RuntimeError:
-                rejected += 1
+        while (draw := _try_pczd(rng, params, 1, d_lo)) is None:
+            rejected += 1
+        p, _, d = draw
         cols[:, k] = [*p, *rng.random(5), d]
     return cols, rejected
 
@@ -228,6 +237,22 @@ def _enforcer_chunks(rng, params, n):
         cols, rejected = _native.pczd(rng, k, params) or _walk(rng, k, params)
         rejections += rejected
         yield first, cols[:5], cols[5:10], cols[10], rejections
+
+
+def _enforcer(rng, params, p0=None, kappa=None):
+    """One draw of ``sample_pczd(rng, params, p0=p0, kappa=kappa)`` as its
+    ``(p0..p4, delta)``, or None where its ``_TRIES`` tries find none: one
+    call of the compiled ``_native.pczd``, or of ``zd._try_pczd`` where it
+    cannot be built.  Either reads ``rng`` as ``sample_pczd`` does."""
+    from . import _native
+
+    got = _native.pczd(rng, 1, params, p0, kappa, _TRIES, False)  # no q values
+    if got is not None:
+        cols, _ = got
+        return cols[:, 0] if cols.shape[1] else None
+    d_lo = _delta_low(critical_discount(params))
+    draw = _try_pczd(rng, params, _TRIES, d_lo, p0=p0, kappa=kappa)
+    return None if draw is None else (*draw[0], draw[2])
 
 
 def _factorization_and_signs(params, rng, n):
@@ -285,19 +310,21 @@ def _corner_tables(params, rng, n):
     ``n`` rounds of a random strategy, a random pcZD enforcer and a random
     one with p0 = p1 = 1, whose Table 5 cells must also be positive.
 
-    The rounds draw first, in stream order; then each cell is checked as
-    one column over all the strategies of its kind."""
+    The rounds draw first, in stream order: a round whose p0 = p1 = 1 draw
+    finds no enforcer has no tables 4-5, and a pcZD draw that finds none
+    raises ``sample_pczd``'s error.  Then each table column is checked in
+    one pass over its corners and all the strategies of its kind."""
     plain, zd, coop, has_coop = [], [], [], []
     for i in range(n):
         plain.append((*rng.random(5), rng.uniform(0.05, 0.98)))
-        p_zd, _, d_zd = sample_pczd(rng, params)
-        zd.append((*p_zd, d_zd))
-        try:
-            p_cc, _, d_cc = sample_pczd(rng, params, p0=1.0, kappa=1.0)
-        except RuntimeError:
-            continue
-        coop.append((*p_cc, d_cc))
-        has_coop.append(i)
+        p_zd = _enforcer(rng, params)
+        if p_zd is None:
+            raise _no_draw(params, _TRIES)
+        zd.append(p_zd)
+        cc = _enforcer(rng, params, p0=1.0, kappa=1.0)
+        if cc is not None:
+            coop.append(cc)
+            has_coop.append(i)
     theta = params.theta
     kinds = [_table_cells(plain, slice(None), n, ("1", "2"), theta),
              _table_cells(zd, slice(None), n, ("1", "2", "3", "4"), theta),

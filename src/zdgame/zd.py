@@ -5,8 +5,9 @@ A ZD strategy for player X pins the two discounted payoffs to a line
 The positively correlated family (chi >= 1, "pcZD") covers extortionate
 and generous play and only exists above a critical discount factor.
 
-:func:`sample_pczd` draws such enforcers by rejection sampling; verify's
-enforcer stream retries its try draw by draw, or runs it compiled.
+:func:`sample_pczd` draws such enforcers by rejection sampling, through
+``_try_pczd``, which returns None where ``sample_pczd`` raises.  Verify's
+two enforcer streams run those tries compiled, or call ``_try_pczd``.
 """
 
 from __future__ import annotations
@@ -296,31 +297,15 @@ def _delta_low(dc: float) -> float:
     return dc + 0.01
 
 
-def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
-                tries: int = 500):
-    """Draw a random feasible positively correlated enforcer.
+# Tries of a draw before sample_pczd, or a draw of verify's corner tables,
+# gives up.
+_TRIES = 500
 
-    Returns ``(strategy, zd_params, delta)``.  ``rng`` is a numpy Generator;
-    fixing ``delta``, ``p0``, or ``kappa`` narrows the draw (``p0=1,
-    kappa=1`` gives the family with p0 = p1 = 1).  Raises ``RuntimeError``
-    if no feasible draw is found, which signals an infeasible fixed
-    combination rather than bad luck.  Fixed arguments are checked before
-    any draw: :class:`DomainError` for a delta not above the critical
-    discount (or no room to draw one above it), a p0 outside [0, 1], a
-    NaN kappa, or ``tries`` not a positive integer.
-    """
-    dc = critical_discount(params)
-    delta, p0, kappa = (v if v is None else float(v) for v in (delta, p0, kappa))
-    if delta is None:
-        d_lo = _delta_low(dc)
-    elif not (dc < delta < 1.0):
-        raise DomainError(f"delta={delta} not above critical value {dc}")
-    if p0 is not None and not _in_cube(p0):
-        raise DomainError(f"p0={p0} outside [0, 1]")
-    if kappa is not None and math.isnan(kappa):
-        raise DomainError("kappa must be a number, got nan")
-    if isinstance(tries, bool) or not isinstance(tries, numbers.Integral) or tries < 1:
-        raise DomainError(f"tries must be a positive integer, got {tries!r}")
+
+def _try_pczd(rng, params: PayoffParams, tries, d_lo, delta=None, p0=None, kappa=None):
+    """Up to ``tries`` of :func:`sample_pczd`'s tries, on arguments it has
+    checked, with delta drawn from ``[d_lo, _DELTA_MAX)`` unless fixed: the
+    first accepted ``(strategy, zd_params, delta)``, or None."""
     for _ in range(tries):
         d = delta if delta is not None else rng.uniform(d_lo, _DELTA_MAX)
         chi = rng.uniform(_CHI_MIN, _CHI_MAX)
@@ -335,7 +320,44 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
         entries = _entries(phi, chi, k, start, d, params.T, params.S)
         if _accepts(phi, entries):
             return Strategy(start, *entries), ZDParams(phi=phi, chi=chi, kappa=k), d
-    raise RuntimeError(
+    return None
+
+
+def _no_draw(params: PayoffParams, tries, delta=None, p0=None, kappa=None) -> RuntimeError:
+    """The error of :func:`sample_pczd` when its ``tries`` find no enforcer."""
+    return RuntimeError(
         f"no feasible pcZD draw in {tries} tries "
         f"(delta={delta}, p0={p0}, kappa={kappa}, T={params.T}, S={params.S})"
     )
+
+
+def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
+                tries: int = _TRIES):
+    """Draw a random feasible positively correlated enforcer.
+
+    Returns ``(strategy, zd_params, delta)``.  ``rng`` is a numpy Generator;
+    fixing ``delta``, ``p0``, or ``kappa`` narrows the draw (``p0=1,
+    kappa=1`` gives the family with p0 = p1 = 1).  Raises ``RuntimeError``
+    if no feasible draw is found, which signals an infeasible fixed
+    combination rather than bad luck.  Fixed arguments are checked before
+    any draw: :class:`DomainError` for a delta not above the critical
+    discount (or no room to draw one above it), a p0 outside [0, 1], a
+    NaN kappa, or ``tries`` not a positive integer.
+    """
+    dc = critical_discount(params)
+    delta, p0, kappa = (v if v is None else float(v) for v in (delta, p0, kappa))
+    d_lo = None
+    if delta is None:
+        d_lo = _delta_low(dc)
+    elif not (dc < delta < 1.0):
+        raise DomainError(f"delta={delta} not above critical value {dc}")
+    if p0 is not None and not _in_cube(p0):
+        raise DomainError(f"p0={p0} outside [0, 1]")
+    if kappa is not None and math.isnan(kappa):
+        raise DomainError("kappa must be a number, got nan")
+    if isinstance(tries, bool) or not isinstance(tries, numbers.Integral) or tries < 1:
+        raise DomainError(f"tries must be a positive integer, got {tries!r}")
+    draw = _try_pczd(rng, params, tries, d_lo, delta, p0, kappa)
+    if draw is None:
+        raise _no_draw(params, tries, delta, p0, kappa)
+    return draw

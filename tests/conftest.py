@@ -66,17 +66,18 @@ def rng():
 
 
 # How sweeps run their paths, the oracle triangle sums its payoff series
-# and verify's pcZD sampler walks its tries: the compiled loops of
-# _climb.c, or adaptive._climb, payoffs._series_rounds and verify._walk,
-# which stand in for them where no C compiler is found.
+# and verify's two pcZD enforcer streams run their tries: the compiled
+# loops of _climb.c, or adaptive._climb, payoffs._series_rounds and
+# zd._try_pczd (through verify._walk and verify._enforcer), which stand in
+# for them where no C compiler is found.
 KERNELS = ("compiled", "python")
 
 
 @contextlib.contextmanager
 def kernel_forced(mode):
     """Inside, sweeps, the stacked payoff series and the pcZD enforcer
-    stream take the compiled loops ("compiled"; the test is skipped if they
-    cannot be built) or their Python loops ("python")."""
+    streams take the compiled loops ("compiled"; the test is skipped if
+    they cannot be built) or their Python loops ("python")."""
     if mode == "compiled" and _native._kernel() is None:
         pytest.skip("the compiled loops could not be built")
     with pytest.MonkeyPatch.context() as mp:

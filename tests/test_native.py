@@ -1,7 +1,8 @@
 """The compiled loops against their references, ``adaptive._climb``,
-``payoffs._series_rounds`` and ``verify._walk``, and their build: the
-cache, the silent fallback, concurrent builds, the removal of older
-builds, and the promise that importing zdgame loads none."""
+``payoffs._series_rounds``, ``verify._walk`` and ``zd.sample_pczd``, and
+their build: the cache, the silent fallback, concurrent builds, the
+removal of older builds, and the promise that importing zdgame loads
+none."""
 
 import collections
 import ctypes
@@ -27,6 +28,7 @@ from zdgame import (
     initial_strategy,
     payoff_series,
     run_path,
+    sample_pczd,
     series_horizon,
     sweep,
     validate_payoffs,
@@ -424,6 +426,95 @@ def test_the_compiled_walk_enters_the_generators_lock(compiled, params_main):
     want_cols, want_rejected = verify._walk(np.random.default_rng(7), 30, params_main)
     assert entered == [True, "left"]
     assert bits(cols) == bits(want_cols) and rejected == want_rejected
+
+
+# one accepted try at T = 1.5, S = -0.5: delta and chi next to their upper
+# ends, kappa = p0 = 1 and phi mid-window
+ACCEPTED_TRY = [EDGE, EDGE, 1.0, 1.0, 0.5]
+# p0 and kappa as drawn, fixed as verify's corner tables fix them, and
+# fixed elsewhere
+FIXED = [(None, None), (1.0, 1.0), (0.25, 0.5)]
+# a try that reads only zeros is rejected: after four values with p0 and
+# kappa drawn (the window empties on cut 2), after two with p0 = kappa = 1
+# fixed; so these many zeros run a draw out of its 500 tries
+ZEROS_DRAWN, ZEROS_FIXED = [0.0] * 2000, [0.0] * 1000
+
+
+def draw_one(rng, params, fixed, q):
+    """``sample_pczd(rng, params, p0=p0, kappa=kappa)`` for ``fixed`` =
+    ``(p0, kappa)``, as the kernel's column (p0..p4, the five values as q
+    where ``q``, delta); an empty list where it raises."""
+    try:
+        p, _, d = sample_pczd(rng, params, p0=fixed[0], kappa=fixed[1])
+    except RuntimeError:
+        return []
+    return [*p, *(rng.random(5) if q else []), d]
+
+
+@settings(max_examples=300, deadline=None)
+# a draw, then one that runs out of tries, with and without p0 and kappa
+# fixed (the fixed try reads no kappa or p0 value)
+@example(setting=SAMPLER_SETTINGS[0], fixed=FIXED[0], q=True,
+         u=ACCEPTED_TRY + [0.5] * 5 + ZEROS_DRAWN, n=3)
+@example(setting=SAMPLER_SETTINGS[0], fixed=FIXED[1], q=False,
+         u=ACCEPTED_TRY[:2] + ACCEPTED_TRY[4:] + ZEROS_FIXED, n=2)
+@example(setting=SAMPLER_SETTINGS[0], fixed=FIXED[1], q=True, u=EDGE_STREAM, n=3)
+@given(setting=st.sampled_from(SAMPLER_SETTINGS), fixed=st.sampled_from(FIXED),
+       q=st.booleans(), u=st.lists(edge_uniforms, max_size=60), n=st.integers(1, 4))
+def test_pczd_kernel_draws_as_sample_pczd(compiled, setting, fixed, q, u, n):
+    """With p0 and kappa fixed or drawn, with q values or without, 500
+    tries per draw: each draw's column and the values it reads are those
+    of ``sample_pczd`` bit for bit, and a draw that runs out of tries ends
+    the call where ``sample_pczd`` raises.  One call of ``n`` draws gives
+    the columns of ``n`` calls of one."""
+    params = validate_payoffs(*setting, strict=True)
+    got, want, whole = ListRng(u), ListRng(u), ListRng(u)
+    drawn = []
+    for _ in range(n):
+        cols, _ = _native.pczd(got, 1, params, *fixed, 500, q)
+        column = draw_one(want, params, fixed, q)
+        assert cols.shape == (11 if q else 6, len(column) and 1)
+        assert bits(cols.T) == bits(column) and len(got.held) == len(want.held)
+        drawn.append(cols)
+        if not column:
+            break
+    cols, _ = _native.pczd(whole, n, params, *fixed, 500, q)
+    assert bits(cols) == bits(np.hstack(drawn)) and len(whole.held) == len(got.held)
+    assert all(got.held) and all(whole.held)
+
+
+@pytest.mark.parametrize("fixed", FIXED)
+@pytest.mark.parametrize("setting", SAMPLER_SETTINGS)
+def test_pczd_kernel_reads_a_pcg64_as_sample_pczd(compiled, setting, fixed):
+    """Draw by draw on numpy's own generator: the same columns, and the
+    same generator state after each draw."""
+    params = validate_payoffs(*setting, strict=True)
+    got, want = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(100):
+        cols, _ = _native.pczd(got, 1, params, *fixed, 500, False)
+        assert bits(cols.T) == bits(draw_one(want, params, fixed, False))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_a_corner_round_whose_draw_runs_out_of_tries(kernel, params_main):
+    """On both routes: a p0 = p1 = 1 draw that finds no enforcer in 500
+    tries leaves its round without tables 4-5, and a pcZD draw that finds
+    none raises ``sample_pczd``'s error; each reads the values
+    ``sample_pczd`` reads."""
+    plain = [0.5] * 6
+    rng = ListRng(plain + ACCEPTED_TRY + ZEROS_FIXED)
+    result = verify._corner_tables(params_main, rng, 1)
+    assert result.samples == 208 and result.passed, result.line()
+    assert len(rng.held) == 6 + 5 + 1000
+    want = ListRng(ZEROS_DRAWN)
+    with pytest.raises(RuntimeError) as raised:
+        sample_pczd(want, params_main)
+    rng = ListRng(plain + ZEROS_DRAWN)
+    with pytest.raises(RuntimeError) as info:
+        verify._corner_tables(params_main, rng, 1)
+    assert str(info.value) == str(raised.value)
+    assert str(info.value).startswith("no feasible pcZD draw in 500 tries (delta=None, ")
+    assert len(rng.held) == 6 + len(want.held) == 6 + 2000
 
 
 def wrap_every_function(monkeypatch, module):

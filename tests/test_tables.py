@@ -1,15 +1,20 @@
+import numpy as np
 import pytest
 
 from zdgame import (
     applicable_tables,
     corner_table,
+    minor_dets,
+    reduced_det_q0,
+    reduced_dets,
     sample_pczd,
+    state_determinant,
     table_report,
     validate_payoffs,
     verify_tables,
 )
 from zdgame import tables as tables_mod
-from conftest import PCZD_A, PCZD_C
+from conftest import PCZD_A, PCZD_C, PCZD_D, bits, draw_columns
 
 
 def test_generic_strategies_match_tables_1_and_2(params_main, rng):
@@ -112,3 +117,56 @@ def test_cell_report_label_format(params_main):
     p, delta, _ = PCZD_A
     report = table_report(p, delta, params_main, tables=("1",))
     assert report[0].label() == "Table 1 (0,0,0,0) D"
+
+
+# --- direct values against the public scalar functions ----------------------
+
+# the q at which the cell of column ell at corner k is evaluated: the free
+# entries at 0.5 (tables 1-2) or q0 = 0.3 and q_ell = 0.7 (tables 3-5)
+PLACED = {
+    "1": lambda k, ell: (0.5, *k),
+    "2": lambda k, ell: (*k[:ell], 0.5, *k[ell:]),
+    "3": lambda k, ell: (0.3, *k[:ell - 1], 0.7, *k[ell - 1:]),
+    "4": lambda k, ell: (0.3, *k),
+    "5": lambda k, ell: (0.3, 1.0, *k),
+}
+
+
+def public_direct(which, p, delta, params, corner, column):
+    """A cell's direct value from the public scalar functions at its placed
+    q, with the sign ``(-1)**ell`` of its printed column."""
+    ell = int(column[1:] or 0)
+    q = PLACED[which](corner, ell)
+    if which == "1":
+        value = state_determinant(p, q, delta, (1.0, 1.0, 1.0, 1.0))
+    elif which == "2":
+        value = minor_dets(p, q, delta)[ell - 1]
+    elif which == "3":
+        value = reduced_dets(p, q, delta, params)[ell - 1]
+    else:
+        value = reduced_det_q0(p, q, delta, params)
+    return -value if ell % 2 else value
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3", "4", "5"])
+def test_each_cell_is_the_public_value_at_its_q(params_main, which):
+    """Each column is one pass over all the corners; on floats every cell
+    holds the float that the public function gives at its own q, bit for
+    bit."""
+    for p, delta, _ in (PCZD_A, PCZD_C, PCZD_D, ((0.0, 1.0, -0.0, 0.25, 1.0), 0.05, None)):
+        for r in table_report(p, delta, params_main, tables=(which,)):
+            assert type(r.direct) is float and type(r.diff) is float
+            want = public_direct(which, p, delta, params_main, r.corner, r.column)
+            assert bits(r.direct) == bits(want), r.label()
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3", "4", "5"])
+def test_each_array_cell_is_the_public_value_per_strategy(params_main, which):
+    """On arrays, element i of every cell is the public function's float at
+    strategy i."""
+    rng = np.random.default_rng(8)
+    p, delta = draw_columns(rng, 9), rng.uniform(0.05, 0.98, 9)
+    for r in tables_mod._report(which, p, delta, params_main.theta):
+        want = [public_direct(which, p[:, i], delta[i], params_main, r.corner, r.column)
+                for i in range(9)]
+        assert bits(r.direct) == bits(want), r.label()

@@ -453,10 +453,13 @@ def test_non_finite_series_residual_names_its_draw(monkeypatch, rank):
     assert math.isnan(result.worst)
 
 
+@pytest.mark.usefixtures("kernel")
 def test_corner_tables_align_a_round_without_cooperative_enforcer(monkeypatch):
-    """The p0 = p1 = 1 draw of round 1 raises, so that round lacks tables
-    4-5; Table 5 negated and one Table 4 cell shifted put every round's
-    mismatches and non-positive cells in the details."""
+    """The p0 = p1 = 1 draw of round 1 finds no enforcer, so that round
+    lacks tables 4-5; Table 5 negated and one Table 4 cell shifted put
+    every round's mismatches and non-positive cells in the details.  The
+    fault is put into verify's one-draw helper, which both kernel routes
+    pass through, and reads no value of the stream, as in the reference."""
     negated = {k: (lambda c, f=f: -f(c)) for k, f in tables_mod.TABLE5.items()}
     monkeypatch.setattr(tables_mod, "TABLE5", negated)
     spec = tables_mod._SPECS["5"]
@@ -467,21 +470,24 @@ def test_corner_tables_align_a_round_without_cooperative_enforcer(monkeypatch):
     shifted[corner] = lambda c, f=shifted[corner]: f(c) + 1e-6
     monkeypatch.setattr(tables_mod, "TABLE4", shifted)
 
-    def flaky():
+    def flaky(draw, no_draw):
         calls = []
 
         def sample(rng, params, **fixed):
             if fixed:
                 calls.append(1)
                 if len(calls) == 2:
-                    raise RuntimeError("no feasible pcZD draw")
-            return sample_pczd(rng, params, **fixed)
+                    return no_draw()
+            return draw(rng, params, **fixed)
 
         return sample
 
-    monkeypatch.setattr(verify, "sample_pczd", flaky())
+    def raises():
+        raise RuntimeError("no feasible pcZD draw")
+
+    monkeypatch.setattr(verify, "_enforcer", flaky(verify._enforcer, lambda: None))
     result = verify._corner_tables(PARAMS, verify._rng_for(3, 6), 3)
-    reference = reference_corner_tables(PARAMS, 3, 3, flaky())
+    reference = reference_corner_tables(PARAMS, 3, 3, flaky(sample_pczd, raises))
     assert_same_results(result, reference)
     assert result.samples == 232 + 208 + 232
     t4 = "Table 4 (0,1,1,0) d0"
