@@ -1,15 +1,18 @@
 /* zdgame's compiled loops: one adapting path's whole ascent, for sweeps;
- * and, for verify, the discounted payoff series of many strategy pairs
- * and runs of random pcZD enforcers, drawn by rejection sampling.
+ * and, for verify, the discounted payoff series of many strategy pairs,
+ * the normalizer or regularity residual of many random draws, and runs
+ * of random pcZD enforcers, drawn by rejection sampling.
  *
  * The ascent loop is adaptive._climb without the recording: the same
  * payoff kernel (payoffs._matrix_rows -> _cofactors -> _payoff_terms), the
  * same scaled moves (adaptive._fd_move, or the scalar
  * gradients._gradient_quotient), the same clamp and the same Euclidean
- * stopping rule; the series loop is payoffs._series_rounds, and the
- * enforcer loop zd._try_pczd, zd.sample_pczd's tries.  Each is written
- * with its Python operation order.  Built with -ffp-contract=off, so that
- * no a*b + c becomes a fused multiply-add, every double equals its Python
+ * stopping rule; the series loop is payoffs._series_rounds, the residual
+ * loop verify._normalizer and verify._regularity on the draws of
+ * verify._draws, with the ascent's rows and cofactors, and the enforcer
+ * loop zd._try_pczd, zd.sample_pczd's tries.  Each is written with its
+ * Python operation order.  Built with -ffp-contract=off, so that no
+ * a*b + c becomes a fused multiply-add, every double equals its Python
  * result bit for bit.  The loader is zdgame/_native.py.
  */
 #include <math.h>
@@ -51,10 +54,10 @@ static double det4(const double m[4][4])
     return t01 * b23 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + t23 * b01;
 }
 
-static void matrix_rows(const Game *G, const double *q, double r[4][3])
+/* Rows of the payoff determinant's first three columns, as
+ * payoffs._matrix_rows. */
+static inline void matrix_rows(const double *p, const double *q, double delta, double r[4][3])
 {
-    const double *p = G->p;
-    double delta = G->delta;
     double a = 1.0 - delta;
     double ap0 = a * p[0], aq0 = a * q[0], apq = ap0 * q[0];
     r[0][0] = -1.0 + delta * p[1] * q[1] + apq;
@@ -71,22 +74,29 @@ static void matrix_rows(const Game *G, const double *q, double r[4][3])
     r[3][2] = delta * q[4] + aq0;
 }
 
+/* The fourth column's signed cofactors, as payoffs._cofactors. */
+static inline void cofactors(const double r[4][3], double c[4])
+{
+    c[0] = -det3(r[1], r[2], r[3]);
+    c[1] = det3(r[0], r[2], r[3]);
+    c[2] = -det3(r[0], r[1], r[3]);
+    c[3] = det3(r[0], r[1], r[2]);
+}
+
 /* Rows of q's payoff determinant, its normalizer and Y's payoff numerator;
  * returns 0, or VANISHED with the normalizer in *vanished. */
 static int payoff_terms(const Game *G, const double *q, double r[4][3],
                         double *d_ones, double *n_y, double *vanished)
 {
-    matrix_rows(G, q, r);
-    double c0 = -det3(r[1], r[2], r[3]);
-    double c1 = det3(r[0], r[2], r[3]);
-    double c2 = -det3(r[0], r[1], r[3]);
-    double c3 = det3(r[0], r[1], r[2]);
-    *d_ones = c0 + c1 + c2 + c3;
+    double c[4];
+    matrix_rows(G->p, q, G->delta, r);
+    cofactors((const double (*)[3])r, c);
+    *d_ones = c[0] + c[1] + c[2] + c[3];
     if (fabs(*d_ones) < G->norm_floor) {
         *vanished = *d_ones;
         return VANISHED;
     }
-    *n_y = c0 + G->S * c1 + G->T * c2;
+    *n_y = c[0] + G->S * c[1] + G->T * c[2];
     return 0;
 }
 
@@ -229,6 +239,46 @@ void zd_series(int64_t n, const int64_t *rounds, const double *v, const double *
 static double uniform(double lo, double hi, double u)
 {
     return lo + (hi - lo) * u;
+}
+
+/* n draws of verify's normalizer stream, each p, then q, from [0, 1)^5
+ * and delta = uniform(lo, hi): eleven values of next(state), numpy's
+ * ctypes next_double of rng.bit_generator, whose lock the caller holds.
+ * out[k] is draw k's normalizer D(p, q, delta, 1), its four cofactors
+ * summed, or where identity is set its regularity residual
+ * |det(I - delta M) - (1 - delta) D| / |D|, with M the transition matrix
+ * of game._transition_rows; verify._normalizer and verify._regularity
+ * take the same steps on numpy arrays. */
+void zd_residuals(double (*next)(void *), void *state, double lo, double hi, int identity,
+                  int64_t n, double *out)
+{
+    for (int64_t k = 0; k < n; k++) {
+        double p[5], q[5], r[4][3], c[4];
+        for (int j = 0; j < 5; j++)
+            p[j] = next(state);
+        for (int j = 0; j < 5; j++)
+            q[j] = next(state);
+        double delta = uniform(lo, hi, next(state));
+        matrix_rows(p, q, delta, r);
+        cofactors((const double (*)[3])r, c);
+        double d_ones = c[0] + c[1] + c[2] + c[3];
+        if (!identity) {
+            out[k] = d_ones;
+            continue;
+        }
+        /* row i of M pairs x = p[i + 1] with Y's entry of the same prior
+         * outcome, the mixed two swapped: (q1, q3, q2, q4) */
+        const double y[4] = {q[1], q[3], q[2], q[4]};
+        double a[4][4];
+        for (int i = 0; i < 4; i++) {
+            double x = p[i + 1];
+            const double m[4] = {x * y[i], x * (1.0 - y[i]), (1.0 - x) * y[i],
+                                 (1.0 - x) * (1.0 - y[i])};
+            for (int j = 0; j < 4; j++)
+                a[i][j] = (double)(i == j) - delta * m[j]; /* 0.0 - x, never -x */
+        }
+        out[k] = fabs(det4((const double (*)[4])a) - (1.0 - delta) * d_ones) / fabs(d_ones);
+    }
 }
 
 /* One cut of the phi window by the entry (c + slope * phi) / delta, as

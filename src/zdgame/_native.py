@@ -6,10 +6,15 @@ single C call through ctypes.  It ends the path exactly as
 count and converged flag, and the same :class:`NumericalError` on a
 vanished normalizer.  :func:`series` sums the discounted payoff series
 of many strategy pairs in one C call, each pair's sums bit for bit those
-of ``payoffs._series_rounds``.  :func:`pczd` runs ``zd._try_pczd``'s
-tries for a run of pcZD draws in one C call that reads the numpy
-generator itself: a chunk of verify's factorization-and-signs stream
-(``verify._walk``), or one enforcer of its corner-tables stream.
+of ``payoffs._series_rounds``.  Two kernels read the numpy generator
+themselves, under its lock: :func:`residuals` gives the normalizer or
+regularity residuals of a chunk of verify's random draws in one C call,
+those of ``verify._normalizer`` and ``verify._regularity`` bit for bit;
+:func:`pczd` runs ``zd._try_pczd``'s tries for a run of pcZD draws in
+one C call: a chunk of verify's factorization-and-signs stream
+(``verify._walk``), or one enforcer of its corner-tables streams.  Both
+give a function of the draw count that reuses its arguments and one
+output buffer from call to call.
 
 The library is compiled once, by the C compiler Python was built with
 (``sysconfig``'s ``CC``), with the flags below.  ``-ffp-contract=off``
@@ -24,9 +29,10 @@ name and is renamed into place, so concurrent builds are safe, and once
 it loads, the cache's other ``_climb-*.so`` files, builds of older
 sources, are removed.  Any failure (no compiler, a cache that cannot be
 written or that anyone may write, a failed load) makes :func:`climber`,
-:func:`series` and :func:`pczd` return None, and the caller runs its
-Python loop instead.  Only a sweep, the oracle-triangle payoff series
-and verify's pcZD enforcer streams import this module.
+:func:`series`, :func:`residuals` and :func:`pczd` return None, and the
+caller runs its Python loop or numpy passes instead.  Only a sweep, the
+oracle-triangle payoff series, verify's normalizer and regularity draws
+and its pcZD enforcer streams import this module.
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ def _prune(keep: Path):
 @functools.cache
 def _kernel():
     """The cached library, built first if no cache holds it, with the
-    argument types of its three loops set; None if it cannot be built or
+    argument types of its four loops set; None if it cannot be built or
     loaded."""
     try:
         source = SOURCE.read_bytes()
@@ -124,6 +130,7 @@ def _kernel():
             return None
         lib = ctypes.CDLL(str(path))
         climb, series, pczd = lib.zd_climb, lib.zd_series, lib.zd_pczd
+        residuals = lib.zd_residuals
     except (OSError, AttributeError):
         return None  # an unwritable cache or a failed load
     if built:
@@ -137,6 +144,9 @@ def _kernel():
     pczd.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_int, ctypes.c_int64,
                      ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
     pczd.restype = ctypes.c_int64
+    residuals.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+                          ctypes.c_int, ctypes.c_int64, ctypes.c_void_p]
+    residuals.restype = None
     return lib
 
 
@@ -193,27 +203,71 @@ def series(rounds, v, rows, delta, sx, sy):
     return sum_x, sum_y
 
 
-def pczd(rng, n, params, p0=None, kappa=None, tries=_INT64_MAX, q=True):
-    """``n`` draws of ``zd.sample_pczd(rng, params, p0=p0, kappa=kappa)``'s
-    tries in one C call, each accepted try followed, where ``q`` is true,
-    by ``rng.random(5)``: the ``(11, k)`` columns (p0..p4, the five values
-    as q, delta), or ``(6, k)`` without q, and the tries rejected; None if
-    the kernel is unavailable.  A draw whose ``tries`` tries are all
-    rejected ends the call, so ``k < n`` only then; by default no draw
-    runs out.  With the defaults this is ``verify._walk(rng, n, params)``.
+def _locked(rng, kernel):
+    """``kernel``'s calls bound to the ctypes ``next_double`` and state of
+    ``rng.bit_generator`` and run under its lock, as numpy's own draws
+    are, so that ``rng`` ends where numpy's draws of the same values
+    leave it."""
+    bits = rng.bit_generator
+    next_double, state = bits.ctypes.next_double, bits.ctypes.state_address
 
-    The kernel reads each ``rng.random()`` value through numpy's ctypes
-    interface to ``rng.bit_generator``, holding its lock as numpy's own
-    draws do, so ``rng`` ends where the Python loop leaves it."""
+    def call(*args):
+        with bits.lock:
+            return kernel(next_double, state, *args)
+
+    return call
+
+
+def residuals(rng, size, lo, hi, identity):
+    """A function from a count ``n <= size`` to the residuals of the next
+    ``n`` draws of ``verify._draws(rng, n, lo, hi)``, in one C call each:
+    the normalizers ``D(p, q, delta, 1)``, or where ``identity`` is set
+    the regularity residuals; None if the kernel is unavailable.  The
+    result is a view of one buffer of ``size`` doubles, which the next
+    call overwrites."""
     lib = _kernel()
     if lib is None:
         return None
+    run, out = _locked(rng, lib.zd_residuals), np.empty(size)
+    address = out.ctypes.data
+
+    def draw(n):
+        if not 0 <= n <= size:
+            raise ValueError(f"{n} draws do not fit a buffer of {size}")
+        run(lo, hi, identity, n, address)
+        return out[:n]
+
+    return draw
+
+
+def pczd(rng, size, params, p0=None, kappa=None, tries=_INT64_MAX, q=True):
+    """A function from a count ``n <= size`` to ``n`` draws of
+    ``zd.sample_pczd(rng, params, p0=p0, kappa=kappa)``'s tries in one C
+    call, each accepted try followed, where ``q`` is true, by
+    ``rng.random(5)``: the ``(11, k)`` columns (p0..p4, the five values
+    as q, delta), or ``(6, k)`` without q, and the tries rejected; None if
+    the kernel is unavailable.  A draw whose ``tries`` tries are all
+    rejected ends the call, so ``k < n`` only then; by default no draw
+    runs out.  With the defaults a call is ``verify._walk(rng, n,
+    params)``.  The columns are a view of one buffer, which the next call
+    overwrites.  The kernel's arguments are built once, here: built per
+    call they cost ~4 us, twenty times the kernel's work on one draw."""
+    lib = _kernel()
+    if lib is None:
+        return None
+    run, rows = _locked(rng, lib.zd_pczd), 11 if q else 6
     draw = (ctypes.c_double * 8)(_delta_low(critical_discount(params)), _DELTA_MAX,
                                  _CHI_MIN, _CHI_MAX, params.T, params.S,
                                  math.nan if p0 is None else p0,  # NaN: drawn
                                  math.nan if kappa is None else kappa)
-    cols, bits, rejected = np.empty((11 if q else 6, n)), rng.bit_generator, ctypes.c_int64()
-    with bits.lock:
-        k = lib.zd_pczd(bits.ctypes.next_double, bits.ctypes.state_address, draw, tries, q, n,
-                        cols.ctypes.data, ctypes.byref(rejected))
-    return cols[:, :k], rejected.value
+    out, rejected = np.empty(rows * size), ctypes.c_int64()
+    address, rejected_p = out.ctypes.data, ctypes.byref(rejected)
+
+    def walk(n):
+        if not 0 <= n <= size:
+            raise ValueError(f"{n} draws do not fit a buffer of {size}")
+        k = run(draw, tries, q, n, address, rejected_p)
+        # the kernel stores its columns row-major as (rows, n)
+        return out[:rows * n].reshape(rows, n)[:, :k], rejected.value
+
+    return walk

@@ -6,21 +6,27 @@ that is not finite fails its property.  :func:`run_verification` gives
 each property a stream of one seed and scales all counts by one factor;
 the acceptance criteria call the same functions on their own streams.
 
-Every property runs as numpy passes over its draws: the payoff, gradient
-and table kernels take arrays element by element, each element equals
-its float result, and so the report is the one a draw-by-draw loop
-gives.  The properties on pure random draws take them in chunks of at
-most ``_CHUNK``; the oracle triangle takes all of its draws at once and
-sums their payoff series in one call of the compiled loop
-(``payoffs._series_payoffs``), and the corner tables check each table
-column in one pass over its corners and all the strategies of a kind.
+Most properties run as numpy passes over their draws: the payoff,
+gradient and table kernels take arrays element by element, each element
+equals its float result, and so the report is the one a draw-by-draw
+loop gives.  The normalizer and regularity properties take chunks of at
+most ``_CHUNK`` draws from :func:`_residual_chunks`, each chunk one call
+of the compiled ``_native.residuals``, which reads the generator itself
+and repeats the passes' operations bit for bit, or, where it cannot be
+built, one numpy pass (:func:`_normalizer`, :func:`_regularity`).  The
+finite-difference property takes chunks too; the oracle triangle takes
+all of its draws at once and sums their payoff series in one call of the
+compiled loop (``payoffs._series_payoffs``), and the corner tables check
+each table column in one pass over its corners and all the strategies of
+a kind.
 The pcZD enforcers come from the compiled loop ``_native.pczd``, which
 reads the generator itself, or, where it cannot be built, from
 ``zd._try_pczd``, the Python home of ``sample_pczd``'s try.
 Factorization-and-signs draws them in chunks from
 :func:`_enforcer_chunks` (one call each, or :func:`_walk`); the corner
-tables draw theirs one call at a time through :func:`_enforcer`, as
-their stream interleaves a plain strategy between its two enforcers.
+tables draw theirs one call at a time from the two streams of
+:func:`_enforcer`, as their stream interleaves a plain strategy between
+its two enforcers.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .payoffs import (
     _matrix_rows,
     _payoffs,
     _series_payoffs,
-    _weigh,
 )
 from .tables import _TOL, _report
 from .zd import (
@@ -55,14 +60,14 @@ from .zd import (
     sample_pczd,
 )
 
-_ONES = (1.0, 1.0, 1.0, 1.0)
-
-# Draws per pass.  At 256, 512, 1 024 and 2 048 draws the four chunked
-# properties took ~114, 88, 75 and 61 ms (best of 7), and the README verify
-# run peaked at 38.6, 38.6, 38.6 and 38.5-38.7 MB VmHWM: factorization-and-
-# signs frees a chunk's arrays before the stream's next pass, so the two do
-# not stack.  1 024 keeps one chunk's gradient arrays near 0.35 MB (2-vCPU
-# x86 VM, Python 3.11, numpy 2.4).
+# Draws per pass, and the size of the compiled passes' buffers.  At 256,
+# 512, 1 024 and 2 048 draws the four chunked properties took ~114, 88, 75
+# and 61 ms (best of 7) as numpy passes, and the README verify run peaked
+# at 38.6, 38.6, 38.6 and 38.5-38.7 MB VmHWM: factorization-and-signs
+# frees a chunk's arrays before the stream's next pass, so the two do not
+# stack.  1 024 keeps one chunk's gradient arrays near 0.35 MB (2-vCPU x86
+# VM, Python 3.11, numpy 2.4), and the normalizer and enforcer buffers at
+# 8 and 88 KB.
 _CHUNK = 1024
 
 _COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge}
@@ -157,21 +162,53 @@ def _draws(rng, n, lo, hi):
         yield first, u[:5], u[5:10], _uniform(lo, hi, u[10])
 
 
+def _normalizer(p, q, d):
+    """The normalizer ``D(p, q, d, 1)`` of each draw, its four cofactors
+    summed: normalizer-positive's residual."""
+    c0, c1, c2, c3 = _cofactors(_matrix_rows(p, q, d))
+    return c0 + c1 + c2 + c3
+
+
+def _regularity(p, q, d):
+    """``|det(I - d*M) - (1 - d) * D| / |D|`` of each draw, with ``D`` its
+    normalizer: regularity-identity's residual."""
+    # I - d*M entry by entry, so that no (4, 4, chunk) stack is held
+    lhs = det4([[float(i == j) - d * m for j, m in enumerate(row)]
+                for i, row in enumerate(_transition_rows(p, q))])
+    d_ones = _normalizer(p, q, d)
+    return np.abs(lhs - (1.0 - d) * d_ones) / np.abs(d_ones)
+
+
+def _residual_chunks(rng, n, identity):
+    """The residuals of :func:`_regularity` where ``identity`` is set, else
+    of :func:`_normalizer`, on the ``n`` draws of ``_draws(rng, n, 0.01,
+    0.99)``: yields ``(first, residuals)`` per chunk of at most
+    ``_CHUNK``.  Each chunk is one call of the compiled ``_native.residuals``,
+    which reads ``rng`` itself and overwrites one buffer, or, where it
+    cannot be built, one numpy pass."""
+    from . import _native
+
+    take = _native.residuals(rng, min(_CHUNK, n), 0.01, 0.99, identity)
+    if take is None:
+        residuals = _regularity if identity else _normalizer
+        for first, p, q, d in _draws(rng, n, 0.01, 0.99):
+            yield first, residuals(p, q, d)
+        return
+    for first in range(0, n, _CHUNK):
+        yield first, take(min(_CHUNK, n - first))
+
+
 def _normalizer_positive(params, rng, n):
     worst = _Worst("normalizer-positive", 1e-12, ">")
-    for first, p, q, d in _draws(rng, n, 0.01, 0.99):
-        worst.add(_weigh(_cofactors(_matrix_rows(p, q, d)), _ONES), first)
+    for first, residuals in _residual_chunks(rng, n, False):
+        worst.add(residuals, first)
     return worst.result(n)
 
 
 def _regularity_identity(params, rng, n):
     worst = _Worst("regularity-identity", 1e-10, "<")
-    for first, p, q, d in _draws(rng, n, 0.01, 0.99):
-        # I - d*M entry by entry, so that no (4, 4, chunk) stack is held
-        lhs = det4([[float(i == j) - d * m for j, m in enumerate(row)]
-                    for i, row in enumerate(_transition_rows(p, q))])
-        d_ones = _weigh(_cofactors(_matrix_rows(p, q, d)), _ONES)
-        worst.add(np.abs(lhs - (1.0 - d) * d_ones) / np.abs(d_ones), first)
+    for first, residuals in _residual_chunks(rng, n, True):
+        worst.add(residuals, first)
     return worst.result(n)
 
 
@@ -226,33 +263,43 @@ def _enforcer_chunks(rng, params, n):
     ``_CHUNK``, each chunk in one call of the compiled ``_native.pczd`` (or
     of ``_walk`` where it cannot be built): yields ``(first, p, q, delta,
     rejections)``, p and q as ``(5, k)`` arrays and ``rejections`` the
-    tries rejected so far.  Both routes read ``rng`` value by value, so
-    after each chunk it stands where the draw-by-draw loop leaves it.
+    tries rejected so far; the compiled stream's next chunk overwrites
+    them.  Both routes read ``rng`` value by value, so after each chunk it
+    stands where the draw-by-draw loop leaves it.
     """
     from . import _native  # imported on first use, so that importing zdgame loads no library
 
+    walk = _native.pczd(rng, min(_CHUNK, n), params)
     rejections = 0
     for first in range(0, n, _CHUNK):
         k = min(_CHUNK, n - first)
-        cols, rejected = _native.pczd(rng, k, params) or _walk(rng, k, params)
+        cols, rejected = _walk(rng, k, params) if walk is None else walk(k)
         rejections += rejected
         yield first, cols[:5], cols[5:10], cols[10], rejections
 
 
 def _enforcer(rng, params, p0=None, kappa=None):
-    """One draw of ``sample_pczd(rng, params, p0=p0, kappa=kappa)`` as its
-    ``(p0..p4, delta)``, or None where its ``_TRIES`` tries find none: one
-    call of the compiled ``_native.pczd``, or of ``zd._try_pczd`` where it
-    cannot be built.  Either reads ``rng`` as ``sample_pczd`` does."""
+    """A function that takes the next draw of ``sample_pczd(rng, params,
+    p0=p0, kappa=kappa)`` as its ``(p0..p4, delta)``, or None where its
+    ``_TRIES`` tries find none: one call of the compiled ``_native.pczd``,
+    or of ``zd._try_pczd`` where it cannot be built.  Either reads ``rng``
+    as ``sample_pczd`` does."""
     from . import _native
 
-    got = _native.pczd(rng, 1, params, p0, kappa, _TRIES, False)  # no q values
-    if got is not None:
-        cols, _ = got
-        return cols[:, 0] if cols.shape[1] else None
+    walk = _native.pczd(rng, 1, params, p0, kappa, _TRIES, False)  # no q values
+    if walk is not None:
+        def compiled():
+            cols, _ = walk(1)
+            return cols[:, 0].tolist() if cols.shape[1] else None
+
+        return compiled
     d_lo = _delta_low(critical_discount(params))
-    draw = _try_pczd(rng, params, _TRIES, d_lo, p0=p0, kappa=kappa)
-    return None if draw is None else (*draw[0], draw[2])
+
+    def python():
+        draw = _try_pczd(rng, params, _TRIES, d_lo, p0=p0, kappa=kappa)
+        return None if draw is None else (*draw[0], draw[2])
+
+    return python
 
 
 def _factorization_and_signs(params, rng, n):
@@ -315,13 +362,14 @@ def _corner_tables(params, rng, n):
     raises ``sample_pczd``'s error.  Then each table column is checked in
     one pass over its corners and all the strategies of its kind."""
     plain, zd, coop, has_coop = [], [], [], []
+    enforcer, cooperative = _enforcer(rng, params), _enforcer(rng, params, p0=1.0, kappa=1.0)
     for i in range(n):
         plain.append((*rng.random(5), rng.uniform(0.05, 0.98)))
-        p_zd = _enforcer(rng, params)
+        p_zd = enforcer()
         if p_zd is None:
             raise _no_draw(params, _TRIES)
         zd.append(p_zd)
-        cc = _enforcer(rng, params, p0=1.0, kappa=1.0)
+        cc = cooperative()
         if cc is not None:
             coop.append(cc)
             has_coop.append(i)

@@ -1,4 +1,8 @@
 import contextlib
+import ctypes
+import math
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -45,6 +49,42 @@ def bits(values):
 SAMPLER_SETTINGS = [(1.5, -0.5), (2.0, -0.1), (1.1, -1.0)]
 
 
+# uniforms at and next to the ends of [0, 1]: delta at the critical value
+# + 0.01 and next to 0.995, chi at 1 + 1e-6, kappa and p0 at 0 and 1 in
+# the pcZD stream, delta at 0.01 and next to 0.99 in the normalizer stream
+EDGE = math.nextafter(1.0, 0.0)
+
+
+class ListRng:
+    """A generator whose ``rng.random()`` values are ``values``, then those
+    of ``default_rng(0)``, read through ``uniform`` and ``random`` by the
+    Python routes and through ``bit_generator``'s lock and ctypes
+    ``next_double`` by the compiled ones.  ``held`` records, per value,
+    whether the lock was held.  (ctypes prints an exception raised in a
+    callback and returns 0.0, so the values never run out.)"""
+
+    def __init__(self, values):
+        self._values, self._rest = iter(values), np.random.default_rng(0)
+        self.held = []
+        lock = threading.Lock()
+        next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda _: self._next())
+        self.bit_generator = types.SimpleNamespace(lock=lock, ctypes=types.SimpleNamespace(
+            next_double=next_double, state_address=None))
+
+    def _next(self):
+        self.held.append(self.bit_generator.lock.locked())
+        u = next(self._values, None)
+        return self._rest.random() if u is None else u
+
+    def random(self, size=None):
+        if size is None:
+            return self._next()
+        return np.array([self._next() for _ in range(math.prod(np.atleast_1d(size)))]).reshape(size)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self._next()
+
+
 @pytest.fixture(scope="session")
 def params_main():
     return validate_payoffs(1.5, -0.5, strict=True)
@@ -65,19 +105,22 @@ def rng():
     return np.random.default_rng(20240)
 
 
-# How sweeps run their paths, the oracle triangle sums its payoff series
-# and verify's two pcZD enforcer streams run their tries: the compiled
-# loops of _climb.c, or adaptive._climb, payoffs._series_rounds and
-# zd._try_pczd (through verify._walk and verify._enforcer), which stand in
+# How sweeps run their paths, the oracle triangle sums its payoff series,
+# verify's two pcZD enforcer streams run their tries and its normalizer
+# and regularity properties take their draws: the compiled loops of
+# _climb.c, or adaptive._climb, payoffs._series_rounds, zd._try_pczd
+# (through verify._walk and verify._enforcer) and numpy passes over
+# verify._draws (verify._normalizer, verify._regularity), which stand in
 # for them where no C compiler is found.
 KERNELS = ("compiled", "python")
 
 
 @contextlib.contextmanager
 def kernel_forced(mode):
-    """Inside, sweeps, the stacked payoff series and the pcZD enforcer
-    streams take the compiled loops ("compiled"; the test is skipped if
-    they cannot be built) or their Python loops ("python")."""
+    """Inside, sweeps, the stacked payoff series, the pcZD enforcer
+    streams and the normalizer draws take the compiled loops ("compiled";
+    the test is skipped if they cannot be built) or their Python loops
+    and numpy passes ("python")."""
     if mode == "compiled" and _native._kernel() is None:
         pytest.skip("the compiled loops could not be built")
     with pytest.MonkeyPatch.context() as mp:
@@ -85,6 +128,7 @@ def kernel_forced(mode):
             mp.setattr(_native, "climber", lambda *args: None)
             mp.setattr(_native, "series", lambda *args: None)
             mp.setattr(_native, "pczd", lambda *args: None)
+            mp.setattr(_native, "residuals", lambda *args: None)
         yield mode
 
 

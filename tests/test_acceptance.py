@@ -6,6 +6,7 @@ meant to be tuned; C02-C08 run the property functions of ``zdgame.verify``,
 which hold their tolerances, on the seeds and counts pinned here.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -21,9 +22,10 @@ from zdgame import (
     sweep,
     validate_payoffs,
 )
+from zdgame import _native, verify
 from zdgame import payoffs as payoffs_mod
-from zdgame import verify
 from zdgame._linalg import det3
+from conftest import kernel_forced
 
 SETTINGS = [(1.5, -0.5), (2.0, -0.1), (1.1, -1.0)]
 
@@ -318,9 +320,23 @@ def nan_det3(*rows):
     return det3(*rows) * math.nan
 
 
+def nan_residuals(residuals):
+    """``_native.residuals``, the compiled normalizer pass, with every
+    residual NaN."""
+    def patched(*args):
+        take = residuals(*args)
+        return None if take is None else lambda n: take(n) * math.nan
+
+    return patched
+
+
 @pytest.mark.parametrize("number", [2, 3, 4, 5, 6, 7, 8, 15])
 def test_criterion_fails_on_a_nan_kernel(monkeypatch, capsys, number):
+    """A NaN det3 reaches every criterion but C02 and C03 on either route.
+    Those two call it only on their numpy route, so they also run with
+    the compiled pass's residuals NaN on the other."""
     monkeypatch.setattr(payoffs_mod, "det3", nan_det3)
+    monkeypatch.setattr(_native, "residuals", nan_residuals(_native.residuals))
     criterion = {
         2: test_c02_normalizer_positive,
         3: test_c03_resolvent_identity,
@@ -335,6 +351,8 @@ def test_criterion_fails_on_a_nan_kernel(monkeypatch, capsys, number):
         arg = factorization_results()
     else:
         arg = validate_payoffs(1.5, -0.5, strict=True)
-    with pytest.raises(AssertionError):
-        criterion(arg)
-    assert f"ACCEPTANCE {number:02d} FAIL" in capsys.readouterr().out
+    for route in ("python", "compiled") if number in (2, 3) else (None,):
+        with kernel_forced(route) if route else contextlib.nullcontext():
+            with pytest.raises(AssertionError):
+                criterion(arg)
+        assert f"ACCEPTANCE {number:02d} FAIL" in capsys.readouterr().out

@@ -1,18 +1,16 @@
 """The compiled loops against their references, ``adaptive._climb``,
-``payoffs._series_rounds``, ``verify._walk`` and ``zd.sample_pczd``, and
-their build: the cache, the silent fallback, concurrent builds, the
-removal of older builds, and the promise that importing zdgame loads
-none."""
+``payoffs._series_rounds``, ``verify._walk``, ``zd.sample_pczd`` and the
+numpy passes over verify's normalizer draws, and their build: the cache,
+the silent fallback, concurrent builds, the removal of older builds, and
+the promise that importing zdgame loads none."""
 
 import collections
-import ctypes
 import functools
 import hashlib
 import inspect
 import math
 import subprocess
 import sys
-import threading
 import types
 from pathlib import Path
 
@@ -39,9 +37,11 @@ from zdgame.adaptive import _climb
 from zdgame.cli import main
 from conftest import (
     BATCH_SIZES,
+    EDGE,
     KERNELS,
     PCZD_A,
     SAMPLER_SETTINGS,
+    ListRng,
     bits,
     exact_or_unit,
     kernel_forced,
@@ -324,9 +324,6 @@ def test_series_rejects_inputs_of_the_wrong_shape(compiled):
 
 # --- the pcZD enforcer stream ---------------------------------------------
 
-# uniforms at and next to the ends of [0, 1]: delta at the critical value
-# + 0.01 and next to 0.995, chi at 1 + 1e-6, kappa and p0 at 0 and 1
-EDGE = math.nextafter(1.0, 0.0)
 edge_uniforms = st.sampled_from([0.0, EDGE, 1.0]) | st.floats(0.0, 1.0)
 
 # The delta, chi, kappa and p0 uniforms of tries at T = 1.5, S = -0.5
@@ -340,34 +337,6 @@ EMPTYING_TRIES = {(1, True): (0.0, 0.0, 1.0, 0.0), (2, False): (0.0, 0.0, 0.0, 0
 EDGE_STREAM = [*(u for try_ in EMPTYING_TRIES.values() for u in try_),
                EDGE, EDGE, 1.0, 1.0, 0.5, 0.0, EDGE, 1.0, 0.5, 0.25,
                EDGE, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, EDGE, 0.75]
-
-
-class ListRng:
-    """A generator whose ``rng.random()`` values are ``values``, then those
-    of ``default_rng(0)``, read through ``uniform`` and ``random`` by
-    ``sample_pczd`` and through ``bit_generator``'s lock and ctypes
-    ``next_double`` by the compiled walk.  ``held`` records, per value,
-    whether the lock was held.  (ctypes prints an exception raised in a
-    callback and returns 0.0, so the values never run out.)"""
-
-    def __init__(self, values):
-        self._values, self._rest = iter(values), np.random.default_rng(0)
-        self.held = []
-        lock = threading.Lock()
-        next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda _: self._next())
-        self.bit_generator = types.SimpleNamespace(lock=lock, ctypes=types.SimpleNamespace(
-            next_double=next_double, state_address=None))
-
-    def _next(self):
-        self.held.append(self.bit_generator.lock.locked())
-        u = next(self._values, None)
-        return self._rest.random() if u is None else u
-
-    def random(self, size=None):
-        return self._next() if size is None else np.array([self._next() for _ in range(size)])
-
-    def uniform(self, lo, hi):
-        return lo + (hi - lo) * self._next()
 
 
 def test_the_edge_block_empties_the_window_on_each_cut(monkeypatch, params_main):
@@ -399,7 +368,7 @@ def test_pczd_kernel_walks_as_verify_walk(compiled, setting, u, n):
     for every value it reads."""
     params = validate_payoffs(*setting, strict=True)
     got, want = ListRng(u), ListRng(u)
-    cols, rejected = _native.pczd(got, n, params)
+    cols, rejected = _native.pczd(got, n, params)(n)
     want_cols, want_rejected = verify._walk(want, n, params)
     assert bits(cols) == bits(want_cols) and rejected == want_rejected
     assert len(got.held) == len(want.held) and all(got.held)
@@ -422,7 +391,7 @@ def test_the_compiled_walk_enters_the_generators_lock(compiled, params_main):
 
     rng = types.SimpleNamespace(bit_generator=types.SimpleNamespace(
         lock=RecordingLock(), ctypes=real.ctypes))
-    cols, rejected = _native.pczd(rng, 30, params_main)
+    cols, rejected = _native.pczd(rng, 30, params_main)(30)
     want_cols, want_rejected = verify._walk(np.random.default_rng(7), 30, params_main)
     assert entered == [True, "left"]
     assert bits(cols) == bits(want_cols) and rejected == want_rejected
@@ -469,16 +438,16 @@ def test_pczd_kernel_draws_as_sample_pczd(compiled, setting, fixed, q, u, n):
     the columns of ``n`` calls of one."""
     params = validate_payoffs(*setting, strict=True)
     got, want, whole = ListRng(u), ListRng(u), ListRng(u)
-    drawn = []
+    walk, drawn = _native.pczd(got, 1, params, *fixed, 500, q), []
     for _ in range(n):
-        cols, _ = _native.pczd(got, 1, params, *fixed, 500, q)
+        cols, _ = walk(1)
         column = draw_one(want, params, fixed, q)
         assert cols.shape == (11 if q else 6, len(column) and 1)
         assert bits(cols.T) == bits(column) and len(got.held) == len(want.held)
-        drawn.append(cols)
+        drawn.append(cols.copy())  # the next call overwrites the buffer
         if not column:
             break
-    cols, _ = _native.pczd(whole, n, params, *fixed, 500, q)
+    cols, _ = _native.pczd(whole, n, params, *fixed, 500, q)(n)
     assert bits(cols) == bits(np.hstack(drawn)) and len(whole.held) == len(got.held)
     assert all(got.held) and all(whole.held)
 
@@ -490,8 +459,9 @@ def test_pczd_kernel_reads_a_pcg64_as_sample_pczd(compiled, setting, fixed):
     same generator state after each draw."""
     params = validate_payoffs(*setting, strict=True)
     got, want = np.random.default_rng(3), np.random.default_rng(3)
+    walk = _native.pczd(got, 1, params, *fixed, 500, False)
     for _ in range(100):
-        cols, _ = _native.pczd(got, 1, params, *fixed, 500, False)
+        cols, _ = walk(1)
         assert bits(cols.T) == bits(draw_one(want, params, fixed, False))
         assert got.bit_generator.state == want.bit_generator.state
 
@@ -515,6 +485,60 @@ def test_a_corner_round_whose_draw_runs_out_of_tries(kernel, params_main):
     assert str(info.value) == str(raised.value)
     assert str(info.value).startswith("no feasible pcZD draw in 500 tries (delta=None, ")
     assert len(rng.held) == 6 + len(want.held) == 6 + 2000
+
+
+# --- the normalizer and regularity draws ------------------------------------
+
+# each draw reads p, q, then delta's uniform: with the edge uniforms delta
+# sits at 0.01 and next to 0.99, and p and q at the cube's faces
+RESIDUAL_FUNCTIONS = {False: verify._normalizer, True: verify._regularity}
+# a draw at the cube's far corner with delta next to 0.99, then one at its
+# origin with delta at 0.01, and one with a NaN value
+EDGE_DRAWS = [*[1.0] * 10, EDGE, *[0.0] * 11, 0.5, math.nan, *[0.5] * 9]
+
+
+def numpy_residuals(rng, n, identity):
+    """The residuals of ``n`` draws by the numpy passes, the kernel's
+    fallback."""
+    residuals = RESIDUAL_FUNCTIONS[identity]
+    return np.concatenate([residuals(p, q, d) for _, p, q, d in verify._draws(rng, n, 0.01, 0.99)])
+
+
+@settings(max_examples=300, deadline=None)
+@example(identity=False, u=EDGE_DRAWS, n=3)
+@example(identity=True, u=EDGE_DRAWS, n=3)
+@given(identity=st.booleans(), u=st.lists(edge_uniforms, max_size=60), n=st.integers(1, 6))
+def test_residuals_kernel_equals_the_numpy_passes(compiled, identity, u, n):
+    """Residuals and values read bit for bit, on streams that start with
+    edge and plain uniforms; the kernel holds the lock for every value it
+    reads."""
+    got, want = ListRng(u), ListRng(u)
+    residuals = _native.residuals(got, n, 0.01, 0.99, identity)(n)
+    assert bits(residuals) == bits(numpy_residuals(want, n, identity))
+    assert len(got.held) == len(want.held) == 11 * n and all(got.held)
+    assert not got.bit_generator.lock.locked()
+
+
+@pytest.mark.parametrize("identity", [False, True])
+def test_residuals_kernel_reads_a_pcg64_as_the_numpy_passes(compiled, identity):
+    """Chunk by chunk into one buffer, on numpy's own generator: the
+    residuals of the numpy passes, and the same generator state after
+    each chunk."""
+    got, want = np.random.default_rng(3), np.random.default_rng(3)
+    take = _native.residuals(got, 50, 0.01, 0.99, identity)
+    for k in (50, 1, 17, 50):
+        assert bits(take(k)) == bits(numpy_residuals(want, k, identity))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [4, -1])
+def test_a_call_past_its_buffer_is_refused(compiled, params_main, n):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for take in (_native.residuals(rng, 3, 0.01, 0.99, False), _native.pczd(rng, 3, params_main)):
+        with pytest.raises(ValueError, match=f"^{n} draws do not fit a buffer of 3$"):
+            take(n)
+    assert rng.bit_generator.state == state
 
 
 def wrap_every_function(monkeypatch, module):
@@ -559,7 +583,6 @@ def test_wrapped_payoff_functions_leave_the_oracle_on_the_compiled_series(
 
 RACE = """
 import sys
-import threading
 import types
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])

@@ -28,7 +28,7 @@ from zdgame._linalg import det3, det4
 from zdgame.cli import main
 from zdgame.verify import PropertyResult
 from zdgame.zd import sample_pczd
-from conftest import bits
+from conftest import ListRng, bits, kernel_forced
 
 PARAMS = validate_payoffs(1.5, -0.5)
 ONES = (1.0, 1.0, 1.0, 1.0)
@@ -251,6 +251,17 @@ def test_stacked_property_equals_draw_by_draw_loop(monkeypatch, name, chunk, n):
     assert_same_results(result, reference(PARAMS, 3, n))
 
 
+# the properties whose draws take the compiled pass or the numpy passes
+RESIDUAL_PROPERTIES = ["normalizer-positive", "regularity-identity"]
+
+
+@pytest.mark.usefixtures("kernel")
+@pytest.mark.parametrize("name", RESIDUAL_PROPERTIES)
+@pytest.mark.parametrize("chunk, n", CHUNK_COUNTS)
+def test_residual_property_equals_draw_by_draw_loop_on_both_routes(monkeypatch, name, chunk, n):
+    test_stacked_property_equals_draw_by_draw_loop(monkeypatch, name, chunk, n)
+
+
 @pytest.fixture
 def folded(monkeypatch):
     """The residuals that each property folds into its worst value."""
@@ -388,8 +399,19 @@ def nan_det3(*rows):
     return det3(*rows) * math.nan
 
 
-def test_every_property_fails_on_a_nan_kernel(monkeypatch):
+def nan_kernel(monkeypatch):
+    """A NaN ``det3``, which every property's Python route calls, and a
+    NaN first value of the normalizer and regularity streams, which both
+    routes of those two read: their compiled pass calls no ``det3``."""
     monkeypatch.setattr(payoffs_mod, "det3", nan_det3)
+    rng_for = verify._rng_for
+    monkeypatch.setattr(verify, "_rng_for", lambda seed, k: (
+        ListRng([math.nan]) if k in (1, 2) else rng_for(seed, k)))
+
+
+@pytest.mark.usefixtures("kernel")
+def test_every_property_fails_on_a_nan_kernel(monkeypatch):
+    nan_kernel(monkeypatch)
     results = verify.run_verification(PARAMS, seed=3, scale=0.002)
     assert len(results) == 8
     for r in results:
@@ -398,8 +420,9 @@ def test_every_property_fails_on_a_nan_kernel(monkeypatch):
         assert math.isnan(r.worst)
 
 
+@pytest.mark.usefixtures("kernel")
 def test_verify_exits_3_on_a_nan_kernel(monkeypatch, capsys):
-    monkeypatch.setattr(payoffs_mod, "det3", nan_det3)
+    nan_kernel(monkeypatch)
     assert main(["verify", "--T", "1.5", "--S", "-0.5", "--seed", "3",
                  "--sample-scale", "0.002"]) == 3
     assert "FAILED: normalizer-positive, regularity-identity" in capsys.readouterr().out
@@ -407,7 +430,9 @@ def test_verify_exits_3_on_a_nan_kernel(monkeypatch, capsys):
 
 def test_non_finite_residual_names_its_draw(monkeypatch):
     """A NaN in one column of the second chunk fails the property at that
-    draw, though the other residuals all pass."""
+    draw, though the other residuals all pass.  Only the numpy passes call
+    ``det3``; :func:`test_a_non_finite_draw_names_its_draw` puts the NaN
+    where both routes meet it."""
     monkeypatch.setattr(verify, "_CHUNK", 4)
     calls = []
 
@@ -419,7 +444,24 @@ def test_non_finite_residual_names_its_draw(monkeypatch):
         return out
 
     monkeypatch.setattr(payoffs_mod, "det3", one_nan_column)
-    result = verify._normalizer_positive(PARAMS, verify._rng_for(3, 1), 10)
+    with kernel_forced("python"):
+        result = verify._normalizer_positive(PARAMS, verify._rng_for(3, 1), 10)
+    assert not result.passed
+    assert result.details == ["non-finite residual at draw 5"]
+    assert math.isnan(result.worst)
+
+
+@pytest.mark.usefixtures("kernel")
+@pytest.mark.parametrize("name", RESIDUAL_PROPERTIES)
+def test_a_non_finite_draw_names_its_draw(monkeypatch, name):
+    """A NaN value in the second chunk's second draw, p3 of draw 5, fails
+    the property at that draw on both routes, though the other residuals
+    all pass."""
+    monkeypatch.setattr(verify, "_CHUNK", 4)
+    prop, _, key = STACKED[name]
+    u = verify._rng_for(3, key).random(10 * 11)
+    u[5 * 11 + 3] = math.nan
+    result = prop(PARAMS, ListRng(u), 10)
     assert not result.passed
     assert result.details == ["non-finite residual at draw 5"]
     assert math.isnan(result.worst)
@@ -458,7 +500,7 @@ def test_corner_tables_align_a_round_without_cooperative_enforcer(monkeypatch):
     """The p0 = p1 = 1 draw of round 1 finds no enforcer, so that round
     lacks tables 4-5; Table 5 negated and one Table 4 cell shifted put
     every round's mismatches and non-positive cells in the details.  The
-    fault is put into verify's one-draw helper, which both kernel routes
+    fault is put into verify's enforcer streams, which both kernel routes
     pass through, and reads no value of the stream, as in the reference."""
     negated = {k: (lambda c, f=f: -f(c)) for k, f in tables_mod.TABLE5.items()}
     monkeypatch.setattr(tables_mod, "TABLE5", negated)
@@ -485,7 +527,18 @@ def test_corner_tables_align_a_round_without_cooperative_enforcer(monkeypatch):
     def raises():
         raise RuntimeError("no feasible pcZD draw")
 
-    monkeypatch.setattr(verify, "_enforcer", flaky(verify._enforcer, lambda: None))
+    enforcer = verify._enforcer
+
+    def flaky_enforcer(rng, params, **fixed):
+        take, calls = enforcer(rng, params, **fixed), []
+
+        def draw():
+            calls.append(1)
+            return None if fixed and len(calls) == 2 else take()
+
+        return draw
+
+    monkeypatch.setattr(verify, "_enforcer", flaky_enforcer)
     result = verify._corner_tables(PARAMS, verify._rng_for(3, 6), 3)
     reference = reference_corner_tables(PARAMS, 3, 3, flaky(sample_pczd, raises))
     assert_same_results(result, reference)

@@ -306,11 +306,14 @@ def retry_loop(rng, params, n):
 
 def chunk_columns(rng, params, n):
     """The columns of every chunk of ``_enforcer_chunks`` side by side, and
-    the rejection count of the last."""
-    chunks = list(verify._enforcer_chunks(rng, params, n))
-    assert [first for first, *_ in chunks] == list(range(0, n, verify._CHUNK))
-    cols = np.concatenate([np.vstack([p, q, d]) for _, p, q, d, _ in chunks], axis=1)
-    return cols, chunks[-1][4]
+    the rejection count of the last.  Each chunk is copied as it comes, as
+    the next one overwrites the compiled stream's buffer."""
+    firsts, cols = [], []
+    for first, p, q, d, rejections in verify._enforcer_chunks(rng, params, n):
+        firsts.append(first)
+        cols.append(np.vstack([p, q, d]))
+    assert firsts == list(range(0, n, verify._CHUNK))
+    return np.concatenate(cols, axis=1), rejections
 
 
 def same_state(a, b):
