@@ -1,7 +1,8 @@
 /* zdgame's compiled loops: one adapting path's whole ascent, for sweeps;
  * and, for verify, the discounted payoff series of many strategy pairs,
  * the normalizer or regularity residual of many random draws, and runs
- * of random pcZD enforcers, drawn by rejection sampling.
+ * of random pcZD enforcers, drawn by rejection sampling; and numpy's
+ * PCG64 generator, whose stream verify draws from.
  *
  * The ascent loop is adaptive._climb without the recording: the same
  * payoff kernel (payoffs._matrix_rows -> _cofactors -> _payoff_terms), the
@@ -234,6 +235,40 @@ void zd_series(int64_t n, const int64_t *rounds, const double *v, const double *
     }
 }
 
+/* numpy's PCG64 (XSL-RR 128/64), verify's own stream: the state and the
+ * increment held as four little-endian uint64 words, state low, state
+ * high, inc low, inc high, in a buffer the caller owns (seeded by
+ * zdgame/_pcg.py).  The words are read and written one by one, as the
+ * buffer is aligned for uint64 only.  A draw steps the state, state * MULT
+ * + inc modulo 2^128, then takes the XSL-RR output of the new state. */
+__extension__ typedef unsigned __int128 u128; /* GCC and Clang, on 64-bit targets */
+
+static uint64_t pcg_next64(uint64_t *s)
+{
+    const u128 mult = (u128)0x2360ED051FC65DA4u << 64 | 0x4385DF649FCCF645u;
+    u128 state = ((u128)s[1] << 64 | s[0]) * mult + ((u128)s[3] << 64 | s[2]);
+    uint64_t lo = (uint64_t)state, hi = (uint64_t)(state >> 64), x = hi ^ lo;
+    unsigned rot = (unsigned)(hi >> 58);
+    s[0] = lo;
+    s[1] = hi;
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* The stream's next rng.random() value, numpy's next_double: the top 53
+ * bits of the next draw times 2^-53.  The kernels below read a verify
+ * stream through this function's address, as they read numpy's. */
+double zd_pcg_double(void *state)
+{
+    return (double)(pcg_next64(state) >> 11) * 0x1.0p-53;
+}
+
+/* The stream's next n rng.random() values, as rng.random(n). */
+void zd_pcg_fill(void *state, int64_t n, double *out)
+{
+    for (int64_t k = 0; k < n; k++)
+        out[k] = zd_pcg_double(state);
+}
+
 /* rng.uniform(lo, hi) given the rng.random() value u it draws, as
  * verify._uniform. */
 static double uniform(double lo, double hi, double u)
@@ -242,8 +277,9 @@ static double uniform(double lo, double hi, double u)
 }
 
 /* n draws of verify's normalizer stream, each p, then q, from [0, 1)^5
- * and delta = uniform(lo, hi): eleven values of next(state), numpy's
- * ctypes next_double of rng.bit_generator, whose lock the caller holds.
+ * and delta = uniform(lo, hi): eleven values of next(state), the ctypes
+ * next_double of rng.bit_generator (zd_pcg_double for a verify stream, or
+ * a numpy generator's), whose lock the caller holds.
  * out[k] is draw k's normalizer D(p, q, delta, 1), its four cofactors
  * summed, or where identity is set its regularity residual
  * |det(I - delta M) - (1 - delta) D| / |D|, with M the transition matrix
@@ -327,11 +363,10 @@ static int entries(double phi, double chi, double kappa, double p0, double delta
 
 /* n pcZD draws, each zd._try_pczd(rng, params, tries, ...): tries until
  * one is accepted or `tries` are rejected.  Each rng.random() value is
- * next(state), numpy's ctypes next_double of rng.bit_generator, whose
- * lock the caller holds.  A try draws delta and chi uniform in the ranges
- * draw[0..1] and draw[2..3], then kappa and p0 in (0, 1) unless draw[7]
- * and draw[6] fix them (NaN: drawn); an empty phi window rejects it after
- * these values, a drawn phi outside the cube after one more.  Draw h
+ * next(state), as in zd_residuals.  A try draws delta and chi uniform in
+ * the ranges draw[0..1] and draw[2..3], then kappa and p0 in (0, 1) unless
+ * draw[7] and draw[6] fix them (NaN: drawn); an empty phi window rejects
+ * it after these values, a drawn phi outside the cube after one more.  Draw h
  * fills column h of cols, stored row-major as (rows, n): p0, p1..p4, the
  * five values read after the accepted try as q where with_q is set, and
  * delta.  A draw whose tries are all rejected ends the call.  Returns the

@@ -6,15 +6,18 @@ single C call through ctypes.  It ends the path exactly as
 count and converged flag, and the same :class:`NumericalError` on a
 vanished normalizer.  :func:`series` sums the discounted payoff series
 of many strategy pairs in one C call, each pair's sums bit for bit those
-of ``payoffs._series_rounds``.  Two kernels read the numpy generator
-themselves, under its lock: :func:`residuals` gives the normalizer or
-regularity residuals of a chunk of verify's random draws in one C call,
-those of ``verify._normalizer`` and ``verify._regularity`` bit for bit;
-:func:`pczd` runs ``zd._try_pczd``'s tries for a run of pcZD draws in
-one C call: a chunk of verify's factorization-and-signs stream
-(``verify._walk``), or one enforcer of its corner-tables streams.  Both
-give a function of the draw count that reuses its arguments and one
-output buffer from call to call.
+of ``payoffs._series_rounds``.  :func:`stream` gives verify's random
+streams, numpy's seeded PCG64 drawn by the library from a state of its
+own, so that verify never loads ``numpy.random``.  Two kernels read a
+generator themselves, through its ``next_double`` and under its lock:
+that of :func:`stream`, or any numpy generator.  :func:`residuals` gives
+the normalizer or regularity residuals of a chunk of verify's random
+draws in one C call, those of ``verify._normalizer`` and
+``verify._regularity`` bit for bit; :func:`pczd` runs ``zd._try_pczd``'s
+tries for a run of pcZD draws in one C call: a chunk of verify's
+factorization-and-signs stream (``verify._walk``), or one enforcer of
+its corner-tables streams.  Both give a function of the draw count that
+reuses its arguments and one output buffer from call to call.
 
 The library is compiled once, by the C compiler Python was built with
 (``sysconfig``'s ``CC``), with the flags below.  ``-ffp-contract=off``
@@ -29,10 +32,9 @@ name and is renamed into place, so concurrent builds are safe, and once
 it loads, the cache's other ``_climb-*.so`` files, builds of older
 sources, are removed.  Any failure (no compiler, a cache that cannot be
 written or that anyone may write, a failed load) makes :func:`climber`,
-:func:`series`, :func:`residuals` and :func:`pczd` return None, and the
-caller runs its Python loop or numpy passes instead.  Only a sweep, the
-oracle-triangle payoff series, verify's normalizer and regularity draws
-and its pcZD enforcer streams import this module.
+:func:`series`, :func:`residuals`, :func:`pczd` and :func:`stream`
+return None, and the caller runs its Python loop, numpy passes or numpy's
+generator instead.  Only a sweep and verify import this module.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ import shlex
 import stat
 import sysconfig
 import tempfile
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +61,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from . import _pcg
 from .payoffs import NORMALIZER_FLOOR, _vanished_normalizer
 from .zd import _CHI_MAX, _CHI_MIN, _DELTA_MAX, _delta_low, critical_discount
 
@@ -113,7 +118,7 @@ def _prune(keep: Path):
 @functools.cache
 def _kernel():
     """The cached library, built first if no cache holds it, with the
-    argument types of its four loops set; None if it cannot be built or
+    argument types of its entry points set; None if it cannot be built or
     loaded."""
     try:
         source = SOURCE.read_bytes()
@@ -130,7 +135,7 @@ def _kernel():
             return None
         lib = ctypes.CDLL(str(path))
         climb, series, pczd = lib.zd_climb, lib.zd_series, lib.zd_pczd
-        residuals = lib.zd_residuals
+        residuals, pcg_double, pcg_fill = lib.zd_residuals, lib.zd_pcg_double, lib.zd_pcg_fill
     except (OSError, AttributeError):
         return None  # an unwritable cache or a failed load
     if built:
@@ -147,6 +152,10 @@ def _kernel():
     residuals.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
                           ctypes.c_int, ctypes.c_int64, ctypes.c_void_p]
     residuals.restype = None
+    pcg_double.argtypes = [ctypes.c_void_p]
+    pcg_double.restype = ctypes.c_double
+    pcg_fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    pcg_fill.restype = None
     return lib
 
 
@@ -201,6 +210,48 @@ def series(rounds, v, rows, delta, sx, sy):
               sum_x, sum_y]
     lib.zd_series(n, *(a.ctypes.data for a in arrays))
     return sum_x, sum_y
+
+
+class _Stream:
+    """The stream of ``numpy.random.default_rng(SeedSequence(entropy=seed,
+    spawn_key=(key,)))``, drawn by the library's PCG64 from a state buffer
+    of its own.  It offers what verify and ``zd._try_pczd`` call:
+    ``random()``, ``random(size)`` and ``uniform(lo, hi)``, bit for bit
+    numpy's, and ``bit_generator``'s ``lock`` and ``ctypes.next_double`` and
+    ``ctypes.state_address``, which :func:`_locked` reads."""
+
+    def __init__(self, lib, state, inc):
+        words = (state & _pcg.M64, state >> 64, inc & _pcg.M64, inc >> 64)
+        self._words = (ctypes.c_uint64 * 4)(*words)
+        self._state = ctypes.addressof(self._words)
+        self._double, self._fill = lib.zd_pcg_double, lib.zd_pcg_fill
+        self.bit_generator = types.SimpleNamespace(
+            lock=threading.Lock(),  # ctypes calls release the GIL
+            ctypes=types.SimpleNamespace(next_double=self._double, state_address=self._state))
+
+    def random(self, size=None):
+        """A float, or an array of ``size`` values, as ``rng.random(size)``."""
+        with self.bit_generator.lock:
+            if size is None:
+                return self._double(self._state)
+            out = np.empty(size)
+            self._fill(self._state, out.size, out.ctypes.data)
+        return out
+
+    def uniform(self, lo, hi):
+        """``rng.uniform(lo, hi)`` for float bounds ``lo <= hi``, as verify
+        draws: ``verify._uniform`` of the ``random()`` value it draws."""
+        return lo + (hi - lo) * self.random()
+
+
+def stream(seed, key):
+    """A :class:`_Stream` seeded as ``SeedSequence(entropy=seed,
+    spawn_key=(key,))``; None if the kernel is unavailable.  A seed or key
+    that is not a non-negative integer raises :class:`DomainError`."""
+    lib = _kernel()
+    if lib is None:
+        return None
+    return _Stream(lib, *_pcg.seeded(seed, key))
 
 
 def _locked(rng, kernel):

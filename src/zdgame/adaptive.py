@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from types import FunctionType
 from typing import NamedTuple
 
-from . import _linalg, gradients, payoffs
+from . import _linalg, _pcg, gradients, payoffs
 from .errors import DomainError, MaxStepsError
 from .game import PayoffParams, Strategy, _stream_argument, strategy_tuple, validate_delta
 from .gradients import TerminalClassification, _gradient_quotient, classify_terminal
@@ -210,58 +210,21 @@ def _climb(qt, config, pt, delta, params) -> AdaptingPath:
     return path
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
 def initial_strategy(seed: int, index: int) -> Strategy:
     """Uniform draw from the strategy cube on the (seed, index) stream.
 
     The five entries are, bit for bit, those of
     ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(index,))).random(5)``,
-    computed here in plain integers so that a sweep never loads
-    ``numpy.random``.  Streams are independent per index, so a path's start
-    does not depend on how many paths the sweep runs.
+    computed here and in ``_pcg`` in plain integers so that a sweep never
+    loads ``numpy.random``.  Streams are independent per index, so a path's
+    start does not depend on how many paths the sweep runs.
     """
-    seed, index = _stream_argument("seed", seed), _stream_argument("index", index)
-    # SeedSequence's entropy: the seed's little-endian 32-bit words, padded
-    # to the pool's 4 words because a spawn key follows, then the index's.
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    words += [index >> s & _M32 for s in range(0, max(index.bit_length(), 1), 32)]
-    # mix_entropy: hash the first 4 words into the pool, then mix every pool
-    # word into every other and each further word into every pool word.
-    h = 0x43B0D7E5
-    for i in range(4):
-        w = words[i] ^ h
-        h = h * 0x931E8875 & _M32
-        w = w * h & _M32
-        words[i] = w ^ w >> 16
-    for src in range(len(words)):
-        for dst in range(4):
-            if src != dst:
-                w = words[src] ^ h
-                h = h * 0x931E8875 & _M32
-                w = w * h & _M32
-                w = (0xCA01F9DD * words[dst] - 0x4973F715 * (w ^ w >> 16)) & _M32
-                words[dst] = w ^ w >> 16
-    # generate_state(4, uint64): the pool cycled to 8 hashed words, read as
-    # 4 little-endian 64-bit words
-    h, out = 0x8B51F9DD, []
-    for w in words[:4] * 2:
-        w ^= h
-        h = h * 0x58F38DED & _M32
-        w = w * h & _M32
-        out.append(w ^ w >> 16)
-    u = [out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6)]
-    # PCG64 seeding: from state 0, step, add the initial state, step again
-    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
-    state = ((inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc) & _M128
+    state, inc = _pcg.seeded(seed, index, "index")
     draws = []
     for _ in range(5):  # each draw steps, then takes the XSL-RR output
-        state = (state * _PCG_MULT + inc) & _M128
-        x, rot = (state >> 64 ^ state) & _M64, state >> 122
-        draws.append(((x >> rot | x << (64 - rot)) & _M64) >> 11)
+        state = (state * _pcg.MULT + inc) & _pcg.M128
+        x, rot = (state >> 64 ^ state) & _pcg.M64, state >> 122
+        draws.append(((x >> rot | x << (64 - rot)) & _pcg.M64) >> 11)
     return Strategy(*(x * 2.0**-53 for x in draws))
 
 

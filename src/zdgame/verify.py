@@ -6,12 +6,17 @@ that is not finite fails its property.  :func:`run_verification` gives
 each property a stream of one seed and scales all counts by one factor;
 the acceptance criteria call the same functions on their own streams.
 
+Each property's stream is :func:`_rng_for`'s: numpy's seeded PCG64,
+drawn by the compiled library (``_native.stream``), so that verify loads
+no ``numpy.random``, or, where the library cannot be built, numpy's
+generator itself.
+
 Most properties run as numpy passes over their draws: the payoff,
 gradient and table kernels take arrays element by element, each element
 equals its float result, and so the report is the one a draw-by-draw
 loop gives.  The normalizer and regularity properties take chunks of at
 most ``_CHUNK`` draws from :func:`_residual_chunks`, each chunk one call
-of the compiled ``_native.residuals``, which reads the generator itself
+of the compiled ``_native.residuals``, which reads the stream itself
 and repeats the passes' operations bit for bit, or, where it cannot be
 built, one numpy pass (:func:`_normalizer`, :func:`_regularity`).  The
 finite-difference property takes chunks too; the oracle triangle takes
@@ -20,7 +25,7 @@ compiled loop (``payoffs._series_payoffs``), and the corner tables check
 each table column in one pass over its corners and all the strategies of
 a kind.
 The pcZD enforcers come from the compiled loop ``_native.pczd``, which
-reads the generator itself, or, where it cannot be built, from
+reads the stream itself, or, where it cannot be built, from
 ``zd._try_pczd``, the Python home of ``sample_pczd``'s try.
 Factorization-and-signs draws them in chunks from
 :func:`_enforcer_chunks` (one call each, or :func:`_walk`); the corner
@@ -143,7 +148,18 @@ class _Worst:
 
 
 def _rng_for(seed, k):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+    """The stream of ``numpy.random.default_rng(SeedSequence(entropy=seed,
+    spawn_key=(k,)))``: drawn by the compiled library's PCG64
+    (``_native.stream``), or, where it cannot be built, numpy's generator
+    itself.  Either raises :class:`DomainError` for a seed or key that is
+    not a non-negative integer."""
+    from . import _native
+
+    seed, k = _stream_argument("seed", seed), _stream_argument("key", k)
+    rng = _native.stream(seed, k)
+    if rng is None:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+    return rng
 
 
 def _uniform(lo, hi, u):

@@ -335,9 +335,10 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
                 tries: int = _TRIES):
     """Draw a random feasible positively correlated enforcer.
 
-    Returns ``(strategy, zd_params, delta)``.  ``rng`` is a numpy Generator;
-    fixing ``delta``, ``p0``, or ``kappa`` narrows the draw (``p0=1,
-    kappa=1`` gives the family with p0 = p1 = 1).  Raises ``RuntimeError``
+    Returns ``(strategy, zd_params, delta)``.  ``rng`` is a numpy Generator,
+    or a stream of ``_native.stream``, which draws as one; fixing
+    ``delta``, ``p0``, or ``kappa`` narrows the draw (``p0=1, kappa=1``
+    gives the family with p0 = p1 = 1).  Raises ``RuntimeError``
     if no feasible draw is found, which signals an infeasible fixed
     combination rather than bad luck.  Fixed arguments are checked before
     any draw: :class:`DomainError` for a delta not above the critical

@@ -106,21 +106,21 @@ def rng():
 
 
 # How sweeps run their paths, the oracle triangle sums its payoff series,
-# verify's two pcZD enforcer streams run their tries and its normalizer
-# and regularity properties take their draws: the compiled loops of
-# _climb.c, or adaptive._climb, payoffs._series_rounds, zd._try_pczd
-# (through verify._walk and verify._enforcer) and numpy passes over
-# verify._draws (verify._normalizer, verify._regularity), which stand in
-# for them where no C compiler is found.
+# verify's two pcZD enforcer streams run their tries, its normalizer and
+# regularity properties take their draws and its streams are drawn: the
+# compiled loops of _climb.c, or adaptive._climb, payoffs._series_rounds,
+# zd._try_pczd (through verify._walk and verify._enforcer), numpy passes
+# over verify._draws (verify._normalizer, verify._regularity) and numpy's
+# own generator, which stand in for them where no C compiler is found.
 KERNELS = ("compiled", "python")
 
 
 @contextlib.contextmanager
 def kernel_forced(mode):
     """Inside, sweeps, the stacked payoff series, the pcZD enforcer
-    streams and the normalizer draws take the compiled loops ("compiled";
-    the test is skipped if they cannot be built) or their Python loops
-    and numpy passes ("python")."""
+    streams, the normalizer draws and verify's streams take the compiled
+    loops ("compiled"; the test is skipped if they cannot be built) or
+    their Python loops, numpy passes and numpy's generator ("python")."""
     if mode == "compiled" and _native._kernel() is None:
         pytest.skip("the compiled loops could not be built")
     with pytest.MonkeyPatch.context() as mp:
@@ -129,6 +129,7 @@ def kernel_forced(mode):
             mp.setattr(_native, "series", lambda *args: None)
             mp.setattr(_native, "pczd", lambda *args: None)
             mp.setattr(_native, "residuals", lambda *args: None)
+            mp.setattr(_native, "stream", lambda *args: None)
         yield mode
 
 

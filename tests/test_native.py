@@ -5,12 +5,15 @@ the silent fallback, concurrent builds, the removal of older builds, and
 the promise that importing zdgame loads none."""
 
 import collections
+import ctypes
 import functools
 import hashlib
 import inspect
 import math
+import re
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zdgame import (
+    DomainError,
     NumericalError,
     SimConfig,
     critical_discount,
@@ -541,6 +545,95 @@ def test_a_call_past_its_buffer_is_refused(compiled, params_main, n):
     assert rng.bit_generator.state == state
 
 
+# --- verify's own PCG64 stream -------------------------------------------------
+
+def numpy_stream(seed, key):
+    """The stream's reference: numpy's SeedSequence spawn and PCG64."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+
+# one call on both generators: random(), random(size) or uniform(lo, hi),
+# with lo <= hi as verify's draws have them (numpy 2 refuses hi < lo)
+finite_bound = st.floats(-1e3, 1e3, allow_nan=False)
+stream_calls = st.one_of(
+    st.tuples(st.just("random"), st.sampled_from([None, (), 0, 1, 5, 11, (3, 4), (2, 0)])),
+    st.tuples(st.just("uniform"), st.tuples(finite_bound, finite_bound).map(sorted)),
+)
+
+
+def call(rng, name, arg):
+    return rng.uniform(*arg) if name == "uniform" else rng.random(arg)
+
+
+@settings(max_examples=300, deadline=None)
+@example(seed=0, key=1, calls=[("random", None), ("uniform", (0.01, 0.99)), ("random", (2, 0))])
+@example(seed=2**128 - 1, key=2**32, calls=[("random", ())])
+@example(seed=2**128, key=2**64, calls=[("random", 11)])
+@given(seed=st.integers(0, 2**130), key=st.integers(0, 2**70),
+       calls=st.lists(stream_calls, min_size=1, max_size=10))
+def test_stream_draws_as_numpys_generator(compiled, seed, key, calls):
+    """Interleaved scalar, shaped and uniform draws give numpy's values,
+    types and shapes bit for bit."""
+    got, want = _native.stream(seed, key), numpy_stream(seed, key)
+    for name, arg in calls:
+        a, b = call(got, name, arg), call(want, name, arg)
+        assert type(a) is type(b) and np.shape(a) == np.shape(b) and bits(a) == bits(b)
+
+
+@settings(max_examples=50, deadline=None)
+@example(seed=0, key=5, identity=False)
+@given(seed=st.integers(0, 2**130), key=st.integers(0, 2**40), identity=st.booleans())
+def test_stream_stands_where_numpys_does_after_each_kernel(compiled, params_main,
+                                                           seed, key, identity):
+    """The compiled residuals and pcZD chunks read the stream through
+    ``zd_pcg_double`` as they read numpy's generator through its
+    ``next_double``: the same results, and the same next values."""
+    got, want = _native.stream(seed, key), numpy_stream(seed, key)
+    residuals = [_native.residuals(rng, 7, 0.01, 0.99, identity)(7) for rng in (got, want)]
+    assert bits(residuals[0]) == bits(residuals[1])
+    assert bits(got.random(3)) == bits(want.random(3))
+    (cols, rejected), (want_cols, want_rejected) = (
+        _native.pczd(rng, 6, params_main)(6) for rng in (got, want))
+    assert bits(cols) == bits(want_cols) and rejected == want_rejected
+    assert bits(got.random()) == bits(want.random())
+
+
+def test_threads_sharing_a_stream_lose_no_draw(compiled):
+    """ctypes releases the GIL for each draw, so the stream's lock alone
+    keeps two draws from stepping one state: after the threads' draws the
+    stream stands where numpy's does after as many."""
+    got, switch = _native.stream(11, 2), sys.getswitchinterval()
+
+    def draw():
+        for _ in range(100):
+            got.random(20_000)
+            got.random()
+            got.uniform(0.0, 1.0)
+
+    try:
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=draw) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    want = numpy_stream(11, 2)
+    want.bit_generator.advance(4 * 100 * 20_002)
+    assert bits(got.random(5)) == bits(want.random(5))
+
+
+@pytest.mark.parametrize("seed, key, name", [
+    (-1, 0, "seed"), (1.5, 0, "seed"), (True, 0, "seed"), (0, -1, "key"), (0, 2.0, "key"),
+])
+def test_stream_rejects_bad_stream_arguments(compiled, seed, key, name):
+    """A negative seed is not masked into 32-bit words."""
+    with pytest.raises(DomainError, match=f"^{name} must be a non-negative integer"):
+        _native.stream(seed, key)
+
+
 def wrap_every_function(monkeypatch, module):
     """Wrap, with ``functools.wraps``, every function that ``module``
     defines, in every zdgame namespace and module-level dict that binds
@@ -686,3 +779,81 @@ def test_sweep_and_seeded_run_load_neither_numpy_random_nor_openssl(tmp_path):
                          check=True, capture_output=True, text=True)
     assert run.stdout.splitlines()[-1] == "[]"
     assert hashlib.sha256(trajectory.read_bytes()).hexdigest() == RUN_SEED7_SHA256
+
+
+VERIFY_LOADS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import zdgame.cli
+from zdgame import _native
+
+if sys.argv[3] == "numpy":
+    _native.stream = lambda *args: None
+zdgame.cli.main(["verify", "--T", "1.5", "--S", "-0.5", "--sample-scale", "0.01",
+                 "--out", sys.argv[2]])
+print(sorted({"numpy.random", "hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_compiled_verify_loads_neither_numpy_random_nor_openssl(compiled, tmp_path):
+    """Verify's streams come from the library's PCG64, and numpy's
+    generator, where ``_native.stream`` gives none, writes the same
+    bytes."""
+    loaded, written = {}, {}
+    for route in ("stream", "numpy"):
+        out = tmp_path / f"{route}.txt"
+        run = subprocess.run([sys.executable, "-c", VERIFY_LOADS, SRC, str(out), route],
+                             check=True, capture_output=True, text=True)
+        loaded[route], written[route] = run.stdout.splitlines()[-1], out.read_bytes()
+    assert loaded["stream"] == "[]"
+    assert "numpy.random" in loaded["numpy"]
+    assert written["stream"] == written["numpy"]
+
+
+# The ctypes types that stand for the C types of _climb.c's entry points.
+# A Game is twelve doubles, passed as a pointer to the first.
+C_SCALARS = {"double": ctypes.c_double, "int": ctypes.c_int, "int64_t": ctypes.c_int64,
+             "void": None, "Game": ctypes.c_double}
+
+
+def c_prototypes(source):
+    """Each function of ``source`` that is not ``static``, with its return
+    type and its parameters' types, in order."""
+    prototypes = {}
+    for ret, name, params in re.findall(r"^(?!static)(\w+) (\w+)\((.*?)\)\n\{", source,
+                                        re.M | re.S):
+        # split at the commas outside a function pointer's own parentheses
+        types_, depth, start = [], 0, 0
+        for i, ch in enumerate(params + ","):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
+                types_.append(" ".join(params[start:i].split()))
+                start = i + 1
+        prototypes[name] = ret, types_
+    return prototypes
+
+
+def expected_argtypes(param):
+    """The ctypes types that may stand for the C parameter ``param``."""
+    if "(*" in param:  # a function pointer, such as next(state)
+        return {ctypes.c_void_p}
+    words = param.replace("*", " * ").split()
+    base = [w for w in words if w != "const"][0]
+    if "*" in words:
+        return {ctypes.c_void_p, ctypes.POINTER(C_SCALARS[base])}
+    return {C_SCALARS[base]}
+
+
+def test_argtypes_match_the_c_prototypes(compiled):
+    """Every entry point of ``_climb.c`` has its argument and return types
+    set by ``_kernel()``, each of the C type's width, in the C order."""
+    prototypes = c_prototypes(_native.SOURCE.read_text())
+    defined = re.findall(r"^\w[^;\n]*\b(zd_\w+)\(", _native.SOURCE.read_text(), re.M)
+    assert sorted(prototypes) == sorted(defined) and prototypes
+    lib = _native._kernel()
+    for name, (ret, params) in prototypes.items():
+        function = getattr(lib, name)
+        assert function.restype is C_SCALARS[ret], name
+        assert function.argtypes is not None and len(function.argtypes) == len(params), name
+        for i, (argtype, param) in enumerate(zip(function.argtypes, params)):
+            assert argtype in expected_argtypes(param), (name, i, param)

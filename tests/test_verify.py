@@ -387,6 +387,18 @@ def test_run_verification_rejects_a_non_finite_sample_count(monkeypatch, scale):
         verify.run_verification(PARAMS, seed=0, scale=scale)
 
 
+@pytest.mark.usefixtures("kernel")
+@pytest.mark.parametrize("seed, key, name", [
+    (-1, 1, "seed"), (1.5, 1, "seed"), (True, 1, "seed"),
+    (0, -1, "key"), (0, 1.5, "key"), (0, True, "key"),
+])
+def test_a_stream_rejects_bad_arguments_on_both_routes(seed, key, name):
+    """The library's stream and numpy's generator are refused alike: a
+    negative seed is never masked into 32-bit words."""
+    with pytest.raises(DomainError, match=f"^{name} must be a non-negative integer"):
+        verify._rng_for(seed, key)
+
+
 def test_run_verification_takes_a_numpy_seed():
     lines = [[r.line() for r in verify.run_verification(PARAMS, seed=seed, scale=0.002)]
              for seed in (np.int64(3), 3)]
