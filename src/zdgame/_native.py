@@ -12,12 +12,14 @@ own, so that verify never loads ``numpy.random``.  Two kernels read a
 generator themselves, through its ``next_double`` and under its lock:
 that of :func:`stream`, or any numpy generator.  :func:`residuals` gives
 the normalizer or regularity residuals of a chunk of verify's random
-draws in one C call, those of ``verify._normalizer`` and
-``verify._regularity`` bit for bit; :func:`pczd` runs ``zd._try_pczd``'s
-tries for a run of pcZD draws in one C call: a chunk of verify's
-factorization-and-signs stream (``verify._walk``), or one enforcer of
-its corner-tables streams.  Both give a function of the draw count that
-reuses its arguments and one output buffer from call to call.
+draws in one C call; :func:`pczd` runs ``zd._try_pczd``'s tries for a
+run of pcZD draws in one C call: a chunk of verify's
+factorization-and-signs stream, or one enforcer of its corner-tables
+streams.  Both give a function of the draw count that reuses its
+arguments and one output buffer from call to call.  Each has one Python
+twin, ``verify._residuals`` and ``verify._walk``, which takes the same
+arguments, the draw count for the buffer size, gives the same values
+bit for bit, and is what a caller names after ``or``.
 
 The library is compiled once, by the C compiler Python was built with
 (``sysconfig``'s ``CC``), with the flags below.  ``-ffp-contract=off``
@@ -31,10 +33,10 @@ sha256, the same digest, is the fallback.  A build goes to a temporary
 name and is renamed into place, so concurrent builds are safe, and once
 it loads, the cache's other ``_climb-*.so`` files, builds of older
 sources, are removed.  Any failure (no compiler, a cache that cannot be
-written or that anyone may write, a failed load) makes :func:`climber`,
-:func:`series`, :func:`residuals`, :func:`pczd` and :func:`stream`
-return None, and the caller runs its Python loop, numpy passes or numpy's
-generator instead.  Only a sweep and verify import this module.
+written or that anyone may write, a failed load) makes :func:`_kernel`
+return None, and with it every kernel function here, and the caller runs
+its Python loop, numpy passes or numpy's generator instead.  Only a
+sweep and verify import this module.
 """
 
 from __future__ import annotations
@@ -270,12 +272,12 @@ def _locked(rng, kernel):
 
 
 def residuals(rng, size, lo, hi, identity):
-    """A function from a count ``n <= size`` to the residuals of the next
-    ``n`` draws of ``verify._draws(rng, n, lo, hi)``, in one C call each:
-    the normalizers ``D(p, q, delta, 1)``, or where ``identity`` is set
-    the regularity residuals; None if the kernel is unavailable.  The
-    result is a view of one buffer of ``size`` doubles, which the next
-    call overwrites."""
+    """A function from a count ``n <= size`` to its twin
+    ``verify._residuals(rng, n, lo, hi, identity)``, in one C call each:
+    the normalizers ``D(p, q, delta, 1)`` of the next ``n`` draws, or where
+    ``identity`` is set their regularity residuals; None if the kernel is
+    unavailable.  The result is a view of one buffer of ``size`` doubles,
+    which the next call overwrites."""
     lib = _kernel()
     if lib is None:
         return None
@@ -299,10 +301,11 @@ def pczd(rng, size, params, p0=None, kappa=None, tries=_INT64_MAX, q=True):
     as q, delta), or ``(6, k)`` without q, and the tries rejected; None if
     the kernel is unavailable.  A draw whose ``tries`` tries are all
     rejected ends the call, so ``k < n`` only then; by default no draw
-    runs out.  With the defaults a call is ``verify._walk(rng, n,
-    params)``.  The columns are a view of one buffer, which the next call
-    overwrites.  The kernel's arguments are built once, here: built per
-    call they cost ~4 us, twenty times the kernel's work on one draw."""
+    runs out.  A call is its twin ``verify._walk(rng, n, params, p0,
+    kappa, tries, q)``.  The columns are a view of one buffer, which the
+    next call overwrites.  The kernel's arguments are built once, here:
+    built per call they cost ~4 us, twenty times the kernel's work on one
+    draw."""
     lib = _kernel()
     if lib is None:
         return None

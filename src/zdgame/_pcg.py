@@ -1,13 +1,13 @@
-"""numpy's seeded PCG64 stream, seeded in plain Python integers.
+"""numpy's seeded PCG64 stream, seeded and drawn in plain Python integers.
 
 :func:`seeded` gives the PCG64 state and increment of
 ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(key,)))``
-bit for bit, so that neither a sweep's starts
-(``adaptive.initial_strategy``) nor verify's compiled streams
-(``_native.stream``) load ``numpy.random``, whose ``secrets`` import
-loads OpenSSL.  A draw steps the state, ``state * MULT + inc`` modulo
-2^128, then takes the XSL-RR output of the new state; a ``random()``
-value is that output's top 53 bits times 2^-53.
+bit for bit, and :func:`doubles` its first ``random()`` values, so that
+neither a sweep's starts (``adaptive.initial_strategy``) nor verify's
+compiled streams (``_native.stream``) load ``numpy.random``, whose
+``secrets`` import loads OpenSSL.  A draw steps the state, ``state *
+MULT + inc`` modulo 2^128, then takes the XSL-RR output of the new state;
+a ``random()`` value is that output's top 53 bits times 2^-53.
 """
 
 from __future__ import annotations
@@ -58,3 +58,15 @@ def seeded(seed, key, key_name="key"):
     inc = ((u[2] << 64 | u[3]) << 1 | 1) & M128
     state = ((inc + (u[0] << 64 | u[1])) * MULT + inc) & M128
     return state, inc
+
+
+def doubles(seed, key, n, key_name="key"):
+    """The first ``n`` ``random()`` values of the stream of :func:`seeded`,
+    as a list of floats."""
+    state, inc = seeded(seed, key, key_name)
+    out = []
+    for _ in range(n):  # each draw steps, then takes the XSL-RR output
+        state = (state * MULT + inc) & M128
+        x, rot = (state >> 64 ^ state) & M64, state >> 122
+        out.append((((x >> rot | x << (64 - rot)) & M64) >> 11) * 2.0**-53)
+    return out

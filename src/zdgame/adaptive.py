@@ -17,7 +17,9 @@ say), each path runs on :func:`_climb` itself.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from types import FunctionType
@@ -42,8 +44,8 @@ class SimConfig:
     """Ascent parameters.
 
     ``nu`` is the learning rate, ``dq`` the centered-difference probe step
-    (below 1, the width of the strategy cube), and ``step_tol`` the
-    termination threshold on the update size.
+    (from machine epsilon up to 1, the width of the strategy cube), and
+    ``step_tol`` the termination threshold on the update size.
     """
 
     nu: float = 0.1
@@ -55,10 +57,13 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0.0):
             raise DomainError(f"learning rate must be finite and positive, got {self.nu}")
-        # a probe one cube width away cannot resolve a gradient; at 1e130
-        # and beyond every centred difference rounds to exactly 0
-        if not 0.0 < self.dq < 1.0:
-            raise DomainError(f"difference step must lie in (0, 1), got {self.dq}")
+        # from machine epsilon up, both probes move every entry in [0, 1];
+        # below it a probe can round back onto its entry (at 1e-300 both
+        # probes of every nonzero entry do), and one a cube width away
+        # resolves no gradient
+        if not sys.float_info.epsilon <= self.dq < 1.0:
+            raise DomainError(f"difference step must lie in [{sys.float_info.epsilon:g}, 1), "
+                              f"got {self.dq}")
         if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
             raise DomainError(
                 f"termination threshold must be finite and positive, got {self.step_tol}"
@@ -219,13 +224,7 @@ def initial_strategy(seed: int, index: int) -> Strategy:
     loads ``numpy.random``.  Streams are independent per index, so a path's
     start does not depend on how many paths the sweep runs.
     """
-    state, inc = _pcg.seeded(seed, index, "index")
-    draws = []
-    for _ in range(5):  # each draw steps, then takes the XSL-RR output
-        state = (state * _pcg.MULT + inc) & _pcg.M128
-        x, rot = (state >> 64 ^ state) & _pcg.M64, state >> 122
-        draws.append(((x >> rot | x << (64 - rot)) & _pcg.M64) >> 11)
-    return Strategy(*(x * 2.0**-53 for x in draws))
+    return Strategy(*_pcg.doubles(seed, index, 5, "index"))
 
 
 @dataclass(frozen=True)
@@ -269,15 +268,12 @@ def sweep(n_paths: int, seed: int, config: SimConfig, p, delta,
         raise DomainError(f"n_paths must be at least 1, got {n_paths}")
     pt, delta = _ascent_inputs(p, delta, params)
     starts = [initial_strategy(seed, i).as_tuple() for i in range(n_paths)]
-    climb = None
+    climb = functools.partial(_climb_end, config=config, pt=pt, delta=delta, params=params)
     if _ascent_functions() == _AS_IMPORTED:
         from . import _native  # imported by the first sweep, so no other command loads it
 
-        climb = _native.climber(config, pt, delta, params)
-    if climb is None:
-        ends = [_climb_end(q0, config, pt, delta, params) for q0 in starts]
-    else:
-        ends = [climb(q0) for q0 in starts]
+        climb = _native.climber(config, pt, delta, params) or climb
+    ends = [climb(q0) for q0 in starts]
     return [
         PathResult(
             index=i,

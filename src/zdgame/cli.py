@@ -120,7 +120,7 @@ _HELP = {
     "q0": 'initial adaptive strategy as "q0,q1,q2,q3,q4"',
     "seed": "seed of the random initial strategies or draws (verify: default 0)",
     "nu": "learning rate",
-    "dq": "finite-difference step, in (0, 1)",
+    "dq": "finite-difference step, in [machine epsilon, 1)",
     "step_tol": "termination threshold on the update size",
     "max_steps": "step cap per path",
     "gradient": "fd or analytic (default fd)",

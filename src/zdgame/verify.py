@@ -6,36 +6,37 @@ that is not finite fails its property.  :func:`run_verification` gives
 each property a stream of one seed and scales all counts by one factor;
 the acceptance criteria call the same functions on their own streams.
 
-Each property's stream is :func:`_rng_for`'s: numpy's seeded PCG64,
-drawn by the compiled library (``_native.stream``), so that verify loads
-no ``numpy.random``, or, where the library cannot be built, numpy's
-generator itself.
+Each compiled kernel of ``_native`` that verify calls has one Python
+twin here, called the same way, and each caller picks its route in one
+expression, ``_native.kernel(...) or <twin>``: the kernel gives None
+where the library cannot be built.  :func:`_rng_for`'s streams are
+numpy's seeded PCG64, drawn by the library (``_native.stream``), so that
+verify loads no ``numpy.random``, or numpy's generator itself.
 
 Most properties run as numpy passes over their draws: the payoff,
 gradient and table kernels take arrays element by element, each element
 equals its float result, and so the report is the one a draw-by-draw
 loop gives.  The normalizer and regularity properties take chunks of at
-most ``_CHUNK`` draws from :func:`_residual_chunks`, each chunk one call
-of the compiled ``_native.residuals``, which reads the stream itself
-and repeats the passes' operations bit for bit, or, where it cannot be
-built, one numpy pass (:func:`_normalizer`, :func:`_regularity`).  The
+most ``_CHUNK`` draws, each chunk one call of ``_native.residuals``,
+which reads the stream itself and repeats the passes' operations bit for
+bit, or of its twin :func:`_residuals`, one numpy pass.  The
 finite-difference property takes chunks too; the oracle triangle takes
 all of its draws at once and sums their payoff series in one call of the
 compiled loop (``payoffs._series_payoffs``), and the corner tables check
 each table column in one pass over its corners and all the strategies of
 a kind.
-The pcZD enforcers come from the compiled loop ``_native.pczd``, which
-reads the stream itself, or, where it cannot be built, from
+The pcZD enforcers come from walks of ``_native.pczd``, which reads the
+stream itself, or of its twin :func:`_walk`, which retries
 ``zd._try_pczd``, the Python home of ``sample_pczd``'s try.
 Factorization-and-signs draws them in chunks from
-:func:`_enforcer_chunks` (one call each, or :func:`_walk`); the corner
-tables draw theirs one call at a time from the two streams of
-:func:`_enforcer`, as their stream interleaves a plain strategy between
-its two enforcers.
+:func:`_enforcer_chunks`; the corner tables draw theirs one per call
+from two walks, as their stream interleaves a plain strategy between its
+two enforcers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -156,10 +157,8 @@ def _rng_for(seed, k):
     from . import _native
 
     seed, k = _stream_argument("seed", seed), _stream_argument("key", k)
-    rng = _native.stream(seed, k)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-    return rng
+    return (_native.stream(seed, k)
+            or np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
 
 
 def _uniform(lo, hi, u):
@@ -168,14 +167,12 @@ def _uniform(lo, hi, u):
 
 
 def _draws(rng, n, lo, hi):
-    """``n`` draws of p, q uniform in [0, 1)^5 and delta uniform in [lo, hi),
-    in chunks of at most ``_CHUNK``: yields (first draw, p, q, delta) with
-    p and q as ``(5, k)`` arrays.  A ``(k, 11)`` block is the stream of k
+    """``n`` draws of p, q uniform in [0, 1)^5 and delta uniform in [lo, hi):
+    p and q as ``(5, n)`` arrays.  A ``(n, 11)`` block is the stream of n
     rounds of ``random(5)``, ``random(5)``, ``uniform(lo, hi)``, because
     ``uniform`` is ``lo + (hi - lo) * random()``."""
-    for first in range(0, n, _CHUNK):
-        u = rng.random((min(_CHUNK, n - first), 11)).T.copy()
-        yield first, u[:5], u[5:10], _uniform(lo, hi, u[10])
+    u = rng.random((n, 11)).T.copy()
+    return u[:5], u[5:10], _uniform(lo, hi, u[10])
 
 
 def _normalizer(p, q, d):
@@ -195,37 +192,33 @@ def _regularity(p, q, d):
     return np.abs(lhs - (1.0 - d) * d_ones) / np.abs(d_ones)
 
 
-def _residual_chunks(rng, n, identity):
+def _residuals(rng, n, lo, hi, identity):
     """The residuals of :func:`_regularity` where ``identity`` is set, else
-    of :func:`_normalizer`, on the ``n`` draws of ``_draws(rng, n, 0.01,
-    0.99)``: yields ``(first, residuals)`` per chunk of at most
-    ``_CHUNK``.  Each chunk is one call of the compiled ``_native.residuals``,
-    which reads ``rng`` itself and overwrites one buffer, or, where it
-    cannot be built, one numpy pass."""
-    from . import _native
+    of :func:`_normalizer`, on the next ``n`` draws of ``_draws(rng, n, lo,
+    hi)``, in one numpy pass: the twin of ``_native.residuals``."""
+    return (_regularity if identity else _normalizer)(*_draws(rng, n, lo, hi))
 
-    take = _native.residuals(rng, min(_CHUNK, n), 0.01, 0.99, identity)
-    if take is None:
-        residuals = _regularity if identity else _normalizer
-        for first, p, q, d in _draws(rng, n, 0.01, 0.99):
-            yield first, residuals(p, q, d)
-        return
+
+def _residual_property(worst, rng, n, identity):
+    """``worst`` fed the :func:`_residuals` of ``n`` draws with delta in
+    [0.01, 0.99), in chunks of at most ``_CHUNK``, each one call of the
+    compiled ``_native.residuals``, which reads ``rng`` itself and
+    overwrites one buffer, or of its twin."""
+    from . import _native  # imported on first use, so that importing zdgame loads no library
+
+    take = (_native.residuals(rng, min(_CHUNK, n), 0.01, 0.99, identity)
+            or functools.partial(_residuals, rng, lo=0.01, hi=0.99, identity=identity))
     for first in range(0, n, _CHUNK):
-        yield first, take(min(_CHUNK, n - first))
+        worst.add(take(min(_CHUNK, n - first)), first)
+    return worst.result(n)
 
 
 def _normalizer_positive(params, rng, n):
-    worst = _Worst("normalizer-positive", 1e-12, ">")
-    for first, residuals in _residual_chunks(rng, n, False):
-        worst.add(residuals, first)
-    return worst.result(n)
+    return _residual_property(_Worst("normalizer-positive", 1e-12, ">"), rng, n, False)
 
 
 def _regularity_identity(params, rng, n):
-    worst = _Worst("regularity-identity", 1e-10, "<")
-    for first, residuals in _residual_chunks(rng, n, True):
-        worst.add(residuals, first)
-    return worst.result(n)
+    return _residual_property(_Worst("regularity-identity", 1e-10, "<"), rng, n, True)
 
 
 def _oracle_triangle(params, rng, n):
@@ -258,64 +251,48 @@ def _zd_linear_relation(p, d, params, rng, n):
     return worst.result(n)
 
 
-def _walk(rng, n, params):
-    """``n`` pcZD draws, each ``zd._try_pczd``'s one try retried until one
-    is accepted and followed by ``rng.random(5)``: the ``(11, n)`` columns
-    (p0..p4, the five values as q, delta) and the tries rejected.  This is
-    ``sample_pczd(rng, params, tries=1)`` retried, without its error on
-    each rejected try; ``zd_pczd`` in ``_climb.c`` is this loop compiled."""
-    cols, rejected = np.empty((11, n)), 0
+def _walk(rng, n, params, p0=None, kappa=None, tries=math.inf, q=True):
+    """``n`` draws of ``sample_pczd(rng, params, p0=p0, kappa=kappa,
+    tries=tries)``, each accepted try followed, where ``q`` is set, by
+    ``rng.random(5)``: the ``(11, k)`` columns (p0..p4, the five values as
+    q, delta), or ``(6, k)`` without q, and the tries rejected.  A draw
+    whose ``tries`` tries are all rejected ends the walk, so ``k < n`` only
+    then; by default no draw runs out.  Each try is one of
+    ``zd._try_pczd``.  This is the twin of ``_native.pczd``, whose
+    function of the draw count is ``zd_pczd`` in ``_climb.c``, this loop
+    compiled."""
+    cols, rejected = np.empty((11 if q else 6, n)), 0
     d_lo = _delta_low(critical_discount(params))
     for k in range(n):
-        while (draw := _try_pczd(rng, params, 1, d_lo)) is None:
-            rejected += 1
+        t = 0
+        while t < tries and (draw := _try_pczd(rng, params, 1, d_lo, p0=p0, kappa=kappa)) is None:
+            t += 1
+        rejected += t
+        if t == tries:
+            return cols[:, :k], rejected
         p, _, d = draw
-        cols[:, k] = [*p, *rng.random(5), d]
+        cols[:, k] = [*p, *rng.random(5), d] if q else [*p, d]
     return cols, rejected
 
 
 def _enforcer_chunks(rng, params, n):
     """The draws of :func:`_walk`, ``n`` of them in chunks of at most
-    ``_CHUNK``, each chunk in one call of the compiled ``_native.pczd`` (or
-    of ``_walk`` where it cannot be built): yields ``(first, p, q, delta,
-    rejections)``, p and q as ``(5, k)`` arrays and ``rejections`` the
-    tries rejected so far; the compiled stream's next chunk overwrites
-    them.  Both routes read ``rng`` value by value, so after each chunk it
-    stands where the draw-by-draw loop leaves it.
+    ``_CHUNK``, each chunk in one call of the compiled ``_native.pczd``'s
+    walk or of ``_walk``: yields ``(first, p, q, delta, rejections)``, p
+    and q as ``(5, k)`` arrays and ``rejections`` the tries rejected so
+    far; the compiled walk's next chunk overwrites them.  Both routes read
+    ``rng`` value by value, so after each chunk it stands where the
+    draw-by-draw loop leaves it.
     """
-    from . import _native  # imported on first use, so that importing zdgame loads no library
-
-    walk = _native.pczd(rng, min(_CHUNK, n), params)
-    rejections = 0
-    for first in range(0, n, _CHUNK):
-        k = min(_CHUNK, n - first)
-        cols, rejected = _walk(rng, k, params) if walk is None else walk(k)
-        rejections += rejected
-        yield first, cols[:5], cols[5:10], cols[10], rejections
-
-
-def _enforcer(rng, params, p0=None, kappa=None):
-    """A function that takes the next draw of ``sample_pczd(rng, params,
-    p0=p0, kappa=kappa)`` as its ``(p0..p4, delta)``, or None where its
-    ``_TRIES`` tries find none: one call of the compiled ``_native.pczd``,
-    or of ``zd._try_pczd`` where it cannot be built.  Either reads ``rng``
-    as ``sample_pczd`` does."""
     from . import _native
 
-    walk = _native.pczd(rng, 1, params, p0, kappa, _TRIES, False)  # no q values
-    if walk is not None:
-        def compiled():
-            cols, _ = walk(1)
-            return cols[:, 0].tolist() if cols.shape[1] else None
-
-        return compiled
-    d_lo = _delta_low(critical_discount(params))
-
-    def python():
-        draw = _try_pczd(rng, params, _TRIES, d_lo, p0=p0, kappa=kappa)
-        return None if draw is None else (*draw[0], draw[2])
-
-    return python
+    walk = (_native.pczd(rng, min(_CHUNK, n), params)
+            or functools.partial(_walk, rng, params=params))
+    rejections = 0
+    for first in range(0, n, _CHUNK):
+        cols, rejected = walk(min(_CHUNK, n - first))
+        rejections += rejected
+        yield first, cols[:5], cols[5:10], cols[10], rejections
 
 
 def _factorization_and_signs(params, rng, n):
@@ -377,17 +354,24 @@ def _corner_tables(params, rng, n):
     finds no enforcer has no tables 4-5, and a pcZD draw that finds none
     raises ``sample_pczd``'s error.  Then each table column is checked in
     one pass over its corners and all the strategies of its kind."""
+    from . import _native
+
+    def walk(p0=None, kappa=None):  # one draw of sample_pczd per call, without q
+        return (_native.pczd(rng, 1, params, p0, kappa, _TRIES, False)
+                or functools.partial(_walk, rng, params=params, p0=p0, kappa=kappa,
+                                     tries=_TRIES, q=False))
+
     plain, zd, coop, has_coop = [], [], [], []
-    enforcer, cooperative = _enforcer(rng, params), _enforcer(rng, params, p0=1.0, kappa=1.0)
+    enforcer, cooperative = walk(), walk(1.0, 1.0)
     for i in range(n):
         plain.append((*rng.random(5), rng.uniform(0.05, 0.98)))
-        p_zd = enforcer()
-        if p_zd is None:
+        cols, _ = enforcer(1)
+        if not cols.shape[1]:
             raise _no_draw(params, _TRIES)
-        zd.append(p_zd)
-        cc = cooperative()
-        if cc is not None:
-            coop.append(cc)
+        zd.append(cols[:, 0].tolist())
+        cols, _ = cooperative(1)
+        if cols.shape[1]:
+            coop.append(cols[:, 0].tolist())
             has_coop.append(i)
     theta = params.theta
     kinds = [_table_cells(plain, slice(None), n, ("1", "2"), theta),
@@ -420,7 +404,8 @@ def _central_difference(p, q, d, params, j, h):
 def _fd_analytic_match(params, rng, n):
     h = 1e-3
     worst = _Worst("fd-analytic-match", 1e-7, "<")
-    for first, p, q, d in _draws(rng, n, 0.05, 0.95):
+    for first in range(0, n, _CHUNK):
+        p, q, d = _draws(rng, min(_CHUNK, n - first), 0.05, 0.95)
         g = np.array(_gradient_quotient(p, q, d, params, "y"))
         rel = np.zeros_like(g)
         for j in range(5):

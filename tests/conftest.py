@@ -106,30 +106,26 @@ def rng():
 
 
 # How sweeps run their paths, the oracle triangle sums its payoff series,
-# verify's two pcZD enforcer streams run their tries, its normalizer and
-# regularity properties take their draws and its streams are drawn: the
-# compiled loops of _climb.c, or adaptive._climb, payoffs._series_rounds,
-# zd._try_pczd (through verify._walk and verify._enforcer), numpy passes
-# over verify._draws (verify._normalizer, verify._regularity) and numpy's
-# own generator, which stand in for them where no C compiler is found.
+# verify's pcZD walks run their tries, its normalizer and regularity
+# properties take their draws and its streams are drawn: the compiled
+# loops of _climb.c, or the Python twins each caller names after an `or`
+# (adaptive._climb, payoffs._series_rounds, verify._walk, whose tries are
+# zd._try_pczd's, verify._residuals, a numpy pass over verify._draws, and
+# numpy's own generator), which stand in for them where no C compiler is
+# found.  Every kernel of _native gives None once _kernel() does.
 KERNELS = ("compiled", "python")
 
 
 @contextlib.contextmanager
 def kernel_forced(mode):
-    """Inside, sweeps, the stacked payoff series, the pcZD enforcer
-    streams, the normalizer draws and verify's streams take the compiled
-    loops ("compiled"; the test is skipped if they cannot be built) or
-    their Python loops, numpy passes and numpy's generator ("python")."""
+    """Inside, every route takes the compiled loops ("compiled"; the test
+    is skipped if they cannot be built) or their Python twins ("python",
+    with ``_native._kernel`` nulled)."""
     if mode == "compiled" and _native._kernel() is None:
         pytest.skip("the compiled loops could not be built")
     with pytest.MonkeyPatch.context() as mp:
         if mode == "python":
-            mp.setattr(_native, "climber", lambda *args: None)
-            mp.setattr(_native, "series", lambda *args: None)
-            mp.setattr(_native, "pczd", lambda *args: None)
-            mp.setattr(_native, "residuals", lambda *args: None)
-            mp.setattr(_native, "stream", lambda *args: None)
+            mp.setattr(_native, "_kernel", lambda: None)
         yield mode
 
 

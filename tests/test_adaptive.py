@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ class TestSimConfig:
             {"dq": math.inf},
             {"dq": 1e130},
             {"dq": 1.0},
+            {"dq": 1e-300},
+            {"dq": sys.float_info.epsilon / 2},
             {"step_tol": math.nan},
             {"step_tol": math.inf},
             {"max_steps": 0},
@@ -60,6 +63,14 @@ class TestSimConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             SimConfig(**kwargs)
+
+    @example(q=1.0)
+    @example(q=math.nextafter(1.0, 0.0))
+    @example(q=0.0)
+    @given(q=st.floats(0.0, 1.0))
+    def test_smallest_dq_moves_both_probes_of_every_entry(self, q):
+        dq = SimConfig(dq=sys.float_info.epsilon).dq
+        assert q - dq < q < q + dq
 
 
 class TestFdGradient:

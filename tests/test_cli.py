@@ -226,6 +226,9 @@ class TestInvalidInput:
         ([*VANISHING, "--n-paths", "3"], None),
         ([*VANISHING, "--n-paths", "20", "--gradient", "analytic"], None),
         (["run", *FIG3, "--dq", "1e130"], None),
+        # below machine epsilon every probe rounds back onto its entry
+        (["run", *GAME, "--seed", "1", "--dq", "1e-300"], None),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--dq", "1e-300"], None),
         (["run", *GAME, "--seed", "1", "--T", "abc"], None),
         (["sweep", *GAME, "--seed", "1", "--n-paths", "1.5"], None),
         (["run", *GAME, "--seed", "1", "--gradient", "bogus"], None),

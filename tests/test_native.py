@@ -341,6 +341,12 @@ EMPTYING_TRIES = {(1, True): (0.0, 0.0, 1.0, 0.0), (2, False): (0.0, 0.0, 0.0, 0
 EDGE_STREAM = [*(u for try_ in EMPTYING_TRIES.values() for u in try_),
                EDGE, EDGE, 1.0, 1.0, 0.5, 0.0, EDGE, 1.0, 0.5, 0.25,
                EDGE, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, EDGE, 0.75]
+# p0 and kappa as drawn, fixed as verify's corner tables fix them, and
+# fixed elsewhere
+FIXED = [(None, None), (1.0, 1.0), (0.25, 0.5)]
+# tries per draw: few enough that a draw runs out, sample_pczd's, and (None)
+# the walks' default, no limit
+TRIES = [1, 2, 500, None]
 
 
 def test_the_edge_block_empties_the_window_on_each_cut(monkeypatch, params_main):
@@ -361,22 +367,53 @@ def test_the_edge_block_empties_the_window_on_each_cut(monkeypatch, params_main)
     assert (p[0, 0], p[1, 0], p[0, 1], p[4, 1]) == (1.0, 1.0, 0.0, 0.0)
 
 
+def walk_args(fixed, tries, q):
+    """The arguments after ``(rng, n, params)`` shared by ``_native.pczd``
+    and ``verify._walk``: ``tries`` left out where None."""
+    return (*fixed,), {"q": q, **({} if tries is None else {"tries": tries})}
+
+
 @settings(max_examples=300, deadline=None)
-@example(setting=SAMPLER_SETTINGS[0], u=EDGE_STREAM, n=2)
-@example(setting=SAMPLER_SETTINGS[0], u=EDGE_STREAM, n=3)
+@example(setting=SAMPLER_SETTINGS[0], u=EDGE_STREAM, n=2, fixed=FIXED[0], tries=None, q=True)
+@example(setting=SAMPLER_SETTINGS[0], u=EDGE_STREAM, n=3, fixed=FIXED[0], tries=None, q=True)
+# the edge stream's first try is rejected, so one try per draw ends the walk
+@example(setting=SAMPLER_SETTINGS[0], u=EDGE_STREAM, n=3, fixed=FIXED[0], tries=1, q=False)
 @given(setting=st.sampled_from(SAMPLER_SETTINGS), u=st.lists(edge_uniforms, max_size=60),
-       n=st.integers(1, 6))
-def test_pczd_kernel_walks_as_verify_walk(compiled, setting, u, n):
-    """Columns, rejection count and values read bit for bit, on streams
-    that start with edge and plain uniforms; the kernel holds the lock
-    for every value it reads."""
+       n=st.integers(1, 6), fixed=st.sampled_from(FIXED), tries=st.sampled_from(TRIES),
+       q=st.booleans())
+def test_pczd_kernel_walks_as_verify_walk(compiled, setting, u, n, fixed, tries, q):
+    """Columns, rejection count and values read bit for bit, with p0 and
+    kappa fixed or drawn, with q values or without, and with a limit on
+    the tries or none, on streams that start with edge and plain uniforms;
+    the kernel holds the lock for every value it reads."""
     params = validate_payoffs(*setting, strict=True)
+    args, kwargs = walk_args(fixed, tries, q)
     got, want = ListRng(u), ListRng(u)
-    cols, rejected = _native.pczd(got, n, params)(n)
-    want_cols, want_rejected = verify._walk(want, n, params)
+    cols, rejected = _native.pczd(got, n, params, *args, **kwargs)(n)
+    want_cols, want_rejected = verify._walk(want, n, params, *args, **kwargs)
+    assert cols.shape == want_cols.shape
     assert bits(cols) == bits(want_cols) and rejected == want_rejected
     assert len(got.held) == len(want.held) and all(got.held)
     assert not got.bit_generator.lock.locked()
+
+
+@pytest.mark.parametrize("q", [True, False])
+@pytest.mark.parametrize("tries", TRIES)
+@pytest.mark.parametrize("fixed", FIXED)
+@pytest.mark.parametrize("setting", SAMPLER_SETTINGS)
+def test_pczd_kernel_walks_a_pcg64_as_verify_walk(compiled, setting, fixed, tries, q):
+    """On two equal numpy generators: the same columns and rejection
+    count, and the same generator state after the walk, also where a draw
+    runs out of its tries and ends the walk early."""
+    params = validate_payoffs(*setting, strict=True)
+    args, kwargs = walk_args(fixed, tries, q)
+    got, want, n = np.random.default_rng(4), np.random.default_rng(4), 40
+    cols, rejected = _native.pczd(got, n, params, *args, **kwargs)(n)
+    want_cols, want_rejected = verify._walk(want, n, params, *args, **kwargs)
+    assert cols.shape == want_cols.shape == (11 if q else 6, cols.shape[1])
+    assert bits(cols) == bits(want_cols) and rejected == want_rejected
+    assert got.bit_generator.state == want.bit_generator.state
+    assert (cols.shape[1] < n) if tries in (1, 2) else (cols.shape[1] == n)
 
 
 def test_the_compiled_walk_enters_the_generators_lock(compiled, params_main):
@@ -404,9 +441,6 @@ def test_the_compiled_walk_enters_the_generators_lock(compiled, params_main):
 # one accepted try at T = 1.5, S = -0.5: delta and chi next to their upper
 # ends, kappa = p0 = 1 and phi mid-window
 ACCEPTED_TRY = [EDGE, EDGE, 1.0, 1.0, 0.5]
-# p0 and kappa as drawn, fixed as verify's corner tables fix them, and
-# fixed elsewhere
-FIXED = [(None, None), (1.0, 1.0), (0.25, 0.5)]
 # a try that reads only zeros is rejected: after four values with p0 and
 # kappa drawn (the window empties on cut 2), after two with p0 = kappa = 1
 # fixed; so these many zeros run a draw out of its 500 tries
@@ -494,18 +528,15 @@ def test_a_corner_round_whose_draw_runs_out_of_tries(kernel, params_main):
 # --- the normalizer and regularity draws ------------------------------------
 
 # each draw reads p, q, then delta's uniform: with the edge uniforms delta
-# sits at 0.01 and next to 0.99, and p and q at the cube's faces
-RESIDUAL_FUNCTIONS = {False: verify._normalizer, True: verify._regularity}
-# a draw at the cube's far corner with delta next to 0.99, then one at its
+# sits at 0.01 and next to 0.99, and p and q at the cube's faces; here, a
+# draw at the cube's far corner with delta next to 0.99, then one at its
 # origin with delta at 0.01, and one with a NaN value
 EDGE_DRAWS = [*[1.0] * 10, EDGE, *[0.0] * 11, 0.5, math.nan, *[0.5] * 9]
 
 
 def numpy_residuals(rng, n, identity):
-    """The residuals of ``n`` draws by the numpy passes, the kernel's
-    fallback."""
-    residuals = RESIDUAL_FUNCTIONS[identity]
-    return np.concatenate([residuals(p, q, d) for _, p, q, d in verify._draws(rng, n, 0.01, 0.99)])
+    """The residuals of ``n`` draws by the numpy pass, the kernel's twin."""
+    return verify._residuals(rng, n, 0.01, 0.99, identity)
 
 
 @settings(max_examples=300, deadline=None)

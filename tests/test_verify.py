@@ -23,7 +23,7 @@ from zdgame import (
 )
 from zdgame import payoffs as payoffs_mod
 from zdgame import tables as tables_mod
-from zdgame import verify
+from zdgame import _native, verify
 from zdgame._linalg import det3, det4
 from zdgame.cli import main
 from zdgame.verify import PropertyResult
@@ -512,8 +512,9 @@ def test_corner_tables_align_a_round_without_cooperative_enforcer(monkeypatch):
     """The p0 = p1 = 1 draw of round 1 finds no enforcer, so that round
     lacks tables 4-5; Table 5 negated and one Table 4 cell shifted put
     every round's mismatches and non-positive cells in the details.  The
-    fault is put into verify's enforcer streams, which both kernel routes
-    pass through, and reads no value of the stream, as in the reference."""
+    fault is put into both routes' pcZD walks, ``_native.pczd``'s and
+    ``verify._walk``, and reads no value of the stream, as in the
+    reference."""
     negated = {k: (lambda c, f=f: -f(c)) for k, f in tables_mod.TABLE5.items()}
     monkeypatch.setattr(tables_mod, "TABLE5", negated)
     spec = tables_mod._SPECS["5"]
@@ -539,18 +540,25 @@ def test_corner_tables_align_a_round_without_cooperative_enforcer(monkeypatch):
     def raises():
         raise RuntimeError("no feasible pcZD draw")
 
-    enforcer = verify._enforcer
+    pczd, walk, calls = _native.pczd, verify._walk, []
 
-    def flaky_enforcer(rng, params, **fixed):
-        take, calls = enforcer(rng, params, **fixed), []
-
-        def draw():
+    def unless_second_fixed(p0, take):
+        """``take()``, but the second draw with p0 fixed finds no enforcer."""
+        if p0 is not None:
             calls.append(1)
-            return None if fixed and len(calls) == 2 else take()
+            if len(calls) == 2:
+                return np.empty((6, 0)), 0
+        return take()
 
-        return draw
+    def flaky_pczd(rng, size, params, p0=None, *args):
+        compiled = pczd(rng, size, params, p0, *args)
+        return compiled and (lambda n: unless_second_fixed(p0, lambda: compiled(n)))
 
-    monkeypatch.setattr(verify, "_enforcer", flaky_enforcer)
+    def flaky_walk(rng, n, params, p0=None, **kwargs):
+        return unless_second_fixed(p0, lambda: walk(rng, n, params, p0, **kwargs))
+
+    monkeypatch.setattr(_native, "pczd", flaky_pczd)
+    monkeypatch.setattr(verify, "_walk", flaky_walk)
     result = verify._corner_tables(PARAMS, verify._rng_for(3, 6), 3)
     reference = reference_corner_tables(PARAMS, 3, 3, flaky(sample_pczd, raises))
     assert_same_results(result, reference)
