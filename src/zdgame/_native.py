@@ -8,18 +8,19 @@ vanished normalizer.  :func:`series` sums the discounted payoff series
 of many strategy pairs in one C call, each pair's sums bit for bit those
 of ``payoffs._series_rounds``.  :func:`stream` gives verify's random
 streams, numpy's seeded PCG64 drawn by the library from a state of its
-own, so that verify never loads ``numpy.random``.  Two kernels read a
-generator themselves, through its ``next_double`` and under its lock:
-that of :func:`stream`, or any numpy generator.  :func:`residuals` gives
-the normalizer or regularity residuals of a chunk of verify's random
-draws in one C call; :func:`pczd` runs ``zd._try_pczd``'s tries for a
-run of pcZD draws in one C call: a chunk of verify's
-factorization-and-signs stream, or one enforcer of its corner-tables
-streams.  Both give a function of the draw count that reuses its
-arguments and one output buffer from call to call.  Each has one Python
-twin, ``verify._residuals`` and ``verify._walk``, which takes the same
-arguments, the draw count for the buffer size, gives the same values
-bit for bit, and is what a caller names after ``or``.
+own, so that verify never loads ``numpy.random``.  A stream is read
+through ``random()`` and ``random(size)`` alone, and through its
+``bit_generator``: two kernels read a generator themselves, through its
+``next_double`` and under its lock, that of :func:`stream` or any numpy
+generator.  :func:`residuals` gives the normalizer or regularity
+residuals of a chunk of verify's random draws in one C call; :func:`pczd`
+runs pcZD draws in one C call, each try ``zd._try_pczd``'s step for step:
+a chunk of verify's factorization-and-signs stream, or one enforcer of
+its corner-tables streams.  Both give a function of the draw count that
+reuses its arguments and one output buffer from call to call.  Each has
+one Python twin, ``verify._residuals`` and ``verify._walk``, which takes
+the same arguments, the draw count for the buffer size, gives the same
+values bit for bit, and is what a caller names after ``or``.
 
 The library is compiled once, by the C compiler Python was built with
 (``sysconfig``'s ``CC``), with the flags below.  ``-ffp-contract=off``
@@ -65,13 +66,12 @@ except ImportError:
 
 from . import _pcg
 from .payoffs import NORMALIZER_FLOOR, _vanished_normalizer
-from .zd import _CHI_MAX, _CHI_MIN, _DELTA_MAX, _delta_low, critical_discount
+from .zd import _CHI_MAX, _CHI_MIN, _DELTA_MAX, _INT64_MAX, _delta_low, critical_discount
 
 SOURCE = Path(__file__).with_name("_climb.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 LIBS = ("-lm",)
-_INT64_MAX = 2**63 - 1
 _CONVERGED, _VANISHED = 0, 2  # zd_climb's other status, 1, is the step cap
 _BUILD_TIMEOUT_S = 120
 
@@ -217,10 +217,11 @@ def series(rounds, v, rows, delta, sx, sy):
 class _Stream:
     """The stream of ``numpy.random.default_rng(SeedSequence(entropy=seed,
     spawn_key=(key,)))``, drawn by the library's PCG64 from a state buffer
-    of its own.  It offers what verify and ``zd._try_pczd`` call:
-    ``random()``, ``random(size)`` and ``uniform(lo, hi)``, bit for bit
-    numpy's, and ``bit_generator``'s ``lock`` and ``ctypes.next_double`` and
-    ``ctypes.state_address``, which :func:`_locked` reads."""
+    of its own.  It offers the whole stream contract: ``random()`` and
+    ``random(size)``, bit for bit numpy's, which verify and
+    ``zd._try_pczd`` call, and ``bit_generator``'s ``lock``,
+    ``ctypes.next_double`` and ``ctypes.state_address``, which
+    :func:`_locked` reads."""
 
     def __init__(self, lib, state, inc):
         words = (state & _pcg.M64, state >> 64, inc & _pcg.M64, inc >> 64)
@@ -239,11 +240,6 @@ class _Stream:
             out = np.empty(size)
             self._fill(self._state, out.size, out.ctypes.data)
         return out
-
-    def uniform(self, lo, hi):
-        """``rng.uniform(lo, hi)`` for float bounds ``lo <= hi``, as verify
-        draws: ``verify._uniform`` of the ``random()`` value it draws."""
-        return lo + (hi - lo) * self.random()
 
 
 def stream(seed, key):

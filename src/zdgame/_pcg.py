@@ -18,12 +18,11 @@ M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def seeded(seed, key, key_name="key"):
+def seeded(seed, key):
     """The ``(state, inc)`` of the PCG64 of ``SeedSequence(entropy=seed,
     spawn_key=(key,))``, before its first draw; :class:`DomainError` for a
-    seed or key that is not a non-negative integer, the key named
-    ``key_name``."""
-    seed, key = _stream_argument("seed", seed), _stream_argument(key_name, key)
+    seed or key that is not a non-negative integer."""
+    seed, key = _stream_argument("seed", seed), _stream_argument("key", key)
     # SeedSequence's entropy: the seed's little-endian 32-bit words, padded
     # to the pool's 4 words because a spawn key follows, then the key's.
     words = [seed >> s & M32 for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -60,10 +59,10 @@ def seeded(seed, key, key_name="key"):
     return state, inc
 
 
-def doubles(seed, key, n, key_name="key"):
+def doubles(seed, key, n):
     """The first ``n`` ``random()`` values of the stream of :func:`seeded`,
     as a list of floats."""
-    state, inc = seeded(seed, key, key_name)
+    state, inc = seeded(seed, key)
     out = []
     for _ in range(n):  # each draw steps, then takes the XSL-RR output
         state = (state * MULT + inc) & M128

@@ -45,7 +45,8 @@ class SimConfig:
 
     ``nu`` is the learning rate, ``dq`` the centered-difference probe step
     (from machine epsilon up to 1, the width of the strategy cube), and
-    ``step_tol`` the termination threshold on the update size.
+    ``step_tol`` the termination threshold on the update size (at most
+    sqrt(5), the largest update the cube allows).
     """
 
     nu: float = 0.1
@@ -64,10 +65,11 @@ class SimConfig:
         if not sys.float_info.epsilon <= self.dq < 1.0:
             raise DomainError(f"difference step must lie in [{sys.float_info.epsilon:g}, 1), "
                               f"got {self.dq}")
-        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
+        # no update in the cube exceeds sqrt(5), each of five entries moving
+        # at most 1, so a larger threshold would stop every path at step 0
+        if not 0.0 < self.step_tol <= math.sqrt(5.0):
             raise DomainError(
-                f"termination threshold must be finite and positive, got {self.step_tol}"
-            )
+                f"termination threshold must lie in (0, sqrt(5)], got {self.step_tol}")
         cap = self.max_steps
         if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             raise DomainError(f"max_steps must be an integer of at least 1, got {cap!r}")
@@ -224,7 +226,8 @@ def initial_strategy(seed: int, index: int) -> Strategy:
     loads ``numpy.random``.  Streams are independent per index, so a path's
     start does not depend on how many paths the sweep runs.
     """
-    return Strategy(*_pcg.doubles(seed, index, 5, "index"))
+    seed, index = _stream_argument("seed", seed), _stream_argument("index", index)
+    return Strategy(*_pcg.doubles(seed, index, 5))
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ _HELP = {
     "seed": "seed of the random initial strategies or draws (verify: default 0)",
     "nu": "learning rate",
     "dq": "finite-difference step, in [machine epsilon, 1)",
-    "step_tol": "termination threshold on the update size",
+    "step_tol": "termination threshold on the update size, in (0, sqrt(5)]",
     "max_steps": "step cap per path",
     "gradient": "fd or analytic (default fd)",
     "format": "csv or json (default csv)",

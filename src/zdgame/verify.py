@@ -11,7 +11,9 @@ twin here, called the same way, and each caller picks its route in one
 expression, ``_native.kernel(...) or <twin>``: the kernel gives None
 where the library cannot be built.  :func:`_rng_for`'s streams are
 numpy's seeded PCG64, drawn by the library (``_native.stream``), so that
-verify loads no ``numpy.random``, or numpy's generator itself.
+verify loads no ``numpy.random``, or numpy's generator itself.  Verify
+reads a stream through ``random()`` and ``random(size)`` alone, and the
+compiled kernels through its ``bit_generator``.
 
 Most properties run as numpy passes over their draws: the payoff,
 gradient and table kernels take arrays element by element, each element
@@ -26,8 +28,8 @@ compiled loop (``payoffs._series_payoffs``), and the corner tables check
 each table column in one pass over its corners and all the strategies of
 a kind.
 The pcZD enforcers come from walks of ``_native.pczd``, which reads the
-stream itself, or of its twin :func:`_walk`, which retries
-``zd._try_pczd``, the Python home of ``sample_pczd``'s try.
+stream itself, or of its twin :func:`_walk`, which calls ``zd._try_pczd``,
+the kernel's try in Python, once per draw.
 Factorization-and-signs draws them in chunks from
 :func:`_enforcer_chunks`; the corner tables draw theirs one per call
 from two walks, as their stream interleaves a plain strategy between its
@@ -56,11 +58,13 @@ from .payoffs import (
 )
 from .tables import _TOL, _report
 from .zd import (
+    _INT64_MAX,
     _TRIES,
     _delta_low,
     _line_residual,
     _no_draw,
     _try_pczd,
+    _uniform,
     critical_discount,
     recover_zd,
     sample_pczd,
@@ -161,16 +165,10 @@ def _rng_for(seed, k):
             or np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
 
 
-def _uniform(lo, hi, u):
-    """``rng.uniform(lo, hi)`` given the ``rng.random()`` value ``u`` it draws."""
-    return lo + (hi - lo) * u
-
-
 def _draws(rng, n, lo, hi):
     """``n`` draws of p, q uniform in [0, 1)^5 and delta uniform in [lo, hi):
-    p and q as ``(5, n)`` arrays.  A ``(n, 11)`` block is the stream of n
-    rounds of ``random(5)``, ``random(5)``, ``uniform(lo, hi)``, because
-    ``uniform`` is ``lo + (hi - lo) * random()``."""
+    p and q as ``(5, n)`` arrays, from a ``(n, 11)`` block: n rounds of
+    ``random(5)``, ``random(5)``, ``_uniform(lo, hi, random())``."""
     u = rng.random((n, 11)).T.copy()
     return u[:5], u[5:10], _uniform(lo, hi, u[10])
 
@@ -224,8 +222,8 @@ def _regularity_identity(params, rng, n):
 def _oracle_triangle(params, rng, n):
     """The determinant, inverse and series payoffs of ``n`` random pairs
     agree; the first two draws are at delta = 0.99 and 0.34.  A draw takes
-    ``random(5)``, ``random(5)`` and, after those two, ``uniform(0.01,
-    0.99)``: ten or eleven values of one block of the stream."""
+    ``random(5)``, ``random(5)`` and, after those two, ``_uniform(0.01,
+    0.99, random())``: ten or eleven values of one block of the stream."""
     pinned = (0.99, 0.34)[:n]
     u = rng.random(10 * len(pinned) + 11 * (n - len(pinned)))
     head = u[:10 * len(pinned)].reshape(-1, 10)
@@ -251,24 +249,22 @@ def _zd_linear_relation(p, d, params, rng, n):
     return worst.result(n)
 
 
-def _walk(rng, n, params, p0=None, kappa=None, tries=math.inf, q=True):
+def _walk(rng, n, params, p0=None, kappa=None, tries=_INT64_MAX, q=True):
     """``n`` draws of ``sample_pczd(rng, params, p0=p0, kappa=kappa,
     tries=tries)``, each accepted try followed, where ``q`` is set, by
     ``rng.random(5)``: the ``(11, k)`` columns (p0..p4, the five values as
     q, delta), or ``(6, k)`` without q, and the tries rejected.  A draw
     whose ``tries`` tries are all rejected ends the walk, so ``k < n`` only
-    then; by default no draw runs out.  Each try is one of
+    then; by default no draw runs out.  Each draw is one call of
     ``zd._try_pczd``.  This is the twin of ``_native.pczd``, whose
     function of the draw count is ``zd_pczd`` in ``_climb.c``, this loop
     compiled."""
     cols, rejected = np.empty((11 if q else 6, n)), 0
     d_lo = _delta_low(critical_discount(params))
     for k in range(n):
-        t = 0
-        while t < tries and (draw := _try_pczd(rng, params, 1, d_lo, p0=p0, kappa=kappa)) is None:
-            t += 1
+        draw, t = _try_pczd(rng, params, tries, d_lo, p0=p0, kappa=kappa)
         rejected += t
-        if t == tries:
+        if draw is None:
             return cols[:, :k], rejected
         p, _, d = draw
         cols[:, k] = [*p, *rng.random(5), d] if q else [*p, d]
@@ -364,7 +360,7 @@ def _corner_tables(params, rng, n):
     plain, zd, coop, has_coop = [], [], [], []
     enforcer, cooperative = walk(), walk(1.0, 1.0)
     for i in range(n):
-        plain.append((*rng.random(5), rng.uniform(0.05, 0.98)))
+        plain.append((*rng.random(5), _uniform(0.05, 0.98, rng.random())))
         cols, _ = enforcer(1)
         if not cols.shape[1]:
             raise _no_draw(params, _TRIES)

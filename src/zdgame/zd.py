@@ -6,7 +6,7 @@ The positively correlated family (chi >= 1, "pcZD") covers extortionate
 and generous play and only exists above a critical discount factor.
 
 :func:`sample_pczd` draws such enforcers by rejection sampling, through
-``_try_pczd``, which returns None where ``sample_pczd`` raises.  Verify's
+``_try_pczd``, the compiled ``zd_pczd``'s try step for step.  Verify's
 two enforcer streams run those tries compiled, or call ``_try_pczd``.
 """
 
@@ -298,29 +298,34 @@ def _delta_low(dc: float) -> float:
 
 
 # Tries of a draw before sample_pczd, or a draw of verify's corner tables,
-# gives up.
+# gives up; and int64's largest, a try count or step cap no run reaches.
 _TRIES = 500
+_INT64_MAX = 2**63 - 1
+
+
+def _uniform(lo, hi, u):
+    """numpy's uniform draw in [lo, hi) given the ``random()`` value ``u``."""
+    return lo + (hi - lo) * u
 
 
 def _try_pczd(rng, params: PayoffParams, tries, d_lo, delta=None, p0=None, kappa=None):
     """Up to ``tries`` of :func:`sample_pczd`'s tries, on arguments it has
-    checked, with delta drawn from ``[d_lo, _DELTA_MAX)`` unless fixed: the
-    first accepted ``(strategy, zd_params, delta)``, or None."""
-    for _ in range(tries):
-        d = delta if delta is not None else rng.uniform(d_lo, _DELTA_MAX)
-        chi = rng.uniform(_CHI_MIN, _CHI_MAX)
-        k = kappa if kappa is not None else rng.uniform(0.0, 1.0)
-        start = p0 if p0 is not None else rng.uniform(0.0, 1.0)
-        window = feasible_phi_interval(chi, k, start, d, params)
-        if window is None:
-            continue
-        lo, hi = window
-        span = hi - lo
-        phi = rng.uniform(lo + 0.01 * span, hi - 0.01 * span)
-        entries = _entries(phi, chi, k, start, d, params.T, params.S)
-        if _accepts(phi, entries):
-            return Strategy(start, *entries), ZDParams(phi=phi, chi=chi, kappa=k), d
-    return None
+    checked, with delta drawn from ``[d_lo, _DELTA_MAX)`` unless fixed:
+    the first accepted ``(strategy, zd_params, delta)`` or None, and the
+    tries rejected."""
+    for t in range(tries):
+        d = delta if delta is not None else _uniform(d_lo, _DELTA_MAX, rng.random())
+        chi = _uniform(_CHI_MIN, _CHI_MAX, rng.random())
+        k = kappa if kappa is not None else _uniform(0.0, 1.0, rng.random())
+        start = p0 if p0 is not None else _uniform(0.0, 1.0, rng.random())
+        lo, hi = _phi_window(chi, k, start, d, params.T, params.S)
+        if lo < hi:
+            span = hi - lo
+            phi = _uniform(lo + 0.01 * span, hi - 0.01 * span, rng.random())
+            entries = _entries(phi, chi, k, start, d, params.T, params.S)
+            if _accepts(phi, entries):
+                return (Strategy(start, *entries), ZDParams(phi=phi, chi=chi, kappa=k), d), t
+    return None, tries
 
 
 def _no_draw(params: PayoffParams, tries, delta=None, p0=None, kappa=None) -> RuntimeError:
@@ -335,10 +340,10 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
                 tries: int = _TRIES):
     """Draw a random feasible positively correlated enforcer.
 
-    Returns ``(strategy, zd_params, delta)``.  ``rng`` is a numpy Generator,
-    or a stream of ``_native.stream``, which draws as one; fixing
-    ``delta``, ``p0``, or ``kappa`` narrows the draw (``p0=1, kappa=1``
-    gives the family with p0 = p1 = 1).  Raises ``RuntimeError``
+    Returns ``(strategy, zd_params, delta)``.  ``rng`` needs only
+    ``random()``: a numpy Generator, or a stream of ``_native.stream``.
+    Fixing ``delta``, ``p0``, or ``kappa`` narrows the draw (``p0=1,
+    kappa=1`` gives the family with p0 = p1 = 1).  Raises ``RuntimeError``
     if no feasible draw is found, which signals an infeasible fixed
     combination rather than bad luck.  Fixed arguments are checked before
     any draw: :class:`DomainError` for a delta not above the critical
@@ -358,7 +363,7 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
         raise DomainError("kappa must be a number, got nan")
     if isinstance(tries, bool) or not isinstance(tries, numbers.Integral) or tries < 1:
         raise DomainError(f"tries must be a positive integer, got {tries!r}")
-    draw = _try_pczd(rng, params, tries, d_lo, delta, p0, kappa)
+    draw, _ = _try_pczd(rng, params, tries, d_lo, delta, p0, kappa)
     if draw is None:
         raise _no_draw(params, tries, delta, p0, kappa)
     return draw

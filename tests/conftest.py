@@ -57,9 +57,9 @@ EDGE = math.nextafter(1.0, 0.0)
 
 class ListRng:
     """A generator whose ``rng.random()`` values are ``values``, then those
-    of ``default_rng(0)``, read through ``uniform`` and ``random`` by the
-    Python routes and through ``bit_generator``'s lock and ctypes
-    ``next_double`` by the compiled ones.  ``held`` records, per value,
+    of ``default_rng(0)``, with the whole stream contract: read through
+    ``random`` by the Python routes and through ``bit_generator``'s lock
+    and ctypes ``next_double`` by the compiled ones.  ``held`` records, per value,
     whether the lock was held.  (ctypes prints an exception raised in a
     callback and returns 0.0, so the values never run out.)"""
 
@@ -80,9 +80,6 @@ class ListRng:
         if size is None:
             return self._next()
         return np.array([self._next() for _ in range(math.prod(np.atleast_1d(size)))]).reshape(size)
-
-    def uniform(self, lo, hi):
-        return lo + (hi - lo) * self._next()
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,8 @@ class TestSimConfig:
             {"dq": sys.float_info.epsilon / 2},
             {"step_tol": math.nan},
             {"step_tol": math.inf},
+            {"step_tol": 3.0},
+            {"step_tol": math.nextafter(math.sqrt(5.0), 3.0)},
             {"max_steps": 0},
             {"max_steps": math.nan},
             {"max_steps": math.inf},
@@ -63,6 +65,12 @@ class TestSimConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             SimConfig(**kwargs)
+
+    def test_largest_step_tol_is_the_cubes_largest_update(self):
+        """Moving every entry from 0 to 1, an update reaches sqrt(5), so a
+        threshold of sqrt(5) can still fail the stopping check."""
+        cfg = SimConfig(step_tol=math.sqrt(5.0))
+        assert not math.dist((0.0,) * 5, (1.0,) * 5) < cfg.step_tol
 
     @example(q=1.0)
     @example(q=math.nextafter(1.0, 0.0))

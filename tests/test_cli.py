@@ -18,6 +18,7 @@ import zdgame
 from zdgame import DomainError
 from zdgame import tables as tables_mod
 from zdgame.cli import RunSpec, build_parser, main, spec_from_args
+from conftest import kernel_forced
 
 FIG3 = [
     "--T", "1.5", "--S", "-0.5", "--delta", "0.99",
@@ -188,6 +189,21 @@ class TestSweep:
         assert code == 2
         assert len(read_lines(out)) == 1 + 2 + 1
 
+    # the README sweep and the CI workflow's wide analytic sweep
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--T", "1.5", "--S", "-0.5", "--delta", "0.99", "--p", "0.0,0.75,0.25,0.5,0.0",
+          "--seed", "2024", "--n-paths", "100"],
+         "2e5a07d1cf73629a96ecf6a86b08ab3ff75b9aa8dff53179818da3ea07b8ce26"),
+        (["--gradient", "analytic", "--T", "2.0", "--S", "-0.1", "--delta", "0.51",
+          "--p", "0.75,1.0,0.0,0.13529411764705884,0.0", "--seed", "2024", "--n-paths", "10"],
+         "27758bc4a183c96cf4da77d514aa17ed4221869bc9249fc6220c2ba273782287"),
+    ])
+    def test_pinned_sweep_bytes_are_unchanged(self, tmp_path, argv, sha256):
+        out = tmp_path / "sweep.csv"
+        with kernel_forced("compiled"):
+            assert main(["sweep", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
         code = main([
@@ -229,6 +245,9 @@ class TestInvalidInput:
         # below machine epsilon every probe rounds back onto its entry
         (["run", *GAME, "--seed", "1", "--dq", "1e-300"], None),
         (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--dq", "1e-300"], None),
+        # no update in the cube exceeds sqrt(5), so every path would stop at step 0
+        (["run", *GAME, "--seed", "1", "--step-tol", "3"], None),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--step-tol", "3"], None),
         (["run", *GAME, "--seed", "1", "--T", "abc"], None),
         (["sweep", *GAME, "--seed", "1", "--n-paths", "1.5"], None),
         (["run", *GAME, "--seed", "1", "--gradient", "bogus"], None),
@@ -247,6 +266,12 @@ class TestInvalidInput:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-paths", "2"]])
+    def test_step_tol_below_the_largest_update_runs(self, tmp_path, command):
+        out = tmp_path / "out.txt"
+        assert main([*command, *GAME, "--seed", "1", "--step-tol", "2.2", "--out", str(out)]) == 0
+        assert out.exists()
 
 
 class TestVerify:

@@ -37,10 +37,16 @@ README_VERIFY_SHA256 = "436fc103e60a863939411cb2b5cad164c25c5d83f64743768d878747
 
 
 # Draw-by-draw references of the stacked properties: the same seeded
-# draws, the public float functions, and Python's min/max.
+# draws, taken from numpy's own generator, the public float functions, and
+# Python's min/max.
+
+def reference_rng(seed, key):
+    """numpy's generator of the stream ``verify._rng_for(seed, key)`` draws."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
 
 def reference_normalizer_positive(params, seed, n):
-    rng = verify._rng_for(seed, 1)
+    rng = reference_rng(seed, 1)
     worst = float("inf")
     for _ in range(n):
         p = rng.random(5)
@@ -51,7 +57,7 @@ def reference_normalizer_positive(params, seed, n):
 
 
 def reference_regularity_identity(params, seed, n):
-    rng = verify._rng_for(seed, 2)
+    rng = reference_rng(seed, 2)
     worst = 0.0
     for _ in range(n):
         p = rng.random(5)
@@ -65,7 +71,7 @@ def reference_regularity_identity(params, seed, n):
 
 
 def reference_factorization_and_signs(params, seed, n):
-    rng = verify._rng_for(seed, 5)
+    rng = reference_rng(seed, 5)
     worst_rel = 0.0
     min_grad = float("inf")
     rejections = 0
@@ -103,7 +109,7 @@ def reference_central_difference(p, q, d, params, j, h):
 
 
 def reference_fd_analytic_match(params, seed, n):
-    rng = verify._rng_for(seed, 7)
+    rng = reference_rng(seed, 7)
     h = 1e-3
     worst = 0.0
     for _ in range(n):
@@ -124,7 +130,7 @@ def reference_fd_analytic_match(params, seed, n):
 
 def oracle_draws(seed, n):
     """(p, q, delta) of each draw, the first two at delta = 0.99 and 0.34."""
-    rng = verify._rng_for(seed, 3)
+    rng = reference_rng(seed, 3)
     for i in range(n):
         p = rng.random(5)
         q = rng.random(5)
@@ -155,7 +161,7 @@ def zd_line(params, rng, n):
 
 
 def zd_line_residuals(params, seed, n):
-    rng = verify._rng_for(seed, 4)
+    rng = reference_rng(seed, 4)
     p, _, d = sample_pczd(rng, params)
     zd = recover_zd(p, d, params)
     return [[verify_linear_relation(p, zd, d, params, rng.random(5))] for _ in range(n)]
@@ -169,7 +175,7 @@ def reference_zd_linear_relation(params, seed, n):
 def corner_reports(params, seed, n, sample=sample_pczd):
     """Each round's table_report cells: tables 1-2 on a random p, 1-4 on a
     pcZD p, and 4-5 on one with p0 = p1 = 1 unless ``sample`` raises."""
-    rng = verify._rng_for(seed, 6)
+    rng = reference_rng(seed, 6)
     for _ in range(n):
         p_any = rng.random(5)
         d_any = rng.uniform(0.05, 0.98)
@@ -302,6 +308,19 @@ def test_documented_report_is_unchanged(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == README_VERIFY_SHA256
 
 
+@pytest.mark.usefixtures("kernel")
+@pytest.mark.parametrize("seed, sha256", [
+    (1, "273c98e19716ddf8bd64aa89c84fc69336ce8670407c909a195da6b46cff3b78"),
+    (2, "5076de5fe80f5af11383f023a19e1dbe56e79951e2f2b7a5472cecab40df753c"),
+    (3, "1651036cddaa6f6953d0e90739973827f3857fecebc30a67ba5f321f04583e9c"),
+])
+def test_wide_reports_are_unchanged_on_both_routes(tmp_path, seed, sha256):
+    out = tmp_path / "verify.txt"
+    argv = ["verify", "--T", "2.0", "--S", "-0.1", "--sample-scale", "0.3", "--seed", str(seed)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 # --- checks beyond the worst residual ------------------------------------------
 
 def with_exact_zero(monkeypatch, draw, ell):
@@ -397,6 +416,41 @@ def test_a_stream_rejects_bad_arguments_on_both_routes(seed, key, name):
     negative seed is never masked into 32-bit words."""
     with pytest.raises(DomainError, match=f"^{name} must be a non-negative integer"):
         verify._rng_for(seed, key)
+
+
+class StreamContract:
+    """A numpy generator seen through the stream contract alone: ``random``
+    and ``bit_generator``."""
+
+    def __init__(self, rng):
+        self.random, self.bit_generator = rng.random, rng.bit_generator
+
+
+def walk_bits(rng):
+    cols, rejected = verify._walk(rng, 7, PARAMS)
+    return bits(cols), rejected
+
+
+# each reader of pcZD enforcers, as a function of its stream, with its
+# result as exact text or bytes
+ENFORCER_READERS = {
+    "sample_pczd": lambda rng: repr(sample_pczd(rng, PARAMS)),
+    "sample_pczd fixed": lambda rng: repr(sample_pczd(rng, PARAMS, delta=0.9, p0=1.0, kappa=1.0)),
+    "_walk": walk_bits,
+    "_factorization_and_signs": lambda rng: repr(verify._factorization_and_signs(PARAMS, rng, 40)),
+    "_corner_tables": lambda rng: repr(verify._corner_tables(PARAMS, rng, 3)),
+}
+
+
+@pytest.mark.usefixtures("kernel")
+@pytest.mark.parametrize("name", sorted(ENFORCER_READERS))
+def test_enforcers_read_a_stream_through_random_and_bit_generator_alone(name):
+    """The same results, bit for bit, and the same generator state after,
+    on the bare generator and on one that offers nothing but the contract."""
+    bare, narrow = np.random.default_rng(7), np.random.default_rng(7)
+    read = ENFORCER_READERS[name]
+    assert read(StreamContract(narrow)) == read(bare)
+    assert narrow.bit_generator.state == bare.bit_generator.state
 
 
 def test_run_verification_takes_a_numpy_seed():
