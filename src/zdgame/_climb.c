@@ -270,7 +270,7 @@ void zd_pcg_fill(void *state, int64_t n, double *out)
 }
 
 /* rng.uniform(lo, hi) given the rng.random() value u it draws, as
- * verify._uniform. */
+ * zd._uniform. */
 static double uniform(double lo, double hi, double u)
 {
     return lo + (hi - lo) * u;

@@ -72,6 +72,20 @@ SOURCE = Path(__file__).with_name("_climb.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 LIBS = ("-lm",)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# Each entry point's (restype, argtypes), in the order of its C prototype;
+# an array's data is passed as its address.
+PROTOTYPES = {
+    "zd_climb": (ctypes.c_int, (_DOUBLE_P, ctypes.c_int64, ctypes.c_int, _DOUBLE_P,
+                                ctypes.POINTER(ctypes.c_int64), _DOUBLE_P)),
+    "zd_series": (None, (ctypes.c_int64, *[ctypes.c_void_p] * 8)),
+    "zd_pczd": (ctypes.c_int64, (*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_int,
+                                 ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64))),
+    "zd_residuals": (None, (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+                            ctypes.c_int, ctypes.c_int64, ctypes.c_void_p)),
+    "zd_pcg_double": (ctypes.c_double, (ctypes.c_void_p,)),
+    "zd_pcg_fill": (None, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)),
+}
 _CONVERGED, _VANISHED = 0, 2  # zd_climb's other status, 1, is the step cap
 _BUILD_TIMEOUT_S = 120
 
@@ -119,9 +133,9 @@ def _prune(keep: Path):
 
 @functools.cache
 def _kernel():
-    """The cached library, built first if no cache holds it, with the
-    argument types of its entry points set; None if it cannot be built or
-    loaded."""
+    """The cached library, built first if no cache holds it, with its
+    entry points typed as :data:`PROTOTYPES` says; None if it cannot be
+    built or loaded, or lacks an entry point."""
     try:
         source = SOURCE.read_bytes()
     except OSError:
@@ -136,28 +150,13 @@ def _kernel():
         if built and not _build(cc, path):
             return None
         lib = ctypes.CDLL(str(path))
-        climb, series, pczd = lib.zd_climb, lib.zd_series, lib.zd_pczd
-        residuals, pcg_double, pcg_fill = lib.zd_residuals, lib.zd_pcg_double, lib.zd_pcg_fill
+        for name, (restype, argtypes) in PROTOTYPES.items():
+            function = getattr(lib, name)
+            function.restype, function.argtypes = restype, argtypes
     except (OSError, AttributeError):
         return None  # an unwritable cache or a failed load
     if built:
         _prune(path)
-    double_p = ctypes.POINTER(ctypes.c_double)
-    climb.argtypes = [double_p, ctypes.c_int64, ctypes.c_int, double_p,
-                      ctypes.POINTER(ctypes.c_int64), double_p]
-    climb.restype = ctypes.c_int
-    series.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 8]  # array data addresses
-    series.restype = None
-    pczd.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_int, ctypes.c_int64,
-                     ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
-    pczd.restype = ctypes.c_int64
-    residuals.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-                          ctypes.c_int, ctypes.c_int64, ctypes.c_void_p]
-    residuals.restype = None
-    pcg_double.argtypes = [ctypes.c_void_p]
-    pcg_double.restype = ctypes.c_double
-    pcg_fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    pcg_fill.restype = None
     return lib
 
 

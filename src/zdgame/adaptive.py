@@ -146,11 +146,11 @@ def _finite(name, t):
 
 def _ascent_inputs(p, delta, params):
     """``p`` as a tuple and ``delta`` as a float, checked as every ascent
-    needs them: finite entries, a discount in (0, 1) and strict payoffs,
+    needs them: finite entries, a discount in (0, 1) and 0 < T + S,
     since the endpoint classification is only guaranteed there."""
     pt = _finite("p", strategy_tuple(p))
     delta = validate_delta(delta)
-    if not params.strict:
+    if not params.theta > 0.0:
         raise DomainError("endpoint guarantees need strict payoffs (0 < T + S)")
     return pt, delta
 
@@ -166,7 +166,7 @@ def run_path(q0, config: SimConfig, p, delta, params: PayoffParams,
     """Iterate ascent updates until the step size drops below ``step_tol``.
 
     Termination uses the Euclidean norm of the update (the max norm of the
-    final step is recorded alongside).  Requires strict payoffs, since the
+    final step is recorded alongside).  Requires 0 < T + S, since the
     endpoint classification is only guaranteed there.  Raises
     :class:`MaxStepsError` carrying the partial path when the cap is hit.
     Entries of ``q0`` outside [0, 1] are clamped by the first step, but a

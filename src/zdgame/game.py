@@ -9,6 +9,7 @@ letter is X's action.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ class PayoffParams:
             raise DomainError(f"temptation must satisfy T > 1, got T={T}")
         if not (T + S < 2.0):
             raise DomainError(f"payoffs must satisfy T + S < 2, got T+S={T + S}")
+        if not (math.isfinite(T) and math.isfinite(S)):
+            raise DomainError(f"payoffs must be finite, got T={T}, S={S}")
         if self.strict and not (T + S > 0.0):
             raise DomainError(f"strict mode requires 0 < T + S, got T+S={T + S}")
 

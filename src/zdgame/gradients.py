@@ -6,11 +6,11 @@ determinant is itself a 4x4 determinant because every strategy entry of
 the adaptive player appears in exactly one row (or, for the first-round
 probability, can be isolated into one row).  The factored route reduces
 the same quantity to a product of a scalar factor, a strictly positive
-common factor, a 3x3 minor, and a 2x2 reduced determinant; its sign
-structure is what forces every gradient component to be nonnegative
-against a positively correlated enforcer.  The factored identity holds on
-the enforcer manifold (it substitutes the enforcer consistency relation),
-so it requires a ZD opponent strategy.
+common factor, a 3x3 minor, and a 2x2 reduced determinant d_ell, whose one
+home is ``_reduced``; its sign structure is what forces every gradient
+component to be nonnegative against a positively correlated enforcer.
+The factored identity holds on the enforcer manifold (it substitutes the
+enforcer consistency relation), so it requires a ZD opponent strategy.
 """
 
 from __future__ import annotations
@@ -166,29 +166,15 @@ def _row_reduction(rows, pt, ell):
     return tuple(shift + r[0] - p_lam * r[2] for r in others)
 
 
-def _reduced_from_r(r, ell, theta):
-    r1, r2, r3 = r
-    if ell == 1:
-        return -(r1 + r2) + (2.0 - theta) * r3
-    if ell == 2:
-        return (r2 - 2.0 * r3) - theta * (r1 - r3)
-    if ell == 3:
-        return theta * (r1 - r3) - (r2 - 2.0 * r3)
-    return (r2 + r3) - theta * r1
-
-
 def reduced_dets(p, q, delta, params: PayoffParams) -> tuple[float, float, float, float]:
     """2x2 reduced determinants for the four conditional entries.
 
     Alternating in sign: ``(-1)**l * value > 0`` throughout the strict
     payoff domain when the opponent is positively correlated.
     """
-    pt, qt = strategy_tuple(p), strategy_tuple(q)
-    rows = _matrix_rows(pt, qt, validate_delta(delta))
-    theta = params.theta
-    return tuple(
-        _reduced_from_r(_row_reduction(rows, pt, ell), ell, theta) for ell in (1, 2, 3, 4)
-    )
+    pt, qt, delta = strategy_tuple(p), strategy_tuple(q), validate_delta(delta)
+    rows = _matrix_rows(pt, qt, delta)
+    return tuple(_reduced(pt, qt, delta, params.theta, ell, rows) for ell in (1, 2, 3, 4))
 
 
 def q0_reduction_vector(p, q, delta) -> tuple[float, float, float]:
@@ -214,12 +200,27 @@ def reduced_det_q0(p, q, delta, params: PayoffParams) -> float:
     Positive at every stalled configuration the ascent can reach, though it
     may be negative elsewhere in the cube.
     """
-    return _reduced_det_q0(q0_reduction_vector(p, q, delta), params.theta)
+    pt, qt = strategy_tuple(p), strategy_tuple(q)
+    return _reduced(pt, qt, validate_delta(delta), params.theta, 0)
 
 
-def _reduced_det_q0(u, theta):
-    u1, u2, u3 = u
-    return u1 * theta - (u2 + u3)
+def _reduced(pt, qt, delta, theta, ell, rows=None):
+    """The reduced determinant d_ell on coerced inputs, floats or arrays,
+    ell = 0 being the first round: the one body behind :func:`reduced_dets`,
+    :func:`reduced_det_q0`, the factored gradient and ``tables``.  A
+    conditional entry reads the payoff matrix ``rows``, built here if not
+    given; the first round reads none."""
+    if ell == 0:
+        u1, u2, u3 = _q0_reduction(pt, qt, delta)
+        return u1 * theta - (u2 + u3)
+    r1, r2, r3 = _row_reduction(_matrix_rows(pt, qt, delta) if rows is None else rows, pt, ell)
+    if ell == 1:
+        return -(r1 + r2) + (2.0 - theta) * r3
+    if ell == 2:
+        return (r2 - 2.0 * r3) - theta * (r1 - r3)
+    if ell == 3:
+        return theta * (r1 - r3) - (r2 - 2.0 * r3)
+    return (r2 + r3) - theta * r1
 
 
 def gradient_factorized(p, q, delta, params: PayoffParams):
@@ -249,15 +250,10 @@ def _gradient_factorized(pt, qt, delta, params):
     d_ones = _payoff_terms(c, params)[0]
     common = _common_factor(pt, delta, params.S)
     minors = _minors(c)
-    theta = params.theta
     denom_sq = d_ones * d_ones
-    d0 = _reduced_det_q0(_q0_reduction(pt, qt, delta), theta)
-    grads = [(1.0 - delta) * common * d0 / d_ones]
-    reduced = [d0]
-    for ell in range(1, 5):
-        d_ell = _reduced_from_r(_row_reduction(rows, pt, ell), ell, theta)
-        grads.append(delta * common * minors[ell - 1] * d_ell / denom_sq)
-        reduced.append(d_ell)
+    reduced = [_reduced(pt, qt, delta, params.theta, ell, rows) for ell in range(5)]
+    grads = [(1.0 - delta) * common * reduced[0] / d_ones]
+    grads += [delta * common * minors[ell - 1] * reduced[ell] / denom_sq for ell in range(1, 5)]
     return grads, common, minors, reduced
 
 

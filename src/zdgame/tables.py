@@ -3,7 +3,9 @@
 Every determinant entering the gradient factorization is multilinear in
 the adaptive player's entries, so its sign over the cube is decided at the
 corners.  This module transcribes the closed-form corner values and checks
-each one against direct determinant evaluation.
+each one against direct determinant evaluation: the cofactors for tables
+1 and 2, and for tables 3-5 ``gradients._reduced``, the one home of the
+reduced determinants d_ell.
 
 Legend for the context fields used in the cell expressions: ``hX`` is
 1 - X, ``dpJ`` is 1 - delta*pJ, ``ddpJ`` is 1 - delta^2*pJ, ``hd`` is
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateError
 from .game import PayoffParams, strategy_tuple, validate_delta
-from .gradients import _minors, _q0_reduction, _reduced_det_q0, _reduced_from_r, _row_reduction
+from .gradients import _minors, _reduced
 from .payoffs import _cofactors, _matrix_rows, _weigh
 from .zd import NotZD, recover_zd
 
@@ -312,13 +314,6 @@ def _from_cofactors(pt, qt, delta, theta, ell):
     """The normalizer for ell = 0, else the minor dropping row ell."""
     c = _cofactors(_matrix_rows(pt, qt, delta))
     return _weigh(c, (1.0, 1.0, 1.0, 1.0)) if ell == 0 else _minors(c)[ell - 1]
-
-
-def _reduced(pt, qt, delta, theta, ell):
-    """The reduced determinant of entry ell; ell = 0 is the first round."""
-    if ell == 0:
-        return _reduced_det_q0(_q0_reduction(pt, qt, delta), theta)
-    return _reduced_from_r(_row_reduction(_matrix_rows(pt, qt, delta), pt, ell), ell, theta)
 
 
 class _Spec(NamedTuple):

@@ -221,16 +221,14 @@ def _regularity_identity(params, rng, n):
 
 def _oracle_triangle(params, rng, n):
     """The determinant, inverse and series payoffs of ``n`` random pairs
-    agree; the first two draws are at delta = 0.99 and 0.34.  A draw takes
-    ``random(5)``, ``random(5)`` and, after those two, ``_uniform(0.01,
-    0.99, random())``: ten or eleven values of one block of the stream."""
+    agree; the first two draws are at delta = 0.99 and 0.34.  A pinned
+    draw takes ``random(5)`` and ``random(5)``, the others are
+    :func:`_draws` with delta in [0.01, 0.99)."""
     pinned = (0.99, 0.34)[:n]
-    u = rng.random(10 * len(pinned) + 11 * (n - len(pinned)))
-    head = u[:10 * len(pinned)].reshape(-1, 10)
-    rest = u[10 * len(pinned):].reshape(-1, 11)
-    p = np.concatenate([head[:, :5], rest[:, :5]]).T.copy()
-    q = np.concatenate([head[:, 5:], rest[:, 5:10]]).T.copy()
-    d = np.concatenate([pinned, _uniform(0.01, 0.99, rest[:, 10])])
+    head = rng.random((len(pinned), 10)).T
+    p, q, d = _draws(rng, n - len(pinned), 0.01, 0.99)
+    p, q = np.hstack([head[:5], p]), np.hstack([head[5:], q])
+    d = np.concatenate([pinned, d])
     a = _payoffs(p, q, d, params)
     b = _inverse_payoffs(p, q, d, params)
     c = _series_payoffs(p, q, d, params, 1e-10)
@@ -322,23 +320,25 @@ def _factorization_and_signs(params, rng, n):
 
 def _table_cells(draws, rows, n, tables, theta):
     """The cells of ``tables`` on the ``(p0..p4, delta)`` strategies
-    ``draws`` of rounds ``rows`` out of ``n``: their labels, and their
-    diffs and Table 5 closed forms as arrays with one row per round.  A
-    round without such a strategy gets a diff of 0.0 and a closed form of
-    inf, which move neither the worst nor the min."""
+    ``draws`` of rounds ``rows`` out of ``n``: their labels and those of
+    the Table 5 cells, and their diffs and Table 5 closed forms as arrays
+    with one row per round.  A round without such a strategy gets a diff
+    of 0.0 and a closed form of inf, which move neither the worst nor the
+    min."""
     cols = np.array(draws, dtype=float).reshape(-1, 6).T.copy()
-    labels, diff, closed5 = [], [], []
+    labels, labels5, diff, closed5 = [], [], [], []
     for t in tables:
         for r in _report(t, cols[:5], cols[5], theta):
             labels.append(r.label())
             diff.append(r.diff)
             if r.table == "Table 5":
+                labels5.append(labels[-1])
                 closed5.append(np.broadcast_to(r.closed, r.diff.shape))
     diff_rows = np.zeros((n, len(diff)))
     diff_rows[rows] = np.array(diff).T
     closed5_rows = np.full((n, len(closed5)), math.inf)
     closed5_rows[rows] = np.array(closed5).T
-    return labels, diff_rows, closed5_rows
+    return labels, labels5, diff_rows, closed5_rows
 
 
 def _corner_tables(params, rng, n):
@@ -374,9 +374,9 @@ def _corner_tables(params, rng, n):
              _table_cells(zd, slice(None), n, ("1", "2", "3", "4"), theta),
              _table_cells(coop, has_coop, n, ("4", "5"), theta)]
     labels = [label for kind in kinds for label in kind[0]]
-    diff = np.hstack([kind[1] for kind in kinds])
-    closed5 = np.hstack([kind[2] for kind in kinds]).tolist()
-    labels5 = [label for label in labels if label.startswith("Table 5 ")]
+    labels5 = [label for kind in kinds for label in kind[1]]
+    diff = np.hstack([kind[2] for kind in kinds])
+    closed5 = np.hstack([kind[3] for kind in kinds]).tolist()
     worst = _Worst("corner-tables", _TOL, "<")
     worst.add(diff)
     bad: list[str] = []

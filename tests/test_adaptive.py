@@ -334,6 +334,20 @@ def test_run_path_and_sweep_reject_each_bad_argument_alike(params_main, entry, n
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize("entry", ["run_path", "sweep"])
+def test_run_path_and_sweep_test_t_plus_s_not_the_strict_flag(params_main, entry):
+    """(1.5, -0.5) without ``strict`` still has 0 < T + S, and each entry
+    point ends on it as on the strict ``params_main``."""
+    plain = validate_payoffs(params_main.T, params_main.S)
+    assert not plain.strict and plain.theta > 0.0
+    p, delta, _ = PCZD_A
+    if entry == "run_path":
+        ends = [run_path(FIG3_Q0, SimConfig(), p, delta, params) for params in (plain, params_main)]
+    else:
+        ends = [sweep(3, 7, SimConfig(), p, delta, params) for params in (plain, params_main)]
+    assert repr(ends[0]) == repr(ends[1])
+
+
 # Against PCZD_C, seed 5 paths take 36..1807 steps: a 600-step cap ends
 # some of them and not others.
 EQUIV_SEED = 5

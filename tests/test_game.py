@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ class TestValidatePayoffs:
 
     @pytest.mark.parametrize(
         "T,S",
-        [(0.9, -0.5), (1.5, 0.1), (1.5, 0.0), (3.0, -0.5)],
+        [(0.9, -0.5), (1.5, 0.1), (1.5, 0.0), (3.0, -0.5), (1.5, -math.inf)],
     )
     def test_rejects_non_pd(self, T, S):
         with pytest.raises(DomainError):

@@ -866,11 +866,13 @@ def expected_argtypes(param):
 
 
 def test_argtypes_match_the_c_prototypes(compiled):
-    """Every entry point of ``_climb.c`` has its argument and return types
-    set by ``_kernel()``, each of the C type's width, in the C order."""
+    """Every entry point of ``_climb.c`` has a ``PROTOTYPES`` entry and its
+    argument and return types set by ``_kernel()``, each of the C type's
+    width, in the C order."""
     prototypes = c_prototypes(_native.SOURCE.read_text())
     defined = re.findall(r"^\w[^;\n]*\b(zd_\w+)\(", _native.SOURCE.read_text(), re.M)
     assert sorted(prototypes) == sorted(defined) and prototypes
+    assert sorted(_native.PROTOTYPES) == sorted(prototypes)
     lib = _native._kernel()
     for name, (ret, params) in prototypes.items():
         function = getattr(lib, name)
