@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -27,7 +28,15 @@ from typing import NamedTuple
 
 from . import _linalg, _pcg, gradients, payoffs
 from .errors import DomainError, MaxStepsError
-from .game import PayoffParams, Strategy, _stream_argument, strategy_tuple, validate_delta
+from .game import (
+    PayoffParams,
+    Strategy,
+    _finite,
+    _index,
+    _stream_argument,
+    strategy_tuple,
+    validate_delta,
+)
 from .gradients import TerminalClassification, _gradient_quotient, classify_terminal
 from .payoffs import _payoffs
 from .zd import is_pczd
@@ -56,23 +65,29 @@ class SimConfig:
     gradient_mode: str = "finite_difference"
 
     def __post_init__(self):
-        if not (math.isfinite(self.nu) and self.nu > 0.0):
+        # a value that is not a real number is checked as NaN, which every
+        # range below rejects
+        nu, dq, step_tol = (v if isinstance(v, numbers.Real) else math.nan
+                            for v in (self.nu, self.dq, self.step_tol))
+        if not (math.isfinite(nu) and nu > 0.0):
             raise DomainError(f"learning rate must be finite and positive, got {self.nu}")
         # from machine epsilon up, both probes move every entry in [0, 1];
         # below it a probe can round back onto its entry (at 1e-300 both
         # probes of every nonzero entry do), and one a cube width away
         # resolves no gradient
-        if not sys.float_info.epsilon <= self.dq < 1.0:
+        if not sys.float_info.epsilon <= dq < 1.0:
             raise DomainError(f"difference step must lie in [{sys.float_info.epsilon:g}, 1), "
                               f"got {self.dq}")
         # no update in the cube exceeds sqrt(5), each of five entries moving
         # at most 1, so a larger threshold would stop every path at step 0
-        if not 0.0 < self.step_tol <= math.sqrt(5.0):
+        if not 0.0 < step_tol <= math.sqrt(5.0):
             raise DomainError(
                 f"termination threshold must lie in (0, sqrt(5)], got {self.step_tol}")
-        cap = self.max_steps
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise DomainError(f"max_steps must be an integer of at least 1, got {cap!r}")
+        cap = _index(self.max_steps)
+        if cap is None or cap < 1:
+            raise DomainError(
+                f"max_steps must be an integer of at least 1, got {self.max_steps!r}")
+        object.__setattr__(self, "max_steps", cap)
         if self.gradient_mode not in GRADIENT_MODES:
             raise DomainError(
                 f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"
@@ -110,21 +125,24 @@ def fd_gradient(q, j: int, config: SimConfig, p, delta, params: PayoffParams) ->
     extrapolates polynomially outside the cube.
     """
     pt, qt = strategy_tuple(p), strategy_tuple(q)
-    return _fd_move(qt, j, config, pt, validate_delta(delta), params)
+    return _fd_move(qt, j, config.nu, config.dq, pt, validate_delta(delta), params)
 
 
-def _fd_move(qt, j, config, pt, delta, params):
+def _fd_move(qt, j, nu, dq, pt, delta, params):
+    """``nu`` times the centred difference of Y's payoff in entry ``j``,
+    probed ``dq`` either side, on floats or on ``(5, n)`` arrays element by
+    element; ``qt`` is left as it is."""
     plus, minus = list(qt), list(qt)
-    plus[j] += config.dq
-    minus[j] -= config.dq
+    plus[j] = qt[j] + dq
+    minus[j] = qt[j] - dq
     s_plus = _payoffs(pt, tuple(plus), delta, params)[1]
     s_minus = _payoffs(pt, tuple(minus), delta, params)[1]
-    return config.nu * (s_plus - s_minus) / (2.0 * config.dq)
+    return nu * (s_plus - s_minus) / (2.0 * dq)
 
 
 def _ascent_update(qt, config, pt, delta, params):
     if config.gradient_mode == "finite_difference":
-        moves = [_fd_move(qt, j, config, pt, delta, params) for j in range(5)]
+        moves = [_fd_move(qt, j, config.nu, config.dq, pt, delta, params) for j in range(5)]
     else:
         grad = _gradient_quotient(pt, qt, delta, params, "y")
         moves = [config.nu * g for g in grad]
@@ -136,17 +154,10 @@ def _sum_squares(d):
     return d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3] + d[4] * d[4]
 
 
-def _finite(name, t):
-    """``t``, unless an entry is NaN or infinite: the ascent would take
-    every step up to the cap on it."""
-    if not all(map(math.isfinite, t)):
-        raise DomainError(f"{name} has a non-finite entry: {t}")
-    return t
-
-
 def _ascent_inputs(p, delta, params):
     """``p`` as a tuple and ``delta`` as a float, checked as every ascent
-    needs them: finite entries, a discount in (0, 1) and 0 < T + S,
+    needs them: finite entries (on a NaN or infinite one the ascent would
+    take every step up to the cap), a discount in (0, 1) and 0 < T + S,
     since the endpoint classification is only guaranteed there."""
     pt = _finite("p", strategy_tuple(p))
     delta = validate_delta(delta)

@@ -93,7 +93,8 @@ class RunSpec:
 _FIELD_TYPES = {f.name: f.type.split(" | ") for f in fields(RunSpec)}
 
 # The RunSpec fields each subcommand reads, as flags and config keys
-# ("config" itself is a flag only).  run and sweep always need 0 < T + S.
+# ("config" itself is a flag only).  run and sweep take no strict_payoffs:
+# their ascent checks 0 < T + S itself.
 _TAKES = {
     "run": "T S config delta p seed nu dq step_tol max_steps gradient format out q0".split(),
     "sweep": "T S config delta p seed nu dq step_tol max_steps gradient format out n_paths".split(),
@@ -271,13 +272,12 @@ def _trajectory_json(path, seed) -> str:
 def _game(spec: RunSpec):
     """Validated ``(params, delta, p)`` of run, sweep, zd and tables.
 
-    Only zd goes without --p (p is then None), and run and sweep always
-    need 0 < T + S.
+    Only zd goes without --p (p is then None).  run and sweep take no
+    --strict-payoffs: their ascent itself rejects T + S <= 0.
     """
     if spec.p is None and spec.command != "zd":
         raise DomainError(f"{spec.command} needs --p (the opponent strategy)")
-    strict = spec.strict_payoffs or spec.command in ("run", "sweep")
-    params = validate_payoffs(spec.T, spec.S, strict=strict)
+    params = validate_payoffs(spec.T, spec.S, strict=spec.strict_payoffs)
     delta = validate_delta(spec.delta)
     return params, delta, None if spec.p is None else Strategy.parse(spec.p)
 

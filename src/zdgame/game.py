@@ -73,16 +73,29 @@ def validate_delta(delta: float) -> float:
     return delta
 
 
+def _index(value):
+    """``value`` as a Python int, or None for a bool or a value that is not
+    an integer."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def _stream_argument(name, value):
     """``value`` as a Python int, unless it is a bool, not an integer, or
     negative."""
-    try:
-        n = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        n = None
+    n = _index(value)
     if n is None or n < 0:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
     return n
+
+
+def _finite(name, t):
+    """``t``, unless an entry is NaN or infinite."""
+    if not all(map(math.isfinite, t)):
+        raise DomainError(f"{name} has a non-finite entry: {t}")
+    return t
 
 
 @dataclass(frozen=True)

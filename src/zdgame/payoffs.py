@@ -182,13 +182,22 @@ def series_horizon(delta: float, params: PayoffParams, tol: float) -> int:
     def bound(h):
         return delta ** (h + 1) * m / (1.0 - delta)
 
-    target = tol * (1.0 - delta) / m
-    h = max(0, math.ceil(math.log(target) / math.log(delta)) - 1)
-    while bound(h) >= tol:
-        h += 1
-    while h > 0 and bound(h - 1) < tol:
-        h -= 1
-    return h
+    # A first guess in logs, as tol * (1 - delta) / m can underflow to 0;
+    # then steps that double away from it until [lo, hi] holds the
+    # crossing, and halving.  bound falls by a factor of delta per round,
+    # so this is the smallest h however far a subnormal bound puts the
+    # guess off (near delta = 1, by up to ~1e17 rounds).
+    guess = (math.log(tol) + math.log(1.0 - delta) - math.log(m)) / math.log(delta)
+    lo = hi = max(0, math.ceil(guess) - 1)
+    step = 1
+    while bound(hi) >= tol:
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    while lo > 0 and bound(lo - 1) < tol:
+        lo, hi, step = max(0, lo - step), lo - 1, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) < tol else (mid + 1, hi)
+    return hi
 
 
 def _series_rounds(rounds, v, rows, delta, sx, sy):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateError
+from .errors import DegenerateError, DomainError
 from .game import PayoffParams, strategy_tuple, validate_delta
 from .gradients import _minors, _reduced
 from .payoffs import _cofactors, _matrix_rows, _weigh
@@ -289,9 +289,16 @@ class CellReport(NamedTuple):
         return f"{self.table} {corner} {self.column}"
 
 
-def _cells(which: str) -> dict:
-    # looked up per call, so that a replaced TABLEn is the one checked
-    return {"1": TABLE1, "2": TABLE2, "3": TABLE3, "4": TABLE4, "5": TABLE5}[which]
+def _closed(which: str, c: SimpleNamespace) -> dict:
+    """Table ``which``'s closed forms on the context ``c``, keyed by corner:
+    one value each in tables 1, 4 and 5, a 4-tuple of the printed signed
+    columns in tables 2 and 3."""
+    # looked up per call, so that a replaced TABLEn is the one evaluated
+    tables = {"1": TABLE1, "2": TABLE2, "3": TABLE3, "4": TABLE4, "5": TABLE5}
+    if which not in tables:
+        raise DomainError(f'table must be one of "1".."5", got {which!r}')
+    return {corner: tuple(f(c) for f in cell) if isinstance(cell, tuple) else cell(c)
+            for corner, cell in tables[which].items()}
 
 
 def corner_table(which: str, p, delta, params: PayoffParams) -> dict:
@@ -300,14 +307,7 @@ def corner_table(which: str, p, delta, params: PayoffParams) -> dict:
     ``which`` is one of "1".."5".  Tables 1 and 4/5 map corner -> value;
     tables 2 and 3 map corner -> 4-tuple of the printed signed columns.
     """
-    c = _ctx(strategy_tuple(p), validate_delta(delta), params.theta)
-    out = {}
-    for corner, cell in _cells(which).items():
-        if isinstance(cell, tuple):
-            out[corner] = tuple(f(c) for f in cell)
-        else:
-            out[corner] = cell(c)
-    return out
+    return _closed(which, _ctx(strategy_tuple(p), validate_delta(delta), params.theta))
 
 
 def _from_cofactors(pt, qt, delta, theta, ell):
@@ -346,13 +346,12 @@ def _report(which: str, pt, delta, theta: float) -> list[CellReport]:
     their placed q entries are ``(corners, 1)`` arrays, which broadcast
     against the entries of ``pt``, so that row i holds, element by
     element, what a pass at corner i alone gives."""
+    closed = _closed(which, _ctx(pt, delta, theta))
     spec = _SPECS[which]
-    c = _ctx(pt, delta, theta)
     table = f"Table {which}"
-    cells = _cells(which)
-    corners = sorted(cells)
+    corners = sorted(closed)
     at = [tuple(float(v) for v in corner) for corner in corners]
-    ells = range(1, 5) if isinstance(cells[corners[0]], tuple) else (0,)
+    ells = range(1, 5) if isinstance(closed[corners[0]], tuple) else (0,)
     direct = {}
     for ell in ells:
         q = [np.array(v).reshape(-1, 1) for v in zip(*(spec.place(k, ell) for k in at))]
@@ -362,12 +361,11 @@ def _report(which: str, pt, delta, theta: float) -> list[CellReport]:
         direct[ell] = signed[:, 0].tolist() if np.ndim(delta) == 0 else list(signed)
     out = []
     for i, corner in enumerate(corners):
-        forms = cells[corner]
-        for ell, form in (enumerate(forms, 1) if isinstance(forms, tuple) else [(0, forms)]):
-            closed = form(c)
+        values = closed[corner]
+        for ell, value in (enumerate(values, 1) if isinstance(values, tuple) else [(0, values)]):
             signed = direct[ell][i]
-            out.append(CellReport(table, corner, spec.column.format(ell=ell), closed, signed,
-                                  abs(closed - signed)))
+            out.append(CellReport(table, corner, spec.column.format(ell=ell), value, signed,
+                                  abs(value - signed)))
     return out
 
 

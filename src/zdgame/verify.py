@@ -27,13 +27,14 @@ all of its draws at once and sums their payoff series in one call of the
 compiled loop (``payoffs._series_payoffs``), and the corner tables check
 each table column in one pass over its corners and all the strategies of
 a kind.
-The pcZD enforcers come from walks of ``_native.pczd``, which reads the
-stream itself, or of its twin :func:`_walk`, which calls ``zd._try_pczd``,
-the kernel's try in Python, once per draw.
-Factorization-and-signs draws them in chunks from
+The pcZD enforcers come from walks that :func:`_walker` picks: of
+``_native.pczd``, which reads the stream itself, or of its twin
+:func:`_walk`, which calls ``zd._try_pczd``, the kernel's try in Python,
+once per draw.  Factorization-and-signs draws them in chunks from
 :func:`_enforcer_chunks`; the corner tables draw theirs one per call
-from two walks, as their stream interleaves a plain strategy between its
-two enforcers.
+from two walkers, as their stream interleaves a plain strategy between
+its two enforcers.  The finite differences are the ascent's own,
+``adaptive._fd_move``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import det4
+from .adaptive import _fd_move
 from .errors import DomainError
 from .game import PayoffParams, _stream_argument, _transition_rows, strategy_tuple, validate_delta
 from .gradients import _gradient_factorized, _gradient_quotient, zero_gradient_condition
@@ -269,19 +271,26 @@ def _walk(rng, n, params, p0=None, kappa=None, tries=_INT64_MAX, q=True):
     return cols, rejected
 
 
+def _walker(rng, size, params, p0=None, kappa=None, tries=_INT64_MAX, q=True):
+    """A function from a count ``k <= size`` to the next ``k`` draws of
+    :func:`_walk` on ``rng``: the compiled ``_native.pczd``'s walk, or,
+    where the library cannot be built, ``_walk`` itself."""
+    from . import _native  # imported on first use, so that importing zdgame loads no library
+
+    return (_native.pczd(rng, size, params, p0, kappa, tries, q)
+            or functools.partial(_walk, rng, params=params, p0=p0, kappa=kappa,
+                                 tries=tries, q=q))
+
+
 def _enforcer_chunks(rng, params, n):
     """The draws of :func:`_walk`, ``n`` of them in chunks of at most
-    ``_CHUNK``, each chunk in one call of the compiled ``_native.pczd``'s
-    walk or of ``_walk``: yields ``(first, p, q, delta, rejections)``, p
-    and q as ``(5, k)`` arrays and ``rejections`` the tries rejected so
-    far; the compiled walk's next chunk overwrites them.  Both routes read
-    ``rng`` value by value, so after each chunk it stands where the
-    draw-by-draw loop leaves it.
+    ``_CHUNK``, each chunk in one call of a :func:`_walker`: yields
+    ``(first, p, q, delta, rejections)``, p and q as ``(5, k)`` arrays and
+    ``rejections`` the tries rejected so far; the compiled walk's next
+    chunk overwrites them.  Both routes read ``rng`` value by value, so
+    after each chunk it stands where the draw-by-draw loop leaves it.
     """
-    from . import _native
-
-    walk = (_native.pczd(rng, min(_CHUNK, n), params)
-            or functools.partial(_walk, rng, params=params))
+    walk = _walker(rng, min(_CHUNK, n), params)
     rejections = 0
     for first in range(0, n, _CHUNK):
         cols, rejected = walk(min(_CHUNK, n - first))
@@ -350,15 +359,10 @@ def _corner_tables(params, rng, n):
     finds no enforcer has no tables 4-5, and a pcZD draw that finds none
     raises ``sample_pczd``'s error.  Then each table column is checked in
     one pass over its corners and all the strategies of its kind."""
-    from . import _native
-
-    def walk(p0=None, kappa=None):  # one draw of sample_pczd per call, without q
-        return (_native.pczd(rng, 1, params, p0, kappa, _TRIES, False)
-                or functools.partial(_walk, rng, params=params, p0=p0, kappa=kappa,
-                                     tries=_TRIES, q=False))
-
     plain, zd, coop, has_coop = [], [], [], []
-    enforcer, cooperative = walk(), walk(1.0, 1.0)
+    # one draw of sample_pczd per call, without q
+    enforcer = _walker(rng, 1, params, tries=_TRIES, q=False)
+    cooperative = _walker(rng, 1, params, 1.0, 1.0, _TRIES, False)
     for i in range(n):
         plain.append((*rng.random(5), _uniform(0.05, 0.98, rng.random())))
         cols, _ = enforcer(1)
@@ -389,14 +393,6 @@ def _corner_tables(params, rng, n):
         "Table 5 min": min([math.inf, *(v for row in closed5 for v in row)])})
 
 
-def _central_difference(p, q, d, params, j, h):
-    plus = q.copy()
-    minus = q.copy()
-    plus[j] += h
-    minus[j] -= h
-    return (_payoffs(p, plus, d, params)[1] - _payoffs(p, minus, d, params)[1]) / (2.0 * h)
-
-
 def _fd_analytic_match(params, rng, n):
     h = 1e-3
     worst = _Worst("fd-analytic-match", 1e-7, "<")
@@ -412,8 +408,8 @@ def _fd_analytic_match(params, rng, n):
             # error term, so h can be large enough for the rounding error
             # (about eps/h) to stay small beside gradients near the filter.
             fd = (
-                4.0 * _central_difference(pj, qj, dj, params, j, h / 2)
-                - _central_difference(pj, qj, dj, params, j, h)
+                4.0 * _fd_move(qj, j, 1.0, h / 2, pj, dj, params)
+                - _fd_move(qj, j, 1.0, h, pj, dj, params)
             ) / 3.0
             rel[j, live] = np.abs(fd - gj) / np.abs(gj)
         worst.add(rel.T, first)

@@ -19,8 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, DomainError, InfeasibleError
-from .game import PayoffParams, Strategy, strategy_tuple, validate_delta
+from .game import PayoffParams, Strategy, _finite, strategy_tuple, validate_delta
 from .payoffs import payoff_determinant
+
+
+def _number(name, value) -> float:
+    """``value`` as a float, unless it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be {'a number' if math.isnan(value) else 'finite'}, "
+                          f"got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -36,10 +45,10 @@ class ZDParams:
     kappa: float
 
     def __post_init__(self):
-        if float(self.phi) == 0.0:
-            raise DomainError("phi must be nonzero (zero scale is the equalizer branch)")
         for name in ("phi", "chi", "kappa"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        if self.phi == 0.0:
+            raise DomainError("phi must be nonzero (zero scale is the equalizer branch)")
 
     @property
     def alpha(self) -> float:
@@ -90,6 +99,14 @@ def _in_cube(v) -> bool:
     return 0.0 <= v <= 1.0
 
 
+def _first_round(p0) -> float:
+    """``p0`` as a float, unless it lies outside [0, 1] (NaN does)."""
+    p0 = float(p0)
+    if not _in_cube(p0):
+        raise DomainError(f"p0={p0} outside [0, 1]")
+    return p0
+
+
 def _accepts(phi, entries) -> bool:
     """Whether a try's scale ``phi`` and entries p1..p4 make an enforcer:
     ``phi > 0`` and every entry in [0, 1]."""
@@ -104,9 +121,7 @@ def make_zd(zd: ZDParams, p0: float, delta: float, params: PayoffParams) -> Stra
     how a discount factor at or below the critical value manifests.
     """
     delta = validate_delta(delta)
-    p0 = float(p0)
-    if not _in_cube(p0):
-        raise DomainError(f"p0={p0} outside [0, 1]")
+    p0 = _first_round(p0)
     entries = _entries(zd.phi, zd.chi, zd.kappa, p0, delta, params.T, params.S)
     violations = [(name, v) for name, v in zip(("p1", "p2", "p3", "p4"), entries)
                   if not _in_cube(v)]
@@ -132,9 +147,10 @@ def recover_zd(p, delta, params: PayoffParams):
     when the worst equation residual is at most ``_FIT_TOL`` (1e-10).
     Returns :class:`ZDParams`, or :class:`NotZD` when inconsistent.  Raises
     :class:`DegenerateError` on the equalizer branch (|alpha| <= 1e-12),
-    where the slope is undefined.
+    where the slope is undefined, and :class:`DomainError` on a NaN or
+    infinite entry of ``p``, whose residual would be NaN.
     """
-    pt = strategy_tuple(p)
+    pt = _finite("p", strategy_tuple(p))
     delta = validate_delta(delta)
     T, S = params.T, params.S
     p0, p1, p2, p3, p4 = pt
@@ -271,9 +287,14 @@ def _phi_window(chi, kappa, p0, delta, T, S):
 
 
 def feasible_phi_interval(chi, kappa, p0, delta, params: PayoffParams):
-    """Open interval of scale values phi > 0 yielding a valid strategy, or None."""
+    """Open interval of scale values phi > 0 yielding a valid strategy, or None.
+
+    Raises :class:`DomainError` for a NaN or infinite ``chi`` or ``kappa``
+    and a ``p0`` outside [0, 1].
+    """
     delta = validate_delta(delta)
-    lo, hi = _phi_window(chi, kappa, float(p0), delta, params.T, params.S)
+    lo, hi = _phi_window(_number("chi", chi), _number("kappa", kappa), _first_round(p0),
+                         delta, params.T, params.S)
     if not (lo < hi):
         return None
     return (lo, hi)
@@ -348,19 +369,17 @@ def sample_pczd(rng, params: PayoffParams, delta=None, p0=None, kappa=None,
     combination rather than bad luck.  Fixed arguments are checked before
     any draw: :class:`DomainError` for a delta not above the critical
     discount (or no room to draw one above it), a p0 outside [0, 1], a
-    NaN kappa, or ``tries`` not a positive integer.
+    NaN or infinite kappa, or ``tries`` not a positive integer.
     """
     dc = critical_discount(params)
-    delta, p0, kappa = (v if v is None else float(v) for v in (delta, p0, kappa))
+    delta = delta if delta is None else float(delta)
     d_lo = None
     if delta is None:
         d_lo = _delta_low(dc)
     elif not (dc < delta < 1.0):
         raise DomainError(f"delta={delta} not above critical value {dc}")
-    if p0 is not None and not _in_cube(p0):
-        raise DomainError(f"p0={p0} outside [0, 1]")
-    if kappa is not None and math.isnan(kappa):
-        raise DomainError("kappa must be a number, got nan")
+    p0 = p0 if p0 is None else _first_round(p0)
+    kappa = kappa if kappa is None else _number("kappa", kappa)
     if isinstance(tries, bool) or not isinstance(tries, numbers.Integral) or tries < 1:
         raise DomainError(f"tries must be a positive integer, got {tries!r}")
     draw, _ = _try_pczd(rng, params, tries, d_lo, delta, p0, kappa)

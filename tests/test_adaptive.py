@@ -20,7 +20,7 @@ from zdgame import (
     sweep,
     validate_payoffs,
 )
-from zdgame.adaptive import PathResult
+from zdgame.adaptive import PathResult, _fd_move
 from conftest import PCZD_A, PCZD_C, bits
 
 FIG3_Q0 = (0.863, 0.071, 0.593, 0.968, 0.420)
@@ -60,11 +60,20 @@ class TestSimConfig:
             {"max_steps": True},
             {"max_steps": "10"},
             {"gradient_mode": "exact"},
+            {"nu": "0.1"},
+            {"dq": None},
+            {"step_tol": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             SimConfig(**kwargs)
+
+    def test_takes_a_numpy_step_cap(self):
+        """As sweep's n_paths and sample_pczd's tries do; it is kept as a
+        Python int."""
+        cap = SimConfig(max_steps=np.int64(100)).max_steps
+        assert type(cap) is int and cap == 100
 
     def test_largest_step_tol_is_the_cubes_largest_update(self):
         """Moving every entry from 0 to 1, an update reaches sqrt(5), so a
@@ -102,6 +111,20 @@ class TestFdGradient:
         err_wide = abs(fd_gradient(q, 3, cfg_wide, p, delta, params_main) - exact)
         err_narrow = abs(fd_gradient(q, 3, cfg_narrow, p, delta, params_main) - exact)
         assert err_wide / err_narrow == pytest.approx(4.0, rel=0.2)
+
+    def test_array_move_is_each_columns_float_move(self, params_main):
+        """On ``(5, n)`` arrays each probe is a new row, so every column
+        gets, bit for bit, its own float call's move, and ``q`` is left as
+        it was."""
+        rng = np.random.default_rng(5)
+        p, q, d = rng.random((5, 7)), rng.random((5, 7)), rng.uniform(0.05, 0.95, 7)
+        before = bits(q)
+        for j in range(5):
+            got = _fd_move(q, j, 0.3, 1e-3, p, d, params_main)
+            want = [_fd_move(tuple(q[:, i].tolist()), j, 0.3, 1e-3, tuple(p[:, i].tolist()),
+                             float(d[i]), params_main) for i in range(7)]
+            assert bits(got) == bits(want)
+            assert bits(q) == before
 
     def test_learning_rate_scales_result(self, params_main):
         p, delta, _ = PCZD_A

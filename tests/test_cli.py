@@ -256,6 +256,9 @@ class TestInvalidInput:
         (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--max-steps", "5.5"], None),
         (["sweep", *GAME, "--seed", "1", "--n-paths", "2"], {"max_steps": True}),
         (["run", *FIG3], {"max_steps": "inf"}),
+        # T + S <= 0: the ascent itself rejects it
+        (["run", *GAME, "--seed", "1", "--T", "1.4", "--S", "-1.5"], None),
+        (["sweep", *GAME, "--seed", "1", "--n-paths", "2", "--T", "1.4", "--S", "-1.5"], None),
     ])
     def test_fails_with_one_error_line(self, tmp_path, capsys, argv, config):
         if config is not None:

@@ -167,6 +167,18 @@ class TestPayoffSeries:
         assert bound(h) < tol
         assert bound(h - 1) >= tol
 
+    @pytest.mark.parametrize("delta, tol", [
+        (0.5, 5e-324), (0.99, 5e-324), (0.99, 1e-320), (0.9999999999999999, 5e-324),
+        # a subnormal first guess lies ~1e17 rounds off here
+        (0.9999999999999999, 1e-300),
+    ])
+    def test_horizon_is_minimal_down_to_the_smallest_tolerance(self, params_main, delta, tol):
+        """tol * (1 - delta) / m underflows to 0 at the smallest tolerances,
+        whose log is a math domain error."""
+        h = series_horizon(delta, params_main, tol)
+        bound = lambda n: delta ** (n + 1) * 1.5 / (1.0 - delta)
+        assert bound(h) < tol <= bound(h - 1)
+
     def test_horizon_scales_with_delta(self, params_main):
         slow = series_horizon(0.99, params_main, 1e-9)
         fast = series_horizon(0.34, params_main, 1e-9)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zdgame import (
+    DomainError,
     applicable_tables,
     corner_table,
     minor_dets,
@@ -170,3 +171,15 @@ def test_each_array_cell_is_the_public_value_per_strategy(params_main, which):
         want = [public_direct(which, p[:, i], delta[i], params_main, r.corner, r.column)
                 for i in range(9)]
         assert bits(r.direct) == bits(want), r.label()
+
+
+@pytest.mark.parametrize("which", ["9", "0", "", "Table 1"])
+@pytest.mark.parametrize("entry", ["corner_table", "table_report"])
+def test_an_unknown_table_is_a_domain_error(params_main, entry, which):
+    p, delta, _ = PCZD_A
+    with pytest.raises(DomainError) as info:
+        if entry == "corner_table":
+            corner_table(which, p, delta, params_main)
+        else:
+            table_report(p, delta, params_main, tables=(which,))
+    assert str(info.value) == f'table must be one of "1".."5", got {which!r}'

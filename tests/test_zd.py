@@ -12,6 +12,7 @@ from zdgame import (
     InfeasibleError,
     NotZD,
     ZDParams,
+    applicable_tables,
     critical_discount,
     feasible_phi_interval,
     is_pczd,
@@ -134,8 +135,11 @@ class TestMakeRecover:
     @pytest.mark.parametrize("zd, p0, delta, detail, violations", [
         (ZDParams(phi=0.2, chi=3.0, kappa=0.0), 0.5, 0.5, "p2=-0.5, p4=-0.5",
          [("p2", -0.5), ("p4", -0.5)]),
-        (ZDParams(phi=0.5, chi=math.inf, kappa=0.5), 0.5, 0.9, "p1=-inf, p2=nan, p3=inf, p4=inf",
-         [("p1", -math.inf), ("p2", math.nan), ("p3", math.inf), ("p4", math.inf)]),
+        # finite parameters whose entries overflow to inf and to inf - inf
+        (ZDParams(phi=0.5, chi=1.5e308, kappa=2.0), 0.5, 0.9,
+         "p1=8.33333e+307, p2=nan, p3=inf, p4=1.66667e+308",
+         [("p1", 8.333333333333333e+307), ("p2", math.nan), ("p3", math.inf),
+          ("p4", 1.6666666666666666e+308)]),
     ])
     def test_infeasible_error_lists_each_entry_outside_the_cube(self, params_main, zd, p0, delta,
                                                                  detail, violations):
@@ -151,6 +155,40 @@ class TestMakeRecover:
     def test_zero_phi_rejected(self):
         with pytest.raises(DomainError):
             ZDParams(phi=0.0, chi=2.0, kappa=0.5)
+
+    @pytest.mark.parametrize("name", ["phi", "chi", "kappa"])
+    @pytest.mark.parametrize("value, message", [(math.nan, "must be a number, got nan"),
+                                                (math.inf, "must be finite, got inf"),
+                                                (-math.inf, "must be finite, got -inf")])
+    def test_non_finite_parameter_rejected(self, name, value, message):
+        args = {"phi": 0.5, "chi": 2.0, "kappa": 0.5, name: value}
+        with pytest.raises(DomainError) as info:
+            ZDParams(**args)
+        assert str(info.value) == f"{name} {message}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", [recover_zd, is_pczd, applicable_tables])
+    def test_non_finite_strategy_rejected(self, params_main, check, value):
+        """A NaN fit residual passed the fit check, so such a p came back
+        as ZD with phi = chi = NaN, and with tables 3-4 applicable."""
+        p = (0.0, 0.75, 0.25, value, 0.0)
+        with pytest.raises(DomainError) as info:
+            check(p, 0.99, params_main)
+        assert str(info.value) == f"p has a non-finite entry: {p}"
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 0.5, 0.5), "chi must be a number, got nan"),
+        ((math.inf, 0.5, 0.5), "chi must be finite, got inf"),
+        ((2.0, math.nan, 0.5), "kappa must be a number, got nan"),
+        ((2.0, -math.inf, 0.5), "kappa must be finite, got -inf"),
+        ((2.0, 0.5, math.nan), "p0=nan outside [0, 1]"),
+        ((2.0, 0.5, 2.0), "p0=2.0 outside [0, 1]"),
+        ((2.0, 0.5, -0.1), "p0=-0.1 outside [0, 1]"),
+    ])
+    def test_feasible_interval_rejects_bad_arguments(self, params_main, args, message):
+        with pytest.raises(DomainError) as info:
+            feasible_phi_interval(*args, 0.9, params_main)
+        assert str(info.value) == message
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -260,6 +298,8 @@ class TestSamplePcZD:
         ({"tries": -1}, "tries must be a positive integer, got -1"),
         ({"tries": 2.5}, "tries must be a positive integer, got 2.5"),
         ({"tries": True}, "tries must be a positive integer, got True"),
+        ({"kappa": math.inf}, "kappa must be finite, got inf"),
+        ({"kappa": -math.inf}, "kappa must be finite, got -inf"),
     ])
     def test_rejects_bad_fixed_arguments_before_any_draw(self, params_main, fixed, message):
         rng = np.random.default_rng(0)
@@ -278,7 +318,7 @@ class TestSamplePcZD:
         got = [zd_mod._accepts(phi, entries) for phi, *entries in tries]
         assert got == [True, True, False, False, False, False, False, False]
 
-    @pytest.mark.parametrize("kappa", [-1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("kappa", [-1.0, 2.0])
     def test_a_kappa_outside_the_unit_interval_finds_no_draw(self, params_main, kappa):
         with pytest.raises(RuntimeError, match="no feasible pcZD draw in 50 tries"):
             sample_pczd(np.random.default_rng(0), params_main, kappa=kappa, tries=50)
